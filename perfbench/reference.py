@@ -2,17 +2,16 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/reference.py [--seeds 20]
+    python3 perfbench/reference.py
 
 Prints Markdown: the machine metadata, the per-stage milliseconds of one
 `run_end_to_end` for the four scenarios of the ROADMAP baseline table (mean
-over derived seeds, inclusive span times, one BLAS thread), and the cost of
-one `sum_dof` call as the number of single-antenna relays L grows.
+over SEEDS derived seeds, inclusive span times, one BLAS thread), and the cost
+of one `sum_dof` call as the number of single-antenna relays L grows.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import platform
 import statistics
@@ -28,6 +27,7 @@ SCENARIOS = (
     ("case2", 8, (6,)),
     ("case1", 6, (1,) * 21),
 )
+SEEDS = 20  # derived seeds per scenario in the stage table
 STAGES = (
     ("draw", "channel.draw_channels"),
     ("design+verify", "precoder.design"),
@@ -47,11 +47,7 @@ def git_sha() -> str:
     return out.stdout.strip()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=20)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     from run import BLAS_ENV, SRC
     os.environ.update(BLAS_ENV)
     sys.path.insert(0, str(SRC))
@@ -76,9 +72,9 @@ def main(argv=None) -> int:
         tracer = spans.Tracer()
         with spans.instrument(tracer):
             run = tracer.wrap(protocol.run_end_to_end, "total")
-            for i in range(args.seeds):
+            for i in range(SEEDS):
                 run(scenario, cfg, derive_trial_seed(0, i))
-        ms = [1e3 * tracer.total_s[name] / args.seeds for name in ("total", *(n for _, n in STAGES))]
+        ms = [1e3 * tracer.total_s[name] / SEEDS for name in ("total", *(n for _, n in STAGES))]
         relays = f"{len(antennas)}x1" if len(antennas) > 1 else f"M=({antennas[0]})"
         print(f"| {scenario} K={K} {relays} | " + " | ".join(f"{x:.2f}" for x in ms) + " |")
 

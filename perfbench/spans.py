@@ -41,7 +41,6 @@ class Tracer:
         self.total_s: dict = defaultdict(float)
         self.self_s: dict = defaultdict(float)
         self.counters: dict = defaultdict(float)
-        self.nesting_violations = 0
         self._stack: list = []  # seconds covered by direct children of each open span
 
     def wrap(self, fn, name: str, on_return=None):
@@ -57,8 +56,6 @@ class Tracer:
             finally:
                 dt = perf_counter() - t0
                 child = stack.pop()
-                if child > dt:
-                    self.nesting_violations += 1
                 calls[name] += 1
                 total_s[name] += dt
                 self_s[name] += dt - child
