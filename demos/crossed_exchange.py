@@ -2,9 +2,9 @@
 
 Users 1 and 2 each send one symbol to user 3 and one to user 4, and vice
 versa: eight symbols. A two-antenna relay cannot neutralize everything for
-everyone, so each beam additionally *replays* interference in the exact
-shape its victim-side partner overheard during phase 1, making it
-cancelable by subtraction. Eight symbols cross in five channel uses.
+everyone, so its precoders additionally *replay* each symbol's interference
+in the exact shape the partner that overheard it stored during phase 1,
+making it cancelable by subtraction. Eight symbols cross in five channel uses.
 
 Run: python demos/crossed_exchange.py
 """

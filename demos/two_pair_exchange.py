@@ -2,7 +2,7 @@
 
 Two user pairs (1<->3 and 2<->4) swap one symbol each with the help of a
 two-antenna relay, in three channel uses instead of four: two learning
-slots, then one relay slot whose beams neutralize exactly the interference
+slots, then one relay slot whose precoders neutralize exactly the interference
 each user could not have overheard.
 
 Run: python demos/two_pair_exchange.py
@@ -35,13 +35,16 @@ for t in sched.phase1_slots:
     plan = sched.slot(t)
     print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
           f"users {sorted(plan.destinations)} and the relay listen")
-for eq in ledger.antenna_equations(1):
-    terms = " + ".join(f"({c:.2f})s[{s.dest}<-{s.src}]" for s, c in eq.coeffs.items())
-    print(f"  relay antenna eq, slot {eq.slot}: y = {terms}")
+for slot in ledger.relay_slots(1):
+    eq = ledger.relay(1, slot)
+    for m in range(eq.value.shape[0]):
+        terms = " + ".join(f"({c[m]:.2f})s[{s.dest}<-{s.src}]" for s, c in eq.coeffs.items())
+        print(f"  relay antenna eq, slot {slot}: y = {terms}")
 
-# The relay decodes all four symbols and forwards one beam per symbol,
-# each beam orthogonal to the downlink row of the one user that must not
-# see that symbol.
+# The relay decodes all four symbols and forwards each phase-1 slot's
+# reception through one 2x2 block precoder, chosen so that every symbol
+# reaches the one user that neither sent nor overheard it with a zero
+# coefficient.
 p = design_twic(ch)
 print(f"\nprecoder residual (worst neutralization violation): {p.residual:.2e}")
 plan = relay_process(ledger, p, sched, mode="decode_forward")

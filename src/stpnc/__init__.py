@@ -33,7 +33,7 @@ from .precoder import (
     AntennaDeficit,
     PrecoderSet,
     SynthesisFailed,
-    build_stacked_constraints_case1,
+    design,
     design_case1,
     design_case2,
     design_twic,

@@ -1,18 +1,19 @@
-"""Relay precoder synthesis for the two-phase schedules.
+"""Relay precoder synthesis, derived from the schedule.
 
 The relays shape phase-2 transmissions so that every user only receives
-signal components it can resolve: symbols it wants, symbols it previously
-sent (cancelable self-interference), and interference in exactly the shape
-it overheard in phase 1 (cancelable by subtracting the stored equation).
-Everything else is neutralized, i.e. forced to a zero end-to-end
-coefficient.
+signal components it can resolve (``Schedule.role``): symbols it wants (D),
+symbols it previously sent (SI, cancelable self-interference), and
+interference it overheard in phase 1 (OI). Everything else (N) is
+neutralized, i.e. forced to a zero end-to-end coefficient. OI from a slot
+that carried none of the user's desired symbols is aligned: its
+coefficient must equal the phase-1 channel, so the relayed interference
+replays the stored equation and subtracting it cancels the interference.
 
-Two precoder layouts exist. The four-user examples use one beamforming
-vector per forwarded symbol (``per_symbol``). The general constructions use
-one M_l x M_l matrix per (relay, phase-2 slot, phase-1 slot) triple
-(``per_block``); each stacked matrix is found by solving a linear system in
-its vectorized form, where the end-to-end coefficient of symbol s via relay
-l is the Kronecker row (uplink^T x downlink) applied to vec(V).
+Each relay l holds one M_l x M_l matrix per (phase-2 slot t, phase-1 slot k)
+pair, applied to what it received in slot k. The end-to-end coefficient of
+transmitter i at user j is sum_l h_dn(j, l, t) V_(l,t,k) h_up(l, i, k), the
+Kronecker row (h_up^T x h_dn) applied to vec(V), so each pair's stacked
+vec'd precoders solve one linear system in those rows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .linalg import (
 )
 from .scheduler import (
     Schedule,
-    SymbolId,
-    cyclic_user,
     schedule_case1,
     schedule_case2,
     schedule_twic,
@@ -42,7 +41,11 @@ from .scheduler import (
 
 
 class SynthesisFailed(Exception):
-    """A precoder constraint system was singular (probability-zero event)."""
+    """A precoder constraint system was singular (probability-zero event).
+
+    ``design`` reports an unsolvable slot pair as AntennaDeficit; callers
+    still catch this class alongside it.
+    """
 
 
 class AntennaDeficit(Exception):
@@ -53,25 +56,76 @@ class AntennaDeficit(Exception):
 class PrecoderSet:
     """Synthesized relay precoders plus the recomputed worst constraint violation.
 
-    per_symbol maps (phase-2 slot, SymbolId) -> beam vector; per_block maps
-    (relay, phase-2 slot, phase-1 slot) -> matrix. Null-space precoders are
-    unit norm; matching-constrained ones keep the scale the constraints pin.
+    per_block maps (relay, phase-2 slot, phase-1 slot) -> matrix. Null-space
+    precoders are unit norm per slot pair; aligning ones keep the scale the
+    constraints pin.
     """
 
     scenario: str
-    mode: str  # "per_symbol" | "per_block"
-    per_symbol: dict = field(default_factory=dict)
+    mode: str = "per_block"  # the only layout
     per_block: dict = field(default_factory=dict)
     residual: float = 0.0
 
 
-def _twic_roles(sched: Schedule, sym: SymbolId) -> tuple[int, int, int]:
-    """Phase-1 slot, victim user (neutralize), partner user (overheard)."""
-    t1 = sched.slot_of(sym)
-    plan = sched.slot(t1)
-    (victim,) = plan.sources - {sym.src}
-    (partner,) = plan.destinations - {sym.dest}
-    return t1, victim, partner
+def _rows(sched: Schedule, k: int) -> list:
+    """Constraint rows on phase-1 slot k as (receiver j, transmitter i, aligned).
+
+    Per symbol, in the slot's sends order: the aligned rows (OI on a slot j
+    overheard without desired symbols) first, then the neutralized rows (N),
+    each in user order. D, SI and jointly decoded OI give no row.
+    """
+    rows = []
+    for i, sym in sched.slot(k).sends.items():
+        roles = [(j, sched.role(j, sym)) for j in sched.users]
+        rows += [(j, i, True) for j, r in roles if r == "OI" and k in sched.pure_slots(j)]
+        rows += [(j, i, False) for j, r in roles if r == "N"]
+    return rows
+
+
+def _constraint_matrix(ch: ChannelSet, rows: list, t: int, k: int) -> np.ndarray:
+    """Row (j, i) segment l is kron(h_up(l, i, k), h_dn(j, l, t)), for every relay l."""
+    n = len(rows)
+    blocks = []
+    for ell, m in enumerate(ch.config.relay_antennas, start=1):
+        up = np.array([ch.h_up(ell, i, k) for _, i, _ in rows]).reshape(n, m)
+        dn = np.array([ch.h_dn(j, ell, t) for j, _, _ in rows]).reshape(n, m)
+        blocks.append((up[:, :, None] * dn[:, None, :]).reshape(n, m * m))
+    return np.hstack(blocks)
+
+
+def design(sched: Schedule, ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+    """Block precoders meeting every constraint the schedule's D/SI/OI/N rule derives.
+
+    Per (phase-2 slot, phase-1 slot) pair the stacked vec'd precoder is the
+    first null-space vector of the constraint rows when every target is
+    zero, and the minimum-norm solution otherwise; both keep the precoders
+    deterministic and bounded.
+    """
+    rows = {k: _rows(sched, k) for k in sched.phase1_slots}
+    p = PrecoderSet(sched.name)
+    for t in sched.phase2_slots:
+        for k in sched.phase1_slots:
+            a = _constraint_matrix(ch, rows[k], t, k)
+            b = np.array([ch.h(j, i, k) if aligned else 0.0 for j, i, aligned in rows[k]],
+                         dtype=complex)
+            if b.any():
+                try:
+                    f = solve_least_norm(a, b, tol)
+                except InconsistentSystem as exc:
+                    raise AntennaDeficit(
+                        f"alignment constraints for slot pair ({t},{k}) are infeasible"
+                    ) from exc
+            else:
+                basis = null_space(a, tol)
+                if basis.shape[1] == 0:
+                    raise AntennaDeficit(f"constraints for slot pair ({t},{k}) leave no null space")
+                f = basis[:, 0]
+            pos = 0
+            for ell, m in enumerate(ch.config.relay_antennas, start=1):
+                p.per_block[(ell, t, k)] = unvec(f[pos:pos + m * m], m, m)
+                pos += m * m
+    p.residual = verify_constraints(p, ch, sched)
+    return p
 
 
 def _require_two_antenna_relay(ch: ChannelSet, scenario: str) -> None:
@@ -79,154 +133,35 @@ def _require_two_antenna_relay(ch: ChannelSet, scenario: str) -> None:
         raise AntennaDeficit(f"{scenario} needs a single relay with 2 antennas")
 
 
-def design_twic(ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
-    """Per-symbol beams for the pairwise exchange: null the one victim user.
+def _require_antenna_sq(ch: ChannelSet, needed: int) -> None:
+    if ch.config.sum_antenna_sq < needed:
+        raise AntennaDeficit(
+            f"need sum of squared antennas >= {needed}, have {ch.config.sum_antenna_sq}"
+        )
 
-    Each symbol is unmanageable interference to exactly one user (the one
-    that neither sent nor overheard it), so its unit-norm beam is drawn from
-    the null space of that user's downlink row in the relay slot.
-    """
+
+def design_twic(ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+    """Pairwise exchange on one 2-antenna relay: each symbol is nulled at one user."""
     _require_two_antenna_relay(ch, "twic")
-    sched = schedule_twic()
-    t2 = sched.phase1_len + 1
-    p = PrecoderSet("twic", "per_symbol")
-    for sym in sched.symbols:
-        _, victim, _ = _twic_roles(sched, sym)
-        basis = null_space(ch.h_dn(victim, 1, t2)[None, :], tol)
-        if basis.shape[1] == 0:
-            raise SynthesisFailed(f"no null direction for symbol {sym}")
-        p.per_symbol[(t2, sym)] = basis[:, 0]
-    p.residual = verify_constraints(p, ch, sched)
-    return p
+    return design(schedule_twic(), ch, tol)
 
 
 def design_twxc(ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
-    """Per-symbol beams for the crossed exchange: null one user, match one.
-
-    Each beam solves a 2x2 system: zero coefficient at the victim user and,
-    at the partner that overheard the symbol in phase 1, a coefficient equal
-    to the phase-1 channel so the relayed interference replays the stored
-    equation exactly.
-    """
+    """Crossed exchange on one 2-antenna relay: null at one user, align at another."""
     _require_two_antenna_relay(ch, "twxc")
-    sched = schedule_twxc()
-    t2 = sched.phase1_len + 1
-    p = PrecoderSet("twxc", "per_symbol")
-    for sym in sched.symbols:
-        t1, victim, partner = _twic_roles(sched, sym)
-        a = np.vstack([ch.h_dn(victim, 1, t2), ch.h_dn(partner, 1, t2)])
-        b = np.array([0.0, ch.h(partner, sym.src, t1)], dtype=complex)
-        try:
-            p.per_symbol[(t2, sym)] = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SynthesisFailed(f"singular constraint pair for {sym}") from exc
-    p.residual = verify_constraints(p, ch, sched)
-    return p
-
-
-def _kron_row(ch: ChannelSet, j: int, i: int, t: int, k: int) -> np.ndarray:
-    """Stacked effective-channel row for (receiver j, transmitter i) across relays.
-
-    Segment l equals uplink(l,i,k)^T kron downlink(j,l,t); applied to the
-    stacked vec'd precoders it evaluates the end-to-end coefficient
-    sum_l downlink @ V_l @ uplink.
-    """
-    return np.concatenate(
-        [np.kron(ch.h_up(ell, i, k), ch.h_dn(j, ell, t))
-         for ell in range(1, ch.config.n_relays + 1)]
-    )
-
-
-def build_stacked_constraints_case1(ch: ChannelSet, k1: int, t: int, k: int) -> np.ndarray:
-    """Neutralization constraint matrix for forwarding slot-k signals in slot t.
-
-    One row per (transmitter i in slot k, protected receiver j) with j
-    neither the slot's destination nor the transmitter itself; rows are
-    ordered lexicographically in (i, j). Degenerates to zero rows for k1=2,
-    where every receiver is either the destination or the transmitter.
-    """
-    users = range(1, k1 + 1)
-    rows = [
-        _kron_row(ch, j, i, t, k)
-        for i in users if i != k
-        for j in users
-        if j != k and j != i
-    ]
-    width = sum(m * m for m in ch.config.relay_antennas)
-    if not rows:
-        return np.zeros((0, width), dtype=complex)
-    return np.vstack(rows)
-
-
-def _unstack_blocks(p: PrecoderSet, f: np.ndarray, antennas, t: int, k: int) -> None:
-    pos = 0
-    for ell, m in enumerate(antennas, start=1):
-        p.per_block[(ell, t, k)] = unvec(f[pos:pos + m * m], m, m)
-        pos += m * m
+    return design(schedule_twxc(), ch, tol)
 
 
 def design_case1(ch: ChannelSet, k1: int, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
-    """Block precoders that neutralize all unmanageable interference.
-
-    For every (phase-2 slot t, phase-1 slot k) the stacked vec'd precoder is
-    a unit-norm vector from the null space of the constraint matrix; this
-    exists almost surely iff sum of squared antenna counts exceeds the
-    (k1-1)(k1-2) constraint count.
-    """
-    needed = (k1 - 1) * (k1 - 2) + 1
-    if ch.config.sum_antenna_sq < needed:
-        raise AntennaDeficit(
-            f"need sum of squared antennas >= {needed}, have {ch.config.sum_antenna_sq}"
-        )
-    sched = schedule_case1(k1)
-    p = PrecoderSet("case1", "per_block")
-    for t in sched.phase2_slots:
-        for k in sched.phase1_slots:
-            basis = null_space(build_stacked_constraints_case1(ch, k1, t, k), tol)
-            if basis.shape[1] == 0:
-                raise AntennaDeficit(f"constraints for slot pair ({t},{k}) leave no null space")
-            _unstack_blocks(p, basis[:, 0], ch.config.relay_antennas, t, k)
-    p.residual = verify_constraints(p, ch, sched)
-    return p
+    """Neutralization only; feasible almost surely iff sum M_l^2 > (k1-1)(k1-2)."""
+    _require_antenna_sq(ch, (k1 - 1) * (k1 - 2) + 1)
+    return design(schedule_case1(k1), ch, tol)
 
 
 def design_case2(ch: ChannelSet, k2: int, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
-    """Block precoders that jointly neutralize and align interference.
-
-    For each forwarded symbol s(k, k_i) the system zeroes its coefficient at
-    every user outside {k, next(k), k_i} and pins its coefficient at next(k)
-    to the phase-1 channel next(k) overheard, so the relayed interference
-    matches the stored equation. The minimum-norm solution keeps the
-    precoders deterministic and bounded.
-    """
-    needed = (k2 - 2) ** 2
-    if ch.config.sum_antenna_sq < needed:
-        raise AntennaDeficit(
-            f"need sum of squared antennas >= {needed}, have {ch.config.sum_antenna_sq}"
-        )
-    sched = schedule_case2(k2)
-    p = PrecoderSet("case2", "per_block")
-    for t in sched.phase2_slots:
-        for k in sched.phase1_slots:
-            nxt = cyclic_user(k, 1, k2)
-            rows, rhs = [], []
-            for j_off in range(2, k2):
-                k_i = cyclic_user(k, j_off, k2)
-                rows.append(_kron_row(ch, nxt, k_i, t, k))
-                rhs.append(ch.h(nxt, k_i, k))
-                for j in sched.users:
-                    if j not in (k, nxt, k_i):
-                        rows.append(_kron_row(ch, j, k_i, t, k))
-                        rhs.append(0.0)
-            try:
-                f = solve_least_norm(np.vstack(rows), np.array(rhs, dtype=complex), tol)
-            except InconsistentSystem as exc:
-                raise AntennaDeficit(
-                    f"alignment constraints for slot pair ({t},{k}) are infeasible"
-                ) from exc
-            _unstack_blocks(p, f, ch.config.relay_antennas, t, k)
-    p.residual = verify_constraints(p, ch, sched)
-    return p
+    """Joint neutralization and alignment; needs sum M_l^2 >= (k2-2)^2."""
+    _require_antenna_sq(ch, (k2 - 2) ** 2)
+    return design(schedule_case2(k2), ch, tol)
 
 
 def _block_coefficient(ch: ChannelSet, p: PrecoderSet, j: int, i: int, t: int, k: int) -> complex:
@@ -238,35 +173,15 @@ def _block_coefficient(ch: ChannelSet, p: PrecoderSet, j: int, i: int, t: int, k
 
 
 def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule) -> float:
-    """Max absolute violation over all design constraints, recomputed from raw channels.
+    """Max absolute violation over the derived constraints, recomputed from raw channels.
 
-    Deliberately re-derives every coefficient with direct matrix products
-    instead of the vectorized rows used during synthesis.
+    Deliberately evaluates every coefficient as direct products
+    h_dn @ V @ h_up instead of the stacked rows used during synthesis.
     """
     worst = 0.0
-    if p.mode == "per_symbol":
-        t2 = sched.phase1_len + 1
-        for sym in sched.symbols:
-            t1, victim, partner = _twic_roles(sched, sym)
-            v = p.per_symbol[(t2, sym)]
-            worst = max(worst, abs(complex(ch.h_dn(victim, 1, t2) @ v)))
-            if p.scenario == "twxc":
-                got = complex(ch.h_dn(partner, 1, t2) @ v)
-                worst = max(worst, abs(got - ch.h(partner, sym.src, t1)))
-        return worst
-    k_users = len(sched.users)
     for t in sched.phase2_slots:
         for k in sched.phase1_slots:
-            for i in sorted(sched.slot(k).sources):
-                if p.scenario == "case1":
-                    protected = [j for j in sched.users if j != k and j != i]
-                    targets = {}
-                else:
-                    nxt = cyclic_user(k, 1, k_users)
-                    protected = [j for j in sched.users if j not in (k, nxt, i)]
-                    targets = {nxt: ch.h(nxt, i, k)}
-                for j in protected:
-                    worst = max(worst, abs(_block_coefficient(ch, p, j, i, t, k)))
-                for j, want in targets.items():
-                    worst = max(worst, abs(_block_coefficient(ch, p, j, i, t, k) - want))
+            for j, i, aligned in _rows(sched, k):
+                want = ch.h(j, i, k) if aligned else 0.0
+                worst = max(worst, abs(_block_coefficient(ch, p, j, i, t, k) - want))
     return worst

@@ -23,11 +23,9 @@ import numpy as np
 
 from .channel import NetworkConfig, derive_trial_seed, draw_channels
 from .linalg import null_space
-from .precoder import PrecoderSet, design_twic
-from .scheduler import SymbolId
+from .precoder import design_twic  # noqa: F401  (perfbench/spans.py wraps rate.design_twic)
 
-_TWIC_CFG = NetworkConfig(K=4, relay_antennas=(2,))
-_FLOW = SymbolId(1, 3)  # the representative symbol flow: user 3 -> user 1
+_TWIC_CFG = NetworkConfig(K=4, relay_antennas=(2,))  # by symmetry, flow 3 -> 1 stands for all four
 
 
 @dataclass(frozen=True)
@@ -59,28 +57,32 @@ class RateResult:
     crossover_db: float | None
 
 
-def uplink_rate(ch, P: float, noise_var: float) -> float:
-    """Rate of the representative flow into the relay in the second slot.
+def _gains(ch) -> tuple[float, float, float]:
+    """Uplink, downlink and direct-link gains of the representative flow.
 
-    The unit-norm combiner nulls the co-scheduled transmitter (user 4), so
-    the flow sees an interference-free channel of gain |u* h_up,3|^2.
+    The unit-norm relay combiner nulls the co-scheduled transmitter (user 4)
+    in the second slot; the unit-norm relay beam nulls the flow at user 4,
+    the one user that neither sent nor overheard it.
     """
     u_row = null_space(ch.h_up(1, 4, 2)[None, :])[:, 0]
-    gain = abs(u_row @ ch.h_up(1, 3, 2)) ** 2
-    return float(np.log2(1.0 + (P / noise_var) * gain))
+    v = null_space(ch.h_dn(4, 1, 3)[None, :])[:, 0]
+    direct = abs(ch.h(1, 3, 2)) ** 2
+    return abs(u_row @ ch.h_up(1, 3, 2)) ** 2, direct + abs(ch.h_dn(1, 1, 3) @ v) ** 2, direct
 
 
-def downlink_rate(ch, p: PrecoderSet, P: float, noise_var: float) -> float:
+def uplink_rate(ch, P: float, noise_var: float) -> float:
+    """Rate of the representative flow into the relay: interference-free gain |u* h_up,3|^2."""
+    return float(np.log2(1.0 + (P / noise_var) * _gains(ch)[0]))
+
+
+def downlink_rate(ch, P: float, noise_var: float) -> float:
     """Rate of the representative flow out of the relay, combined with phase 1."""
-    t2 = 3
-    v = p.per_symbol[(t2, _FLOW)]
-    gain = abs(ch.h(1, 3, 2)) ** 2 + abs(ch.h_dn(1, 1, t2) @ v) ** 2
-    return float(np.log2(1.0 + (P / (2.5 * noise_var)) * gain))
+    return float(np.log2(1.0 + (P / (2.5 * noise_var)) * _gains(ch)[1]))
 
 
-def df_pair_rate(ch, p: PrecoderSet, P: float, noise_var: float) -> float:
+def df_pair_rate(ch, P: float, noise_var: float) -> float:
     """Decode-and-forward rate of the flow: min of its two hops."""
-    return min(uplink_rate(ch, P, noise_var), downlink_rate(ch, p, P, noise_var))
+    return min(uplink_rate(ch, P, noise_var), downlink_rate(ch, P, noise_var))
 
 
 def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
@@ -92,12 +94,7 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     out = np.empty((count, 3))
     for i in range(count):
         ch = draw_channels(_TWIC_CFG, 3, derive_trial_seed(seed, start + i))
-        p = design_twic(ch)
-        u_row = null_space(ch.h_up(1, 4, 2)[None, :])[:, 0]
-        out[i, 0] = abs(u_row @ ch.h_up(1, 3, 2)) ** 2
-        v = p.per_symbol[(3, _FLOW)]
-        out[i, 1] = abs(ch.h(1, 3, 2)) ** 2 + abs(ch.h_dn(1, 1, 3) @ v) ** 2
-        out[i, 2] = abs(ch.h(1, 3, 2)) ** 2
+        out[i] = _gains(ch)
     return out
 
 

@@ -4,12 +4,15 @@ Every schedule has two phases. In phase 1 subsets of users transmit while
 the remaining users and all relays listen and store linear equations
 (side-information learning). In phase 2 only the relays transmit.
 Slots and users are 1-indexed; a symbol id (dest, src) names the unit-power
-data symbol user `src` sends for user `dest`.
+data symbol user `src` sends for user `dest`. Schedules are immutable and
+their builders cached, so what a schedule derives (its symbols, the slot of
+a symbol, the pure slots of a user) is computed once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import NamedTuple
 
 
@@ -55,24 +58,16 @@ class Schedule:
     def slot(self, t: int) -> SlotPlan:
         return self.slots[t - 1]
 
-    @property
-    def symbol_plan(self) -> dict:
-        """Map (phase-1 slot, transmitter) -> SymbolId."""
-        return {
-            (t, i): sym
-            for t in self.phase1_slots
-            for i, sym in self.slot(t).sends.items()
-        }
-
-    @property
+    @cached_property
     def symbols(self) -> tuple:
-        return tuple(sorted(sym for (_, _), sym in self.symbol_plan.items()))
+        return tuple(sorted(self._slot_index))
+
+    @cached_property
+    def _slot_index(self) -> dict:
+        return {sym: t for t in self.phase1_slots for sym in self.slot(t).sends.values()}
 
     def slot_of(self, sym: SymbolId) -> int:
-        for t in self.phase1_slots:
-            if sym in self.slot(t).sends.values():
-                return t
-        raise KeyError(sym)
+        return self._slot_index[sym]
 
     def desired_symbols(self, k: int) -> tuple:
         return tuple(s for s in self.symbols if s.dest == k)
@@ -83,11 +78,43 @@ class Schedule:
     def listened_phase1(self, k: int) -> tuple:
         return tuple(t for t in self.phase1_slots if k in self.slot(t).destinations)
 
+    def role(self, j: int, sym: SymbolId) -> str:
+        """How user j may receive symbol sym in phase 2: D, SI, OI or N.
+
+        D: j wants it. SI: j sent it. OI: j overheard it in phase 1, so it may
+        arrive in the shape j stored. N: anything else must be neutralized.
+        """
+        if sym.dest == j:
+            return "D"
+        if sym.src == j:
+            return "SI"
+        if j in self.slot(self.slot_of(sym)).destinations:
+            return "OI"
+        return "N"
+
+    def pure_slots(self, j: int) -> frozenset:
+        """Phase-1 slots user j overheard that carry none of its desired symbols.
+
+        Interference from such a slot is aligned: it must reach j in exactly
+        the stored shape, so j cancels it by subtracting that equation. Other
+        overheard symbols share a slot with desired ones and are decoded jointly.
+        """
+        return self._pure_slots[j]
+
+    @cached_property
+    def _pure_slots(self) -> dict:
+        return {
+            j: frozenset(t for t in self.listened_phase1(j)
+                         if all(sym.dest != j for sym in self.slot(t).sends.values()))
+            for j in self.users
+        }
+
 
 def _relay_slot(users) -> SlotPlan:
     return SlotPlan(frozenset(), frozenset(users), relay_listen=False)
 
 
+@cache
 def schedule_twic() -> Schedule:
     """Two user pairs (1<->3, 2<->4) exchanging one symbol each via the relay.
 
@@ -103,6 +130,7 @@ def schedule_twic() -> Schedule:
     return Schedule("twic", (1, 2, 3, 4), slots, phase1_len=2, phase2_len=1)
 
 
+@cache
 def schedule_twxc() -> Schedule:
     """Users 1,2 exchange two symbols with each of users 3,4 (crossed flows).
 
@@ -122,6 +150,7 @@ def schedule_twxc() -> Schedule:
     return Schedule("twxc", (1, 2, 3, 4), slots, phase1_len=4, phase2_len=1)
 
 
+@cache
 def schedule_case1(k1: int) -> Schedule:
     """Neutralization-only exchange: slot k delivers to user k from all others.
 
@@ -145,6 +174,7 @@ def cyclic_user(k: int, j: int, n_users: int) -> int:
     return ((k - 1 + j) % n_users) + 1
 
 
+@cache
 def schedule_case2(k2: int) -> Schedule:
     """Alignment-and-neutralization exchange over a cyclic two-listener plan.
 

@@ -157,3 +157,32 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
     assert run(["rate-sweep", "--snr", "0:6:3", "--trials", "4100", "--seed", "3",
                 "--jobs", "2", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reused_parser_gives_the_bytes_of_lone_calls(tmp_path, monkeypatch):
+    # the parser is built once per process; a --config call must not leak its
+    # values into later calls, which rely on the defaults it overrode
+    monkeypatch.delenv("STPNC_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": 2, "seed": 5, "format": "json"}))
+    calls = [
+        ["verify", "--scenario", "twic", "--seeds", "3"],
+        ["verify", "--scenario", "twxc", "--config", str(cfg)],
+        ["verify", "--scenario", "twic", "--seeds", "3"],
+        ["simulate", "--scenario", "case1", "--k1", "3", "--relays", "2", "--format", "csv"],
+        ["dof-sweep", "--k", "5", "--l-max", "8"],
+        ["rate-sweep", "--snr", "0:10:5", "--trials", "40", "--jobs", "1"],
+    ]
+    cli.build_parser.cache_clear()
+    in_row = []
+    for i, args in enumerate(calls):
+        out = tmp_path / f"row{i}"
+        assert run(args + ["--output", str(out)]) == 0
+        in_row.append(out.read_bytes())
+    assert cli.build_parser.cache_info().misses == 1
+    for i, args in enumerate(calls):
+        cli.build_parser.cache_clear()
+        out = tmp_path / f"alone{i}"
+        assert run(args + ["--output", str(out)]) == 0
+        assert out.read_bytes() == in_row[i], args
+    assert in_row[0] == in_row[2]

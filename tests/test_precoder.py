@@ -4,7 +4,9 @@ import pytest
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import (
     AntennaDeficit,
-    build_stacked_constraints_case1,
+    _constraint_matrix,
+    _rows,
+    design,
     design_case1,
     design_case2,
     design_twic,
@@ -13,6 +15,7 @@ from stpnc.precoder import (
 )
 from stpnc.scheduler import (
     SymbolId,
+    cyclic_user,
     schedule_case1,
     schedule_case2,
     schedule_twic,
@@ -28,25 +31,41 @@ def twxc_channels(seed):
     return draw_channels(NetworkConfig(4, (2,)), 5, seed)
 
 
+def coefficient(ch, p, j, i, t, k):
+    """End-to-end coefficient of slot-k transmitter i at user j, by direct products."""
+    return sum(
+        ch.h_dn(j, ell, t) @ p.per_block[(ell, t, k)] @ ch.h_up(ell, i, k)
+        for ell in range(1, ch.config.n_relays + 1)
+    )
+
+
 def test_twic_zero_constraints():
     ch = twic_channels(0)
     p = design_twic(ch)
     assert p.residual < 1e-10
-    # the four victim constraints, spelled out
+    assert p.mode == "per_block"
+    # the four victim constraints, spelled out: each symbol is N at one user
     t = 3
+    sched = schedule_twic()
     pairs = [(2, SymbolId(3, 1)), (4, SymbolId(1, 3)), (3, SymbolId(2, 4)), (1, SymbolId(4, 2))]
     for victim, sym in pairs:
-        assert abs(ch.h_dn(victim, 1, t) @ p.per_symbol[(t, sym)]) < 1e-10
-        assert abs(np.linalg.norm(p.per_symbol[(t, sym)]) - 1.0) < 1e-12
+        k = sched.slot_of(sym)
+        assert sched.role(victim, sym) == "N"
+        assert abs(coefficient(ch, p, victim, sym.src, t, k)) < 1e-10
+        # null-space precoders are unit norm per slot pair
+        assert abs(np.linalg.norm(p.per_block[(1, t, k)]) - 1.0) < 1e-12
 
 
 def test_twic_axis_null_space():
     ch = twic_channels(1)
     ch.relay_user[(2, 1, 3)] = np.array([1.0 + 0j, 0.0 + 0j])
     p = design_twic(ch)
-    v = p.per_symbol[(3, SymbolId(3, 1))]
-    assert abs(v[0]) < 1e-12
-    assert abs(abs(v[1]) - 1.0) < 1e-12
+    # symbol 3<-1 must reach user 2 with a zero coefficient, so the relayed
+    # vector of slot 1's transmitter 1 lies on the second antenna axis
+    x = p.per_block[(1, 3, 1)] @ ch.h_up(1, 1, 1)
+    assert np.linalg.norm(x) > 1e-6
+    assert abs(x[0]) < 1e-12 * np.linalg.norm(x)
+    assert abs(abs(x[1]) - np.linalg.norm(x)) < 1e-12
 
 
 def test_twic_wrong_antennas_rejected():
@@ -68,16 +87,16 @@ def test_twxc_all_sixteen_constraints():
         SymbolId(2, 3): (4, 1, 4), SymbolId(2, 4): (3, 1, 4),
     }
     for sym, (victim, partner, t1) in table.items():
-        v = p.per_symbol[(t, sym)]
-        assert abs(ch.h_dn(victim, 1, t) @ v) < 1e-10
-        assert abs(ch.h_dn(partner, 1, t) @ v - ch.h(partner, sym.src, t1)) < 1e-10
+        assert abs(coefficient(ch, p, victim, sym.src, t, t1)) < 1e-10
+        got = coefficient(ch, p, partner, sym.src, t, t1)
+        assert abs(got - ch.h(partner, sym.src, t1)) < 1e-10
 
 
 def test_verify_constraints_zero_precoders_equals_max_target():
     ch = twxc_channels(3)
     p = design_twxc(ch)
-    for key in p.per_symbol:
-        p.per_symbol[key] = np.zeros(2, dtype=complex)
+    for key in p.per_block:
+        p.per_block[key] = np.zeros((2, 2), dtype=complex)
     sched = schedule_twxc()
     expected = max(
         abs(ch.h(partner, sym.src, sched.slot_of(sym)))
@@ -91,23 +110,25 @@ def test_verify_constraints_detects_perturbation():
     ch = twic_channels(4)
     p = design_twic(ch)
     rng = np.random.default_rng(0)
-    key = (3, SymbolId(3, 1))
-    p.per_symbol[key] = p.per_symbol[key] + 1e-3 * rng.standard_normal(2)
+    key = (1, 3, 1)
+    p.per_block[key] = p.per_block[key] + 1e-3 * rng.standard_normal((2, 2))
     assert verify_constraints(p, ch, schedule_twic()) > 1e-5
 
 
 def test_stacked_constraints_shape_and_rows():
     cfg = NetworkConfig(3, (2,))
     ch = draw_channels(cfg, 4, 2)
-    a = build_stacked_constraints_case1(ch, 3, t=4, k=1)
+    sched = schedule_case1(3)
+    rows = _rows(sched, 1)
+    assert rows == [(3, 2, False), (2, 3, False)]  # (j, i) for i, then j, ascending
+    a = _constraint_matrix(ch, rows, t=4, k=1)
     assert a.shape == (2, 4)  # (k1-1)(k1-2) rows, sum of squared antennas cols
-    # row oracle: row (i, j) is kron(uplink, downlink); applying it to vec(V)
-    # equals the direct triple product
+    # row oracle: the broadcast row (j, i) is bitwise kron(uplink, downlink);
+    # applying it to vec(V) equals the direct triple product
     rng = np.random.default_rng(0)
     v = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     f = v.reshape(-1, order="F")
-    pairs = [(2, 3), (3, 2)]  # (i, j) lexicographic
-    for row, (i, j) in zip(a, pairs):
+    for row, (j, i, _) in zip(a, rows):
         expect = np.kron(ch.h_up(1, i, 1), ch.h_dn(j, 1, 4))
         assert np.array_equal(row, expect)
         direct = ch.h_dn(j, 1, 4) @ v @ ch.h_up(1, i, 1)
@@ -115,8 +136,48 @@ def test_stacked_constraints_shape_and_rows():
 
 
 def test_stacked_constraints_degenerate_two_users():
+    # a slot whose every receiver is a destination or a transmitter has no rows
     ch = draw_channels(NetworkConfig(2, (2,)), 2, 0)
-    assert build_stacked_constraints_case1(ch, 2, t=2, k=1).shape == (0, 4)
+    assert _constraint_matrix(ch, [], t=2, k=1).shape == (0, 4)
+
+
+def test_broadcast_rows_match_kron_across_relays():
+    # multi-relay, mixed antennas: each row concatenates one kron segment per relay
+    k2 = 5
+    ch = draw_channels(NetworkConfig(k2, (2, 3, 1)), 2 * k2 - 3, 8)
+    sched = schedule_case2(k2)
+    for k in sched.phase1_slots:
+        rows = _rows(sched, k)
+        a = _constraint_matrix(ch, rows, t=6, k=k)
+        expect = np.vstack([
+            np.concatenate([np.kron(ch.h_up(ell, i, k), ch.h_dn(j, ell, 6)) for ell in (1, 2, 3)])
+            for j, i, _ in rows
+        ])
+        assert np.array_equal(a, expect)
+
+
+def test_case2_rows_align_before_neutralizing():
+    # per transmitter (in the slot's sends order): the aligned row at next(k)
+    # first, then every user outside {k, next(k), transmitter}
+    k2 = 5
+    sched = schedule_case2(k2)
+    for k in sched.phase1_slots:
+        nxt = cyclic_user(k, 1, k2)
+        expect = []
+        for off in range(2, k2):
+            i = cyclic_user(k, off, k2)
+            expect.append((nxt, i, True))
+            expect += [(j, i, False) for j in sched.users if j not in (k, nxt, i)]
+        assert _rows(sched, k) == expect
+
+
+def test_entry_points_equal_schedule_design():
+    ch = draw_channels(NetworkConfig(5, (3,)), 7, 4)
+    a, b = design_case2(ch, 5), design(schedule_case2(5), ch)
+    assert a.per_block.keys() == b.per_block.keys()
+    for key in a.per_block:
+        assert np.array_equal(a.per_block[key], b.per_block[key])
+    assert a.residual == b.residual
 
 
 @pytest.mark.parametrize("k1,antennas", [(3, (2,)), (4, (3,)), (3, (1, 2)), (4, (1, 1, 1, 2))])
@@ -177,8 +238,8 @@ def test_case2_alignment_targets():
 def test_synthesis_is_deterministic():
     ch = twxc_channels(9)
     a, b = design_twxc(ch), design_twxc(ch)
-    for key in a.per_symbol:
-        assert np.array_equal(a.per_symbol[key], b.per_symbol[key])
+    for key in a.per_block:
+        assert np.array_equal(a.per_block[key], b.per_block[key])
     ch1 = draw_channels(NetworkConfig(4, (3,)), 6, 9)
     c1, c2 = design_case1(ch1, 4), design_case1(ch1, 4)
     for key in c1.per_block:

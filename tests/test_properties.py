@@ -64,8 +64,8 @@ def check_pipeline_determinism(cases):
         b = draw_channels(cfg, 3, seed)
         assert a.user_user == b.user_user
         pa, pb = design_twic(a), design_twic(b)
-        for key in pa.per_symbol:
-            assert np.array_equal(pa.per_symbol[key], pb.per_symbol[key])
+        for key in pa.per_block:
+            assert np.array_equal(pa.per_block[key], pb.per_block[key])
 
 
 def check_ledger_and_recovery(cases):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stpnc import precoder, protocol
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.linalg import RankDeficient
 from stpnc.precoder import design_twic, design_twxc
@@ -51,11 +52,14 @@ def test_phase1_user_equation_coefficients():
 def test_phase1_relay_gets_four_scalar_equations():
     _, sched, ch, syms = twic_setup(1)
     ledger = run_phase1(sched, ch, syms)
-    eqs = ledger.antenna_equations(1)
-    assert len(eqs) == 4
+    eqs = [ledger.relay(1, slot) for slot in ledger.relay_slots(1)]
+    # two slots, one scalar equation per antenna in each
+    assert sum(eq.value.shape[0] for eq in eqs) == 4
     covered = set()
     for eq in eqs:
         covered.update(eq.coeffs)
+        for m in range(eq.value.shape[0]):
+            assert abs(eq.value[m] - sum(c[m] * syms[sym] for sym, c in eq.coeffs.items())) < 1e-12
     assert covered == set(sched.symbols)
 
 
@@ -136,8 +140,8 @@ def test_twxc_overheard_part_replays_stored_equation():
 def test_zero_precoders_give_zero_received_values():
     _, sched, ch, syms = twic_setup(10)
     p = design_twic(ch)
-    for key in p.per_symbol:
-        p.per_symbol[key] = np.zeros(2, dtype=complex)
+    for key in p.per_block:
+        p.per_block[key] = np.zeros((2, 2), dtype=complex)
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
@@ -267,3 +271,89 @@ def test_verify_scenario_summary():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         run_end_to_end("bogus", NetworkConfig(4, (2,)), 0)
+
+
+# fault injection: each test perturbs one input of an otherwise passing run and
+# checks that verify_scenario fails the seed through the gate meant to catch it
+
+def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
+    real = precoder.null_space
+    state = {"done": False}
+
+    def faulty(a, tol):
+        basis = real(a, tol)
+        if not state["done"]:
+            basis[0, 0] += 1e-6  # one entry of one relay block
+            state["done"] = True
+        return basis
+
+    monkeypatch.setattr(precoder, "null_space", faulty)
+    summary = verify_scenario("case1", NetworkConfig(4, (3,)), n_seeds=2)
+    assert summary["failures"] == [0]
+    assert summary["max_constraint_residual"] >= 1e-9
+
+
+def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
+    real = protocol.relay_process
+
+    def faulty(ledger, *args, **kwargs):
+        plan = real(ledger, *args, **kwargs)
+        # after the relays used it: only the stored equation is now wrong
+        eq = ledger.relay(1, 1)
+        eq.coeffs[next(iter(eq.coeffs))][0] += 1e-6
+        return plan
+
+    monkeypatch.setattr(protocol, "relay_process", faulty)
+    summary = verify_scenario("case2", NetworkConfig(4, (2,)), n_seeds=2)
+    assert summary["failures"] == [0, 1]
+    assert summary["max_linearity_error"] >= 1e-9
+    assert summary["max_symbol_error"] < 1e-8  # decoding alone would not see it
+
+
+def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
+    real = protocol.run_phase2
+
+    def faulty(*args, **kwargs):
+        ledger = real(*args, **kwargs)
+        eq = next(e for e in ledger.user(1) if e.oi_ref_slot is not None)
+        sym = next(iter(eq.parts["OI"]))
+        eq.parts["OI"][sym] += 1e-6
+        return ledger
+
+    monkeypatch.setattr(protocol, "run_phase2", faulty)
+    summary = verify_scenario("twxc", NetworkConfig(4, (2,)), n_seeds=2)
+    assert summary["failures"] == [0, 1]
+    assert summary["max_alignment_error"] >= 1e-9
+    assert summary["max_symbol_error"] < 1e-8
+
+
+def test_verify_fails_on_stray_coefficient(monkeypatch):
+    real = protocol.decode_user
+
+    def faulty(k, *args, **kwargs):
+        res = real(k, *args, **kwargs)
+        if k == 2:
+            res.stray_coeff = 1e-6
+        return res
+
+    monkeypatch.setattr(protocol, "decode_user", faulty)
+    summary = verify_scenario("twic", NetworkConfig(4, (2,)), n_seeds=2)
+    assert summary["failures"] == [0, 1]
+    assert summary["max_symbol_error"] < 1e-8
+
+
+def test_achieved_dof_counts_recovered_symbols(monkeypatch):
+    real = protocol.decode_user
+
+    def faulty(k, *args, **kwargs):
+        res = real(k, *args, **kwargs)
+        if k == 1:
+            sym = next(iter(res.recovered))
+            res.recovered[sym] *= 1.5
+        return res
+
+    monkeypatch.setattr(protocol, "decode_user", faulty)
+    summary = verify_scenario("case1", NetworkConfig(3, (2,)), n_seeds=1)
+    assert summary["passed"] is False
+    assert summary["expected_dof"] == "3/2"
+    assert summary["achieved_dof"] == "mismatch"

@@ -15,7 +15,6 @@ from stpnc.rate import (
     trial_gains,
     uplink_rate,
 )
-from stpnc.scheduler import SymbolId
 
 LN2 = np.log(2.0)
 
@@ -72,28 +71,39 @@ def test_uplink_ergodic_rate_matches_quadrature_oracle():
 
 def test_downlink_rate_algebraic_identity():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 2)
-    p = design_twic(ch)
     ch.user_user[(1, 3, 2)] = complex(np.sqrt(1.5))
     ch.relay_user[(1, 1, 3)] = np.array([1.0 + 0j, 0.0 + 0j])
-    p.per_symbol[(3, SymbolId(1, 3))] = np.array([1.0 + 0j, 0.0 + 0j])
+    # the beam nulls the flow at user 4, whose downlink row is the second
+    # axis, so the beam is [1, 0]
+    ch.relay_user[(4, 1, 3)] = np.array([0.0 + 0j, 1.0 + 0j])
     # squared effective channel norm is 1.5 + 1 = 2.5, so at P/sigma^2 = 1 the
     # rate is exactly log2(2) = 1
-    assert downlink_rate(ch, p, P=1.0, noise_var=1.0) == pytest.approx(1.0)
+    assert downlink_rate(ch, P=1.0, noise_var=1.0) == pytest.approx(1.0)
 
 
 def test_downlink_rate_vanishes_at_high_noise():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 3)
-    p = design_twic(ch)
-    assert downlink_rate(ch, p, P=1.0, noise_var=1e12) < 1e-9
+    assert downlink_rate(ch, P=1.0, noise_var=1e12) < 1e-9
+
+
+def test_downlink_beam_is_the_block_precoders_direction():
+    # the relay slot must null flow 3 -> 1 at user 4, a one-dimensional
+    # constraint on two antennas, so the block precoders of the protocol
+    # send that flow along the rate beam
+    for seed in range(10):
+        ch = draw_channels(NetworkConfig(4, (2,)), 3, seed)
+        x = design_twic(ch).per_block[(1, 3, 2)] @ ch.h_up(1, 3, 2)
+        direct = abs(ch.h(1, 3, 2)) ** 2
+        gain = direct + abs(ch.h_dn(1, 1, 3) @ x) ** 2 / np.linalg.norm(x) ** 2
+        assert 2.0 ** downlink_rate(ch, 2.5, 1.0) - 1.0 == pytest.approx(gain, rel=1e-9)
 
 
 def test_df_pair_rate_is_min_of_hops():
     for seed in range(20):
         ch = draw_channels(NetworkConfig(4, (2,)), 3, seed)
-        p = design_twic(ch)
         up = uplink_rate(ch, 10.0, 1.0)
-        dn = downlink_rate(ch, p, 10.0, 1.0)
-        df = df_pair_rate(ch, p, 10.0, 1.0)
+        dn = downlink_rate(ch, 10.0, 1.0)
+        df = df_pair_rate(ch, 10.0, 1.0)
         assert df == min(up, dn)
         assert df <= up and df <= dn
 
@@ -114,8 +124,7 @@ def test_single_trial_average_is_hand_computation():
     cfg = RateConfig((10.0,), trials=1, seed=5)
     rows = stpnc_sum_rate(cfg)
     ch = draw_channels(NetworkConfig(4, (2,)), 3, __import__("stpnc").derive_trial_seed(5, 0))
-    p = design_twic(ch)
-    expect = (4.0 / 3.0) * df_pair_rate(ch, p, 10.0, 1.0)
+    expect = (4.0 / 3.0) * df_pair_rate(ch, 10.0, 1.0)
     assert rows[0][1] == pytest.approx(expect, rel=1e-12)
     assert rows[0][2] == 0.0
 

@@ -126,3 +126,44 @@ def test_case2_each_user_listens_twice():
         for u in s.users:
             dest_count = sum(u in s.slot(t).destinations for t in s.phase1_slots)
             assert dest_count == 2
+
+
+def test_twic_roles_for_user_one():
+    s = schedule_twic()
+    assert s.role(1, SymbolId(1, 3)) == "D"
+    assert s.role(1, SymbolId(3, 1)) == "SI"
+    assert s.role(1, SymbolId(2, 4)) == "OI"  # overheard in slot 2, decoded jointly
+    assert s.role(1, SymbolId(4, 2)) == "N"
+    assert all(s.pure_slots(u) == frozenset() for u in s.users)
+
+
+def test_twxc_pure_slots_are_the_other_pairs_slots():
+    s = schedule_twxc()
+    # user 4 overhears slot 1 (both symbols for user 3): aligned interference
+    assert s.pure_slots(4) == {1}
+    assert s.pure_slots(3) == {2}
+    assert s.pure_slots(1) == {4}
+    assert s.pure_slots(2) == {3}
+    assert s.role(4, SymbolId(3, 1)) == "OI"
+
+
+@pytest.mark.parametrize("build", ALL_BUILDERS)
+def test_roles_partition_every_symbol(build):
+    s = build()
+    for u in s.users:
+        roles = {sym: s.role(u, sym) for sym in s.symbols}
+        assert {sym for sym, r in roles.items() if r == "D"} == set(s.desired_symbols(u))
+        assert {sym for sym, r in roles.items() if r == "SI"} == set(s.own_symbols(u))
+        overheard = {sym for t in s.listened_phase1(u) for sym in s.slot(t).sends.values()}
+        assert {sym for sym, r in roles.items() if r == "OI"} == overheard - set(s.desired_symbols(u))
+        # pure slots are overheard slots without a desired symbol
+        assert s.pure_slots(u) <= set(s.listened_phase1(u))
+        for t in s.pure_slots(u):
+            assert all(roles[sym] == "OI" for sym in s.slot(t).sends.values())
+
+
+def test_case2_next_user_overhears_one_pure_slot():
+    k2 = 6
+    s = schedule_case2(k2)
+    for k in s.phase1_slots:
+        assert s.pure_slots(cyclic_user(k, 1, k2)) == {k}
