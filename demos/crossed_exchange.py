@@ -9,17 +9,10 @@ making it cancelable by subtraction. Eight symbols cross in five channel uses.
 Run: python demos/crossed_exchange.py
 """
 
-from stpnc import (
-    NetworkConfig,
-    decode_user,
-    design_twxc,
-    draw_channels,
-    draw_symbols,
-    relay_process,
-    run_phase1,
-    run_phase2,
-    schedule_twxc,
-)
+from stpnc.channel import NetworkConfig, draw_channels
+from stpnc.precoder import design_twxc
+from stpnc.protocol import decode_user, draw_symbols, relay_process, run_phase1, run_phase2
+from stpnc.scheduler import schedule_twxc
 
 cfg = NetworkConfig(K=4, relay_antennas=(2,))
 sched = schedule_twxc()
@@ -33,8 +26,8 @@ ledger = run_phase2(plan, sched, ch, ledger=ledger)
 
 print("per-user view of the relay slot:")
 for k in sched.users:
-    eq = [e for e in ledger.user(k) if e.slot == 5][0]
-    stored = {e.slot: e for e in ledger.user(k) if e.slot <= 4}
+    eq = [e for e in ledger.users[k] if e.slot == 5][0]
+    stored = {e.slot: e for e in ledger.users[k] if e.slot <= 4}
     ref = stored[eq.oi_ref_slot]
     oi_value = sum(c * syms[sym] for sym, c in eq.parts["OI"].items())
     print(f"  user {k}: overheard-interference part equals its stored slot-{eq.oi_ref_slot} "

@@ -12,7 +12,7 @@ Run: python demos/dof_comparison.py [--csv out.csv]
 
 import sys
 
-from stpnc import single_antenna_sweep, write_sweep_csv
+from stpnc.dof import single_antenna_sweep, write_sweep_csv
 
 K = 6
 rows = single_antenna_sweep(K, 30)

@@ -10,7 +10,9 @@ antennas may be spread across several relays.
 Run: python demos/general_network.py
 """
 
-from stpnc import AntennaDeficit, NetworkConfig, run_end_to_end
+from stpnc.channel import NetworkConfig
+from stpnc.precoder import AntennaDeficit
+from stpnc.protocol import run_end_to_end
 
 runs = [
     ("case1", NetworkConfig(3, (2,))),

@@ -8,17 +8,10 @@ each user could not have overheard.
 Run: python demos/two_pair_exchange.py
 """
 
-from stpnc import (
-    NetworkConfig,
-    decode_user,
-    design_twic,
-    draw_channels,
-    draw_symbols,
-    relay_process,
-    run_phase1,
-    run_phase2,
-    schedule_twic,
-)
+from stpnc.channel import NetworkConfig, draw_channels
+from stpnc.precoder import design_twic
+from stpnc.protocol import decode_user, draw_symbols, relay_process, run_phase1, run_phase2
+from stpnc.scheduler import schedule_twic
 
 cfg = NetworkConfig(K=4, relay_antennas=(2,))
 sched = schedule_twic()
@@ -35,8 +28,7 @@ for t in sched.phase1_slots:
     plan = sched.slot(t)
     print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
           f"users {sorted(plan.destinations)} and the relay listen")
-for slot in ledger.relay_slots(1):
-    eq = ledger.relay(1, slot)
+for (_, slot), eq in ledger.relays.items():
     for m in range(eq.value.shape[0]):
         terms = " + ".join(f"({c[m]:.2f})s[{s.dest}<-{s.src}]" for s, c in eq.coeffs.items())
         print(f"  relay antenna eq, slot {slot}: y = {terms}")
@@ -50,7 +42,7 @@ print(f"\nprecoder residual (worst neutralization violation): {p.residual:.2e}")
 plan = relay_process(ledger, p, sched, mode="decode_forward")
 ledger = run_phase2(plan, sched, ch, ledger=ledger)
 
-eq = [e for e in ledger.user(1) if e.slot == 3][0]
+eq = [e for e in ledger.users[1] if e.slot == 3][0]
 print("\nuser 1, relay slot coefficient split:")
 for part in ("D", "SI", "OI", "N"):
     for sym, c in eq.parts[part].items():

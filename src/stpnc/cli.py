@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage error, 3 infeasible configuration
 (antenna deficit / rank-deficient decoding), 4 verification failure.
 The STPNC_SEED environment variable supplies the default root seed; an
-optional JSON config file can pre-set any flag (explicit flags win). Output
+optional JSON config file can pre-set any flag of the subcommand; its
+values are parsed like the flags themselves, and explicit flags win. Output
 files are byte-identical across runs with identical arguments.
 """
 
@@ -40,8 +41,6 @@ class UsageError(Exception):
 
 
 def _parse_relays(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(m) for m in text)
     try:
         antennas = tuple(int(p) for p in str(text).split(","))
     except ValueError:
@@ -70,15 +69,14 @@ def _parse_snr_grid(text) -> tuple:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing and _apply_config never mutate it."""
+    """The parser, built once per process: parsing never mutates it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="root seed (default: $STPNC_SEED or 0)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     common.add_argument("--config", default=None,
                         help="JSON file with flag defaults; explicit flags win")
-    common.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for Monte Carlo blocks (0 = all cores)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="root seed (default: $STPNC_SEED or 0)")
 
     parser = argparse.ArgumentParser(
         prog="stpnc",
@@ -87,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded],
                        help="run the protocol end to end and report recovery quality")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--k1", type=int, default=None, help="user count for case1")
@@ -105,36 +103,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("rate-sweep", parents=[common],
+    p = sub.add_parser("rate-sweep", parents=[seeded],
                        help="Monte Carlo ergodic sum rate vs the TDMA baseline")
     p.add_argument("--snr", required=True, help="grid 'start:stop:step' in dB")
+    p.add_argument("--jobs", type=int, default=0,
+                   help="worker processes for Monte Carlo blocks (0 = all cores)")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[seeded],
                        help="run the invariant suite over many seeds; exit 0 iff all pass")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--k1", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)
     p.add_argument("--relays", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     return parser
 
 
-def _apply_config(ns: argparse.Namespace, argv: list) -> None:
-    if not getattr(ns, "config", None):
-        return
-    with open(ns.config) as f:
-        overrides = json.load(f)
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse argv; a --config file's values enter as flags placed before the explicit ones.
+
+    Argparse keeps the last value of a flag, so explicit flags win. Keys that
+    name no flag of the subcommand are ignored. Errors exit through argparse.
+    """
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    try:
+        with open(ns.config) as f:
+            overrides = json.load(f)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read --config {ns.config}: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error("--config must hold a JSON object of flag values")
+    tokens = []
     for key, val in overrides.items():
         attr = key.replace("-", "_")
-        flag = "--" + key.replace("_", "-")
-        if attr == "command" or not hasattr(ns, attr):
+        if attr in ("command", "config") or not hasattr(ns, attr):
             continue
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue  # explicit flag wins
-        setattr(ns, attr, val)
+        if isinstance(val, list):
+            val = ",".join(str(v) for v in val)
+        tokens.append(f"--{attr.replace('_', '-')}={val}")
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _resolve_seed(ns: argparse.Namespace) -> int:
@@ -168,7 +180,10 @@ def _network_config(ns: argparse.Namespace, noise_var: float = 0.0) -> NetworkCo
 def _out_stream(ns: argparse.Namespace):
     if ns.output in (None, "-"):
         return nullcontext(sys.stdout)
-    return open(ns.output, "w")
+    try:
+        return open(ns.output, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {ns.output}: {exc.strerror}")
 
 
 def _sym_key(sym) -> str:
@@ -192,6 +207,8 @@ def _report_json(rep, trial: int) -> dict:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
+    if ns.noise_var < 0:
+        raise UsageError("--noise-var must be nonnegative")
     seed = _resolve_seed(ns)
     cfg = _network_config(ns, noise_var=ns.noise_var)
     reports = [
@@ -326,11 +343,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config(ns, argv)
         return _COMMANDS[ns.command](ns)
     except (UsageError, InvalidUserCount) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,13 +105,6 @@ def gof_dof(K: int, antennas) -> Fraction:
     return Fraction(min(K, isqrt(_sum_sq(antennas)) + 1), 2)
 
 
-def single_relay_dof(K: int, m1: int) -> Fraction:
-    """Sum-DoF with one relay of m1 antennas (single-relay instance of sum_dof)."""
-    if m1 < 1:
-        raise ValueError("the relay needs at least one antenna")
-    return sum_dof(K, (m1,)).value
-
-
 def single_antenna_sweep(K: int, l_max: int) -> list:
     """(L, DoFResult) rows for L = 1..l_max single-antenna relays."""
     return [(L, sum_dof(K, (1,) * L)) for L in range(1, l_max + 1)]

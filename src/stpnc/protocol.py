@@ -64,27 +64,12 @@ class RelayEquation:
     value: np.ndarray
 
 
+@dataclass
 class EquationLedger:
     """Per-node storage of everything heard: scalar equations for users, vectors for relays."""
 
-    def __init__(self):
-        self.users: dict = defaultdict(list)
-        self.relays: dict = {}  # (relay, slot) -> RelayEquation
-
-    def add_user(self, k: int, eq: Equation) -> None:
-        self.users[k].append(eq)
-
-    def add_relay(self, ell: int, eq: RelayEquation) -> None:
-        self.relays[(ell, eq.slot)] = eq
-
-    def user(self, k: int) -> list:
-        return self.users[k]
-
-    def relay(self, ell: int, slot: int) -> RelayEquation:
-        return self.relays[(ell, slot)]
-
-    def relay_slots(self, ell: int) -> list:
-        return sorted(s for (l, s) in self.relays if l == ell)
+    users: dict = field(default_factory=lambda: defaultdict(list))  # user -> [Equation]
+    relays: dict = field(default_factory=dict)  # (relay, slot) -> RelayEquation
 
 
 def draw_symbols(sched: Schedule, seed: int) -> dict:
@@ -113,13 +98,13 @@ def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
             coeffs = {sym: ch.h(k, sym.src, t) for sym in sent}
             value = sum(c * syms[sym] for sym, c in coeffs.items())
             value += complex(_noise(rng, 1, noise_var)[0])
-            ledger.add_user(k, Equation(t, coeffs, complex(value)))
+            ledger.users[k].append(Equation(t, coeffs, complex(value)))
         if plan.relay_listen:
             for ell, m in enumerate(ch.config.relay_antennas, start=1):
                 coeffs = {sym: ch.h_up(ell, sym.src, t) for sym in sent}
                 value = sum(c * syms[sym] for sym, c in coeffs.items())
                 value = value + _noise(rng, m, noise_var)
-                ledger.add_relay(ell, RelayEquation(t, coeffs, value))
+                ledger.relays[(ell, t)] = RelayEquation(t, coeffs, value)
     return ledger
 
 
@@ -140,8 +125,8 @@ def relay_decode(ledger: EquationLedger, ell: int, symbols,
                  tol: Tolerance = DEFAULT_TOL) -> dict:
     """Zero-force all transmitted symbols from one relay's stacked equations."""
     rows, y = [], []
-    for slot in ledger.relay_slots(ell):
-        eq = ledger.relay(ell, slot)
+    for slot in sorted(s for (r, s) in ledger.relays if r == ell):
+        eq = ledger.relays[(ell, slot)]
         m = eq.value.shape[0]
         block = np.zeros((m, len(symbols)), dtype=complex)
         for j, sym in enumerate(symbols):
@@ -175,7 +160,7 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
             m = p.per_block[(ell, t, sched.phase1_slots[0])].shape[0]
             value = np.zeros(m, dtype=complex)
             for k in sched.phase1_slots:
-                eq = ledger.relay(ell, k)
+                eq = ledger.relays[(ell, k)]
                 block = p.per_block[(ell, t, k)]
                 slot_syms = sorted(sched.slot(k).sends.values())
                 for sym in slot_syms:
@@ -219,8 +204,8 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
             for sym, c in coeffs.items():
                 parts[sched.role(j, sym)][sym] = c
             oi_slots = {sched.slot_of(sym) for sym in parts["OI"]} & sched.pure_slots(j)
-            ledger.add_user(j, Equation(t, coeffs, complex(value), parts,
-                                        oi_ref_slot=min(oi_slots) if oi_slots else None))
+            ledger.users[j].append(Equation(t, coeffs, complex(value), parts,
+                                            oi_ref_slot=min(oi_slots) if oi_slots else None))
     return ledger
 
 
@@ -244,8 +229,8 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict,
     zero-forced jointly.
     """
     desired = set(sched.desired_symbols(k))
-    p1 = [eq for eq in ledger.user(k) if eq.slot <= sched.phase1_len]
-    p2 = [eq for eq in ledger.user(k) if eq.slot > sched.phase1_len]
+    p1 = [eq for eq in ledger.users[k] if eq.slot <= sched.phase1_len]
+    p2 = [eq for eq in ledger.users[k] if eq.slot > sched.phase1_len]
     stack_p1 = [eq for eq in p1 if any(sym in desired for sym in eq.coeffs)]
     oi_refs = [eq for eq in p1 if not any(sym in desired for sym in eq.coeffs)]
 
@@ -282,12 +267,13 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict,
         values.append(value)
 
     h = np.vstack(rows)
-    r = rank(h, tol)
-    if r < len(unknowns):
-        raise RankDeficient(f"user {k}: effective rank {r} < {len(unknowns)} unknowns")
-    sol = zf_solve(h, np.array(values, dtype=complex), tol)
+    try:  # zf_solve makes the one rank check; the rank is recomputed only to report it
+        sol = zf_solve(h, np.array(values, dtype=complex), tol)
+    except RankDeficient:
+        r = rank(h, tol)
+        raise RankDeficient(f"user {k}: effective rank {r} < {h.shape[1]} unknowns") from None
     recovered = {sym: complex(sol[index[sym]]) for sym in unknowns if sym in desired}
-    return DecodeResult(recovered, r, h, stray)
+    return DecodeResult(recovered, h.shape[1], h, stray)
 
 
 @dataclass

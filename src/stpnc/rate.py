@@ -57,12 +57,14 @@ class RateResult:
     crossover_db: float | None
 
 
-def _gains(ch) -> tuple[float, float, float]:
+def flow_gains(ch) -> tuple[float, float, float]:
     """Uplink, downlink and direct-link gains of the representative flow.
 
     The unit-norm relay combiner nulls the co-scheduled transmitter (user 4)
     in the second slot; the unit-norm relay beam nulls the flow at user 4,
-    the one user that neither sent nor overheard it.
+    the one user that neither sent nor overheard it. A hop's rate is
+    log2(1 + rho * gain), with rho = P / sigma^2 uplink and P / (2.5 sigma^2)
+    downlink.
     """
     u_row = null_space(ch.h_up(1, 4, 2)[None, :])[:, 0]
     v = null_space(ch.h_dn(4, 1, 3)[None, :])[:, 0]
@@ -70,23 +72,8 @@ def _gains(ch) -> tuple[float, float, float]:
     return abs(u_row @ ch.h_up(1, 3, 2)) ** 2, direct + abs(ch.h_dn(1, 1, 3) @ v) ** 2, direct
 
 
-def uplink_rate(ch, P: float, noise_var: float) -> float:
-    """Rate of the representative flow into the relay: interference-free gain |u* h_up,3|^2."""
-    return float(np.log2(1.0 + (P / noise_var) * _gains(ch)[0]))
-
-
-def downlink_rate(ch, P: float, noise_var: float) -> float:
-    """Rate of the representative flow out of the relay, combined with phase 1."""
-    return float(np.log2(1.0 + (P / (2.5 * noise_var)) * _gains(ch)[1]))
-
-
-def df_pair_rate(ch, P: float, noise_var: float) -> float:
-    """Decode-and-forward rate of the flow: min of its two hops."""
-    return min(uplink_rate(ch, P, noise_var), downlink_rate(ch, P, noise_var))
-
-
 def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
-    """Per-trial channel gains (uplink, downlink, direct) for trials start..start+count-1.
+    """Per-trial flow_gains rows (uplink, downlink, direct) for trials start..start+count-1.
 
     SNR-independent, so a sweep reuses one gains block for every SNR point;
     blocks from disjoint trial ranges concatenate deterministically.
@@ -94,54 +81,17 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     out = np.empty((count, 3))
     for i in range(count):
         ch = draw_channels(_TWIC_CFG, 3, derive_trial_seed(seed, start + i))
-        out[i] = _gains(ch)
+        out[i] = flow_gains(ch)
     return out
 
 
 def tdma_trial_gains(seed: int, start: int, count: int) -> np.ndarray:
-    """Direct-link gains only; avoids precoder synthesis for baseline-only runs."""
+    """The direct-link column of trial_gains alone, without the relay beams."""
     out = np.empty(count)
     for i in range(count):
         ch = draw_channels(_TWIC_CFG, 3, derive_trial_seed(seed, start + i))
         out[i] = abs(ch.h(1, 3, 2)) ** 2
     return out
-
-
-def _mean_stderr(rates: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(rates))
-    if rates.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(rates, ddof=1) / np.sqrt(rates.size))
-
-
-def _stpnc_rates(gains: np.ndarray, rho: float) -> np.ndarray:
-    up = np.log2(1.0 + rho * gains[:, 0])
-    dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
-    return (4.0 / 3.0) * np.minimum(up, dn)
-
-
-def stpnc_sum_rate(cfg: RateConfig, gains: np.ndarray | None = None) -> list:
-    """(snr_db, sum_rate, stderr) rows for the relayed exchange."""
-    if gains is None:
-        gains = trial_gains(cfg.seed, 0, cfg.trials)
-    rows = []
-    for snr in cfg.snr_db:
-        mean, err = _mean_stderr(_stpnc_rates(gains, 10.0 ** (snr / 10.0)))
-        rows.append((snr, mean, err))
-    return rows
-
-
-def tdma_sum_rate(cfg: RateConfig, gains: np.ndarray | None = None) -> list:
-    """(snr_db, sum_rate, stderr) rows for the one-user-per-slot baseline."""
-    if gains is None:
-        gains = tdma_trial_gains(cfg.seed, 0, cfg.trials)
-    elif gains.ndim == 2:
-        gains = gains[:, 2]
-    rows = []
-    for snr in cfg.snr_db:
-        mean, err = _mean_stderr(np.log2(1.0 + 10.0 ** (snr / 10.0) * gains))
-        rows.append((snr, mean, err))
-    return rows
 
 
 def _interp_crossing(x0, x1, d0, d1) -> float:
@@ -151,17 +101,26 @@ def _interp_crossing(x0, x1, d0, d1) -> float:
 def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
     """Both curves over the SNR grid, from common per-trial channel draws.
 
-    The crossover is the linearly interpolated SNR where the relayed
+    Per trial, the relayed exchange delivers 4/3 times the decode-and-forward
+    rate of the flow (the smaller of its two hop rates) and TDMA the
+    direct-link rate; each point is the mean over trials with its standard
+    error. The crossover is the linearly interpolated SNR where the relayed
     exchange first overtakes the baseline; None when no upward crossing
     falls inside the grid.
     """
     if gains is None:
         gains = trial_gains(cfg.seed, 0, cfg.trials)
-    stpnc = stpnc_sum_rate(cfg, gains)
-    tdma = tdma_sum_rate(cfg, gains)
-    points = tuple(
-        RatePoint(s[0], s[1], s[2], t[1], t[2]) for s, t in zip(stpnc, tdma)
-    )
+    n = gains.shape[0]
+    points = []
+    for snr in cfg.snr_db:
+        rho = 10.0 ** (snr / 10.0)
+        up = np.log2(1.0 + rho * gains[:, 0])
+        dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
+        stats = []
+        for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
+            stats.append(float(np.mean(rates)))
+            stats.append(float(np.std(rates, ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+        points.append(RatePoint(snr, *stats))
     crossover = None
     diffs = [p.stpnc_rate - p.tdma_rate for p in points]
     for i in range(len(points) - 1):
@@ -169,7 +128,7 @@ def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
             crossover = _interp_crossing(points[i].snr_db, points[i + 1].snr_db,
                                          diffs[i], diffs[i + 1])
             break
-    return RateResult(points, crossover)
+    return RateResult(tuple(points), crossover)
 
 
 def write_rate_csv(result: RateResult, fileobj) -> None:

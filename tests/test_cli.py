@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
+import pytest
 
 from stpnc import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -186,3 +193,56 @@ def test_reused_parser_gives_the_bytes_of_lone_calls(tmp_path, monkeypatch):
         assert run(args + ["--output", str(out)]) == 0
         assert out.read_bytes() == in_row[i], args
     assert in_row[0] == in_row[2]
+
+
+def test_config_values_are_parsed_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": "40", "snr": "0:10:5", "jobs": 1, "seed": 2,
+                               "k1": 9}))  # k1 is no rate-sweep flag: ignored
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["rate-sweep", "--snr", "0:10:5", "--config", str(cfg), "--output", str(a)]) == 0
+    assert run(["rate-sweep", "--snr", "0:10:5", "--trials", "40", "--jobs", "1",
+                "--seed", "2", "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    cfg.write_text(json.dumps({"relays": [2, 1], "k2": 4}))
+    assert run(["verify", "--scenario", "case2", "--seeds", "1", "--config", str(cfg),
+                "--output", str(a)]) == 0
+    assert json.loads(a.read_text())["relay_antennas"] == [2, 1]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--scenario", "twic", "--seeds", "1", "--format", "csv"],
+    ["verify", "--scenario", "twic", "--seeds", "1", "--jobs", "2"],
+    ["simulate", "--scenario", "twic", "--jobs", "2"],
+    ["dof-sweep", "--k", "5", "--l-max", "3", "--jobs", "2"],
+    ["dof-sweep", "--k", "5", "--l-max", "3", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(args, tmp_path):
+    assert run(args + ["--output", str(tmp_path / "x")]) == cli.EXIT_USAGE
+
+
+VERIFY = ["verify", "--scenario", "twic", "--seeds", "1"]
+BAD_INPUTS = {  # name: (text of {tmp}/cfg.json or None, argv)
+    "missing-config": (None, VERIFY + ["--config", "{tmp}/missing.json"]),
+    "malformed-config": ("{not json", VERIFY + ["--config", "{tmp}/cfg.json"]),
+    "list-config": ("[1, 2]", VERIFY + ["--config", "{tmp}/cfg.json"]),
+    "mistyped-config": ('{"trials": "x"}',
+                        ["rate-sweep", "--snr", "0:10:5", "--config", "{tmp}/cfg.json"]),
+    "negative-noise": (None, ["simulate", "--scenario", "twic", "--noise-var", "-1"]),
+    "unwritable-output": (None, ["dof-sweep", "--k", "5", "--l-max", "3",
+                                 "--output", "{tmp}/no/such/dir/x.csv"]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_two_without_traceback(name, tmp_path):
+    config, args = BAD_INPUTS[name]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    args = [a.format(tmp=tmp_path) for a in args]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "stpnc.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()

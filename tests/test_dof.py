@@ -7,7 +7,6 @@ from stpnc.dof import (
     gof_dof,
     k_stars,
     single_antenna_sweep,
-    single_relay_dof,
     sum_dof,
     write_sweep_csv,
 )
@@ -59,13 +58,11 @@ def test_gof_examples():
 
 def test_single_relay_examples():
     for K in range(3, 9):
-        assert single_relay_dof(K, K - 1) == Fraction(K, 2)
-    assert single_relay_dof(4, 2) == Fraction(8, 5)
-    assert single_relay_dof(3, 1) == Fraction(1)
-    # matches the general formula on the single-relay diagonal
-    for K in range(3, 8):
-        for m1 in range(1, 7):
-            assert single_relay_dof(K, m1) == sum_dof(K, (m1,)).value
+        assert sum_dof(K, (K - 1,)).value == Fraction(K, 2)
+    assert sum_dof(4, (2,)).value == Fraction(8, 5)
+    assert sum_dof(3, (1,)).value == Fraction(1)
+    with pytest.raises(ValueError):
+        sum_dof(4, (0,))
 
 
 def test_sweep_fig_claims_exact():

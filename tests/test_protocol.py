@@ -41,7 +41,7 @@ def twxc_setup(seed):
 def test_phase1_user_equation_coefficients():
     _, sched, ch, syms = twic_setup(0)
     ledger = run_phase1(sched, ch, syms)
-    eq = ledger.user(3)[0]
+    eq = ledger.users[3][0]
     assert eq.slot == 1
     assert eq.coeffs[SymbolId(3, 1)] == ch.h(3, 1, 1)
     assert eq.coeffs[SymbolId(4, 2)] == ch.h(3, 2, 1)
@@ -52,7 +52,7 @@ def test_phase1_user_equation_coefficients():
 def test_phase1_relay_gets_four_scalar_equations():
     _, sched, ch, syms = twic_setup(1)
     ledger = run_phase1(sched, ch, syms)
-    eqs = [ledger.relay(1, slot) for slot in ledger.relay_slots(1)]
+    eqs = [eq for (ell, _), eq in ledger.relays.items() if ell == 1]
     # two slots, one scalar equation per antenna in each
     assert sum(eq.value.shape[0] for eq in eqs) == 4
     covered = set()
@@ -93,7 +93,7 @@ def test_linear_forward_matches_brute_force():
     plan = relay_process(ledger, p, sched, "linear_forward")
     for t in sched.phase2_slots:
         expect = sum(
-            p.per_block[(1, t, k)] @ ledger.relay(1, k).value for k in sched.phase1_slots
+            p.per_block[(1, t, k)] @ ledger.relays[(1, k)].value for k in sched.phase1_slots
         )
         assert np.linalg.norm(plan.signals[(1, t)] - expect) < 1e-12
 
@@ -114,7 +114,7 @@ def test_phase2_neutralized_coefficient_is_tiny():
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    eq = [e for e in ledger.user(1) if e.slot == 3][0]
+    eq = [e for e in ledger.users[1] if e.slot == 3][0]
     assert abs(eq.coeffs[SymbolId(4, 2)]) < 1e-10
     assert eq.parts["N"] == {SymbolId(4, 2): eq.coeffs[SymbolId(4, 2)]}
     assert set(eq.parts["D"]) == {SymbolId(1, 3)}
@@ -129,9 +129,9 @@ def test_twxc_overheard_part_replays_stored_equation():
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    eq5 = [e for e in ledger.user(1) if e.slot == 5][0]
+    eq5 = [e for e in ledger.users[1] if e.slot == 5][0]
     assert eq5.oi_ref_slot == 4
-    y4 = [e for e in ledger.user(1) if e.slot == 4][0]
+    y4 = [e for e in ledger.users[1] if e.slot == 4][0]
     oi_value = sum(c * syms[sym] for sym, c in eq5.parts["OI"].items())
     assert abs(oi_value - y4.value) < 1e-9
     assert alignment_error(ledger, syms) < 1e-9
@@ -146,7 +146,7 @@ def test_zero_precoders_give_zero_received_values():
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in sched.users:
-        eq = [e for e in ledger.user(k) if e.slot == 3][0]
+        eq = [e for e in ledger.users[k] if e.slot == 3][0]
         assert abs(eq.value) < 1e-12
 
 
@@ -173,7 +173,7 @@ def test_self_interference_fully_removed():
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    eq = [e for e in ledger.user(2) if e.slot == 3][0]
+    eq = [e for e in ledger.users[2] if e.slot == 3][0]
     cleaned = eq.value - sum(c * syms[sym] for sym, c in eq.parts["SI"].items())
     rebuilt = sum(
         c * syms[sym]
@@ -299,7 +299,7 @@ def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
     def faulty(ledger, *args, **kwargs):
         plan = real(ledger, *args, **kwargs)
         # after the relays used it: only the stored equation is now wrong
-        eq = ledger.relay(1, 1)
+        eq = ledger.relays[(1, 1)]
         eq.coeffs[next(iter(eq.coeffs))][0] += 1e-6
         return plan
 
@@ -315,7 +315,7 @@ def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
 
     def faulty(*args, **kwargs):
         ledger = real(*args, **kwargs)
-        eq = next(e for e in ledger.user(1) if e.oi_ref_slot is not None)
+        eq = next(e for e in ledger.users[1] if e.oi_ref_slot is not None)
         sym = next(iter(eq.parts["OI"]))
         eq.parts["OI"][sym] += 1e-6
         return ledger

@@ -2,19 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stpnc.channel import NetworkConfig, draw_channels
+from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
 from stpnc.precoder import design_twic
-from stpnc.rate import (
-    RateConfig,
-    df_pair_rate,
-    downlink_rate,
-    snr_sweep,
-    stpnc_sum_rate,
-    tdma_sum_rate,
-    tdma_trial_gains,
-    trial_gains,
-    uplink_rate,
-)
+from stpnc.rate import RateConfig, flow_gains, snr_sweep, tdma_trial_gains, trial_gains
 
 LN2 = np.log(2.0)
 
@@ -34,12 +24,12 @@ def test_uplink_rate_axis_case():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 0)
     ch.user_relay[(1, 4, 2)] = np.array([1.0 + 0j, 0.0 + 0j])
     ch.user_relay[(1, 3, 2)] = np.array([0.0 + 0j, 1.0 + 0j])
-    assert uplink_rate(ch, P=1.0, noise_var=1.0) == pytest.approx(1.0)
+    assert flow_gains(ch)[0] == pytest.approx(1.0)
 
 
 def test_uplink_rate_vanishes_at_low_snr():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 1)
-    assert uplink_rate(ch, P=1e-12, noise_var=1.0) < 1e-9
+    assert np.log2(1.0 + 1e-12 * flow_gains(ch)[0]) < 1e-9
 
 
 def test_uplink_gain_matches_analytic_projection():
@@ -50,7 +40,7 @@ def test_uplink_gain_matches_analytic_projection():
         h4 = ch.h_up(1, 4, 2)
         h3 = ch.h_up(1, 3, 2)
         gain = abs(h4[0] * h3[1] - h4[1] * h3[0]) ** 2 / np.linalg.norm(h4) ** 2
-        got = 2.0 ** uplink_rate(ch, 1.0, 1.0) - 1.0
+        got = flow_gains(ch)[0]
         assert got == pytest.approx(gain, rel=1e-9)
 
 
@@ -77,13 +67,13 @@ def test_downlink_rate_algebraic_identity():
     # axis, so the beam is [1, 0]
     ch.relay_user[(4, 1, 3)] = np.array([0.0 + 0j, 1.0 + 0j])
     # squared effective channel norm is 1.5 + 1 = 2.5, so at P/sigma^2 = 1 the
-    # rate is exactly log2(2) = 1
-    assert downlink_rate(ch, P=1.0, noise_var=1.0) == pytest.approx(1.0)
+    # rate log2(1 + gain / 2.5) is exactly log2(2) = 1
+    assert flow_gains(ch)[1] == pytest.approx(2.5)
 
 
 def test_downlink_rate_vanishes_at_high_noise():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 3)
-    assert downlink_rate(ch, P=1.0, noise_var=1e12) < 1e-9
+    assert np.log2(1.0 + flow_gains(ch)[1] / (2.5 * 1e12)) < 1e-9
 
 
 def test_downlink_beam_is_the_block_precoders_direction():
@@ -95,17 +85,22 @@ def test_downlink_beam_is_the_block_precoders_direction():
         x = design_twic(ch).per_block[(1, 3, 2)] @ ch.h_up(1, 3, 2)
         direct = abs(ch.h(1, 3, 2)) ** 2
         gain = direct + abs(ch.h_dn(1, 1, 3) @ x) ** 2 / np.linalg.norm(x) ** 2
-        assert 2.0 ** downlink_rate(ch, 2.5, 1.0) - 1.0 == pytest.approx(gain, rel=1e-9)
+        assert flow_gains(ch)[1] == pytest.approx(gain, rel=1e-9)
+
+
+def hop_rates(ch, rho):
+    """Uplink and downlink rates of the representative flow, by hand from its gains."""
+    g_up, g_dn, _ = flow_gains(ch)
+    return np.log2(1.0 + rho * g_up), np.log2(1.0 + rho / 2.5 * g_dn)
 
 
 def test_df_pair_rate_is_min_of_hops():
     for seed in range(20):
-        ch = draw_channels(NetworkConfig(4, (2,)), 3, seed)
-        up = uplink_rate(ch, 10.0, 1.0)
-        dn = downlink_rate(ch, 10.0, 1.0)
-        df = df_pair_rate(ch, 10.0, 1.0)
-        assert df == min(up, dn)
-        assert df <= up and df <= dn
+        ch = draw_channels(NetworkConfig(4, (2,)), 3, derive_trial_seed(seed, 0))
+        up, dn = hop_rates(ch, 10.0)
+        got = snr_sweep(RateConfig((10.0,), trials=1, seed=seed)).points[0].stpnc_rate
+        assert got == 4.0 / 3.0 * min(up, dn)
+        assert got <= 4.0 / 3.0 * up and got <= 4.0 / 3.0 * dn
 
 
 def test_trial_gains_positive_finite_and_deterministic():
@@ -117,40 +112,32 @@ def test_trial_gains_positive_finite_and_deterministic():
     ga = np.vstack([trial_gains(0, 0, 200), trial_gains(0, 200, 300)])
     assert np.array_equal(ga, g1)
     # the tdma-only sampler agrees with the full sampler's direct-link column
-    assert np.allclose(tdma_trial_gains(0, 0, 500), g1[:, 2])
+    assert np.array_equal(tdma_trial_gains(0, 0, 500), g1[:, 2])
 
 
 def test_single_trial_average_is_hand_computation():
-    cfg = RateConfig((10.0,), trials=1, seed=5)
-    rows = stpnc_sum_rate(cfg)
-    ch = draw_channels(NetworkConfig(4, (2,)), 3, __import__("stpnc").derive_trial_seed(5, 0))
-    expect = (4.0 / 3.0) * df_pair_rate(ch, 10.0, 1.0)
-    assert rows[0][1] == pytest.approx(expect, rel=1e-12)
-    assert rows[0][2] == 0.0
+    point = snr_sweep(RateConfig((10.0,), trials=1, seed=5)).points[0]
+    ch = draw_channels(NetworkConfig(4, (2,)), 3, derive_trial_seed(5, 0))
+    expect = (4.0 / 3.0) * min(hop_rates(ch, 10.0))
+    assert point.stpnc_rate == pytest.approx(expect, rel=1e-12)
+    assert point.stpnc_stderr == 0.0
 
 
 def test_stderr_scales_inverse_sqrt_trials():
     g = trial_gains(1, 0, 8000)
-    small = stpnc_sum_rate(RateConfig((10.0,), trials=2000, seed=1), g[:2000])
-    big = stpnc_sum_rate(RateConfig((10.0,), trials=8000, seed=1), g)
-    ratio = small[0][2] / big[0][2]
+    small = snr_sweep(RateConfig((10.0,), trials=2000, seed=1), g[:2000]).points[0]
+    big = snr_sweep(RateConfig((10.0,), trials=8000, seed=1), g).points[0]
+    ratio = small.stpnc_stderr / big.stpnc_stderr
     assert ratio == pytest.approx(2.0, rel=0.2)
-
-
-def test_tdma_monte_carlo_matches_quadrature():
-    gains = tdma_trial_gains(2, 0, 100_000)
-    for rho in (1.0, 10.0, 100.0):
-        mc = np.mean(np.log2(1 + rho * gains))
-        assert mc == pytest.approx(tdma_closed_form(rho), rel=0.01)
 
 
 def test_tdma_rate_vanishes_and_grows_monotonically():
     cfg = RateConfig(tuple(float(s) for s in range(-10, 31, 5)), trials=2000, seed=3)
-    rows = tdma_sum_rate(cfg)
-    rates = [r[1] for r in rows]
+    g = trial_gains(3, 0, 2000)
+    rates = [p.tdma_rate for p in snr_sweep(cfg, g).points]
     assert all(a < b for a, b in zip(rates, rates[1:]))
-    low = tdma_sum_rate(RateConfig((-100.0,), trials=2000, seed=3))
-    assert low[0][1] < 1e-6
+    low = snr_sweep(RateConfig((-100.0,), trials=2000, seed=3), g)
+    assert low.points[0].tdma_rate < 1e-6
 
 
 def test_snr_sweep_deterministic_and_df_bounded():
