@@ -27,10 +27,10 @@ ledger = run_phase2(plan, sched, ch, ledger=ledger)
 print("per-user view of the relay slot:")
 for k in sched.users:
     eq = [e for e in ledger.users[k] if e.slot == 5][0]
-    stored = {e.slot: e for e in ledger.users[k] if e.slot <= 4}
-    ref = stored[eq.oi_ref_slot]
-    oi_value = sum(c * syms[sym] for sym, c in eq.parts["OI"].items())
-    print(f"  user {k}: overheard-interference part equals its stored slot-{eq.oi_ref_slot} "
+    (ref_slot,) = sched.pure_slots(k)  # the overheard slot without desired symbols
+    ref = [e for e in ledger.users[k] if e.slot == ref_slot][0]
+    oi_value = sum(c * syms[sym] for sym, c in eq.coeffs.items() if sched.role(k, sym) == "OI")
+    print(f"  user {k}: overheard-interference part equals its stored slot-{ref_slot} "
           f"equation to {abs(oi_value - ref.value):.2e}")
 
 print("\ndecoding (subtract self-interference, subtract the replayed equation, solve 2x2):")

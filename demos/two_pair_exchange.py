@@ -45,8 +45,9 @@ ledger = run_phase2(plan, sched, ch, ledger=ledger)
 eq = [e for e in ledger.users[1] if e.slot == 3][0]
 print("\nuser 1, relay slot coefficient split:")
 for part in ("D", "SI", "OI", "N"):
-    for sym, c in eq.parts[part].items():
-        print(f"  {part:>2}: s[{sym.dest}<-{sym.src}] coefficient {abs(c):.2e}")
+    for sym, c in eq.coeffs.items():
+        if sched.role(1, sym) == part:
+            print(f"  {part:>2}: s[{sym.dest}<-{sym.src}] coefficient {abs(c):.2e}")
 print("  (N is the neutralized symbol user 1 never overheard)")
 
 # Decoding: subtract self-interference, then solve the little 2x2 system

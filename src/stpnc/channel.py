@@ -32,14 +32,13 @@ def derive_trial_seed(seed: int, trial: int) -> int:
 class NetworkConfig:
     """Static network description: K single-antenna users, one or more relays.
 
-    relay_antennas holds the antenna count of each relay; power_P is the
-    per-node transmit power budget and noise_var the receiver noise variance
-    (0 selects the noiseless mode used for DoF verification).
+    relay_antennas holds the antenna count of each relay and noise_var the
+    receiver noise variance (0 selects the noiseless mode used for DoF
+    verification); every node transmits at unit power.
     """
 
     K: int
     relay_antennas: tuple[int, ...]
-    power_P: float = 1.0
     noise_var: float = 0.0
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class NetworkConfig:
             raise ValueError("need at least two users")
         if not self.relay_antennas or any(m < 1 for m in self.relay_antennas):
             raise ValueError("every relay needs at least one antenna")
-        if self.power_P <= 0:
-            raise ValueError("power_P must be positive")
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
 

@@ -221,7 +221,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                 "scenario": ns.scenario,
                 "K": cfg.K,
                 "relay_antennas": list(cfg.relay_antennas),
-                "power_P": cfg.power_P,
+                "power_P": 1.0,  # unit transmit power; the key stays in the schema
                 "noise_var": cfg.noise_var,
                 "relay_mode": ns.relay_mode,
                 "trials": [_report_json(rep, i) for i, rep in enumerate(reports)],

@@ -9,8 +9,6 @@ reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -22,19 +20,10 @@ class RankDeficient(Exception):
     """The coefficient matrix does not have full column rank."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical cutoffs: rel_eps scales singular values, abs_eps bounds residuals."""
-
-    rel_eps: float = 1e-10
-    abs_eps: float = 1e-10
-
-    def __post_init__(self):
-        if self.rel_eps <= 0 or self.abs_eps <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+# Singular values at or below REL_EPS * s_max * max(shape) count as zero.
+REL_EPS = 1e-10
+# A least-norm solve is consistent when its residual is at most ABS_EPS * (1 + ||b||).
+ABS_EPS = 1e-10
 
 # Entries below this magnitude never count as the anchor for the phase fix;
 # null-space columns are unit norm, so their largest entry is >= 1/sqrt(n).
@@ -67,20 +56,20 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols, order="F")
 
 
-def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: Tolerance) -> float:
+def _sv_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     if s.size == 0:
         return 0.0
-    return tol.rel_eps * s[0] * max(shape)
+    return REL_EPS * s[0] * max(shape)
 
 
-def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
+def rank(a) -> int:
     """Number of singular values above the relative cutoff."""
     m = as_cmatrix(a)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _sv_cutoff(s, m.shape, tol)))
+    return int(np.count_nonzero(s > _sv_cutoff(s, m.shape)))
 
 
-def null_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def null_space(a) -> np.ndarray:
     """Orthonormal basis of the right null space of a, as matrix columns.
 
     Columns are ordered by ascending singular value and phase-fixed so the
@@ -89,7 +78,7 @@ def null_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     m = as_cmatrix(a)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(s > _sv_cutoff(s, m.shape, tol)))
+    r = int(np.count_nonzero(s > _sv_cutoff(s, m.shape)))
     basis = vh[r:][::-1].conj().T  # smallest singular direction first
     for j in range(basis.shape[1]):
         col = basis[:, j]
@@ -98,11 +87,11 @@ def null_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return basis
 
 
-def solve_least_norm(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def solve_least_norm(a, b) -> np.ndarray:
     """Minimum-norm x with a @ x = b, checked post-hoc by residual.
 
     Raises InconsistentSystem when no solution exists within
-    abs_eps * (1 + ||b||); that signals infeasible precoder constraints.
+    ABS_EPS * (1 + ||b||); that signals infeasible precoder constraints.
     The result matches the dimensionality of b (vector in, vector out).
     """
     m = as_cmatrix(a)
@@ -110,19 +99,19 @@ def solve_least_norm(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     rhs_col = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
     x, *_ = np.linalg.lstsq(m, rhs_col, rcond=None)
     resid = np.linalg.norm(m @ x - rhs_col)
-    if resid > tol.abs_eps * (1.0 + np.linalg.norm(rhs_col)):
+    if resid > ABS_EPS * (1.0 + np.linalg.norm(rhs_col)):
         raise InconsistentSystem(f"residual {resid:.3e} exceeds tolerance")
     return x.reshape(-1) if rhs.ndim == 1 else x
 
 
-def zf_solve(h, y, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def zf_solve(h, y) -> np.ndarray:
     """Zero-forcing decode: least-squares solution of h @ s = y.
 
     Requires h to have full column rank; raises RankDeficient otherwise,
     which signals an undecodable configuration.
     """
     m = as_cmatrix(h)
-    if rank(m, tol) < m.shape[1]:
+    if rank(m) < m.shape[1]:
         raise RankDeficient(
             f"matrix rank below column count {m.shape[1]}; cannot zero-force"
         )

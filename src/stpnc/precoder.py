@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import (
-    DEFAULT_TOL,
-    InconsistentSystem,
-    Tolerance,
-    null_space,
-    solve_least_norm,
-    unvec,
-)
+from .linalg import InconsistentSystem, null_space, solve_least_norm, unvec
 from .scheduler import (
     Schedule,
     schedule_case1,
@@ -93,7 +86,7 @@ def _constraint_matrix(ch: ChannelSet, rows: list, t: int, k: int) -> np.ndarray
     return np.hstack(blocks)
 
 
-def design(sched: Schedule, ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     """Block precoders meeting every constraint the schedule's D/SI/OI/N rule derives.
 
     Per (phase-2 slot, phase-1 slot) pair the stacked vec'd precoder is the
@@ -110,13 +103,13 @@ def design(sched: Schedule, ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> Pre
                          dtype=complex)
             if b.any():
                 try:
-                    f = solve_least_norm(a, b, tol)
+                    f = solve_least_norm(a, b)
                 except InconsistentSystem as exc:
                     raise AntennaDeficit(
                         f"alignment constraints for slot pair ({t},{k}) are infeasible"
                     ) from exc
             else:
-                basis = null_space(a, tol)
+                basis = null_space(a)
                 if basis.shape[1] == 0:
                     raise AntennaDeficit(f"constraints for slot pair ({t},{k}) leave no null space")
                 f = basis[:, 0]
@@ -140,28 +133,28 @@ def _require_antenna_sq(ch: ChannelSet, needed: int) -> None:
         )
 
 
-def design_twic(ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+def design_twic(ch: ChannelSet) -> PrecoderSet:
     """Pairwise exchange on one 2-antenna relay: each symbol is nulled at one user."""
     _require_two_antenna_relay(ch, "twic")
-    return design(schedule_twic(), ch, tol)
+    return design(schedule_twic(), ch)
 
 
-def design_twxc(ch: ChannelSet, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+def design_twxc(ch: ChannelSet) -> PrecoderSet:
     """Crossed exchange on one 2-antenna relay: null at one user, align at another."""
     _require_two_antenna_relay(ch, "twxc")
-    return design(schedule_twxc(), ch, tol)
+    return design(schedule_twxc(), ch)
 
 
-def design_case1(ch: ChannelSet, k1: int, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+def design_case1(ch: ChannelSet, k1: int) -> PrecoderSet:
     """Neutralization only; feasible almost surely iff sum M_l^2 > (k1-1)(k1-2)."""
     _require_antenna_sq(ch, (k1 - 1) * (k1 - 2) + 1)
-    return design(schedule_case1(k1), ch, tol)
+    return design(schedule_case1(k1), ch)
 
 
-def design_case2(ch: ChannelSet, k2: int, tol: Tolerance = DEFAULT_TOL) -> PrecoderSet:
+def design_case2(ch: ChannelSet, k2: int) -> PrecoderSet:
     """Joint neutralization and alignment; needs sum M_l^2 >= (k2-2)^2."""
     _require_antenna_sq(ch, (k2 - 2) ** 2)
-    return design(schedule_case2(k2), ch, tol)
+    return design(schedule_case2(k2), ch)
 
 
 def _block_coefficient(ch: ChannelSet, p: PrecoderSet, j: int, i: int, t: int, k: int) -> complex:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, NetworkConfig, derive_trial_seed, draw_channels
-from .linalg import DEFAULT_TOL, RankDeficient, Tolerance, rank, zf_solve
+from .linalg import RankDeficient, rank, zf_solve
 from .precoder import (
     PrecoderSet,
     design_case1,
@@ -36,23 +36,17 @@ from .scheduler import (
 )
 
 SCENARIOS = ("twic", "twxc", "case1", "case2")
+SYMBOL_ERROR_TOL = 1e-8  # a symbol counts as recovered below this relative error
+RESIDUAL_TOL = 1e-9      # gate on constraint residual, alignment, linearity and stray error
 
 
 @dataclass
 class Equation:
-    """One stored linear observation: value = sum coeffs[s] * symbol[s] (+ noise).
-
-    Phase-2 user equations also carry the sub-equation split in `parts`
-    ("D" desired, "SI" self-interference, "OI" previously overheard
-    interference, "N" neutralized) and, when an OI part exists, the phase-1
-    slot whose stored equation it replays.
-    """
+    """One stored linear observation: value = sum coeffs[s] * symbol[s] (+ noise)."""
 
     slot: int
     coeffs: dict
     value: complex
-    parts: dict | None = None
-    oi_ref_slot: int | None = None
 
 
 @dataclass
@@ -121,8 +115,7 @@ class RelayTransmitPlan:
     signals: dict = field(default_factory=dict)
 
 
-def relay_decode(ledger: EquationLedger, ell: int, symbols,
-                 tol: Tolerance = DEFAULT_TOL) -> dict:
+def relay_decode(ledger: EquationLedger, ell: int, symbols) -> dict:
     """Zero-force all transmitted symbols from one relay's stacked equations."""
     rows, y = [], []
     for slot in sorted(s for (r, s) in ledger.relays if r == ell):
@@ -134,12 +127,17 @@ def relay_decode(ledger: EquationLedger, ell: int, symbols,
                 block[:, j] = eq.coeffs[sym]
         rows.append(block)
         y.append(eq.value)
-    sol = zf_solve(np.vstack(rows), np.concatenate(y), tol)
+    h = np.vstack(rows)
+    try:  # as in decode_user, the rank is recomputed only to report it
+        sol = zf_solve(h, np.concatenate(y))
+    except RankDeficient:
+        r = rank(h)
+        raise RankDeficient(f"relay {ell}: effective rank {r} < {len(symbols)} symbols") from None
     return {sym: complex(sol[j]) for j, sym in enumerate(symbols)}
 
 
 def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
-                  mode: str = "linear_forward", tol: Tolerance = DEFAULT_TOL) -> RelayTransmitPlan:
+                  mode: str = "linear_forward") -> RelayTransmitPlan:
     """Turn stored receptions into phase-2 transmit signals through the block precoders.
 
     linear_forward applies each block to the raw vector received in its
@@ -154,7 +152,7 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
     n_relays = len({ell for (ell, _) in ledger.relays})
     for ell in range(1, n_relays + 1):
         if mode == "decode_forward":
-            decoded = relay_decode(ledger, ell, sched.symbols, tol)
+            decoded = relay_decode(ledger, ell, sched.symbols)
         for t in sched.phase2_slots:
             coeffs: dict = {}
             m = p.per_block[(ell, t, sched.phase1_slots[0])].shape[0]
@@ -179,14 +177,7 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
 def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
                noise_var: float = 0.0, seed: int = 0,
                ledger: EquationLedger | None = None) -> EquationLedger:
-    """Relay slots: every user stores one equation with its sub-equation split.
-
-    oi_ref_slot points at the stored phase-1 equation the OI part replays.
-    That only exists when the user overheard a slot carrying none of its own
-    desired symbols (the precoders then align the relayed interference to
-    that equation); overheard symbols sharing a slot with desired ones are
-    jointly decoded instead and get no reference.
-    """
+    """Relay slots: every user stores one equation over every symbol the relays forward."""
     if ledger is None:
         ledger = EquationLedger()
     rng = np.random.default_rng(seed)
@@ -200,12 +191,7 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
                     coeffs[sym] = coeffs.get(sym, 0.0) + complex(row @ v)
             value = sum(complex(ch.h_dn(j, ell, t) @ plan.signals[(ell, t)]) for ell in relays)
             value += complex(_noise(rng, 1, noise_var)[0])
-            parts: dict = {"D": {}, "SI": {}, "OI": {}, "N": {}}
-            for sym, c in coeffs.items():
-                parts[sched.role(j, sym)][sym] = c
-            oi_slots = {sched.slot_of(sym) for sym in parts["OI"]} & sched.pure_slots(j)
-            ledger.users[j].append(Equation(t, coeffs, complex(value), parts,
-                                            oi_ref_slot=min(oi_slots) if oi_slots else None))
+            ledger.users[j].append(Equation(t, coeffs, complex(value)))
     return ledger
 
 
@@ -217,22 +203,21 @@ class DecodeResult:
     stray_coeff: float        # worst coefficient left on symbols outside the system
 
 
-def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict,
-                tol: Tolerance = DEFAULT_TOL) -> DecodeResult:
+def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict) -> DecodeResult:
     """Recover user k's desired symbols from its stored equations.
 
     Phase-2 equations are cleaned by subtracting the self-interference terms
-    (own symbols times their known effective coefficients) and, when the user
-    holds a phase-1 equation with no desired symbols, subtracting that stored
-    equation to cancel the aligned interference. The cleaned rows are stacked
-    with the phase-1 equations that do contain desired symbols and
-    zero-forced jointly.
+    (sched.own_symbols(k) times their known effective coefficients) and the
+    stored equation of every pure slot (sched.pure_slots(k)), which cancels
+    the aligned interference. The cleaned rows are stacked with the other
+    heard phase-1 equations and zero-forced jointly.
     """
     desired = set(sched.desired_symbols(k))
-    p1 = [eq for eq in ledger.users[k] if eq.slot <= sched.phase1_len]
+    pure = sched.pure_slots(k)
+    stored = {eq.slot: eq for eq in ledger.users[k] if eq.slot <= sched.phase1_len}
     p2 = [eq for eq in ledger.users[k] if eq.slot > sched.phase1_len]
-    stack_p1 = [eq for eq in p1 if any(sym in desired for sym in eq.coeffs)]
-    oi_refs = [eq for eq in p1 if not any(sym in desired for sym in eq.coeffs)]
+    stack_p1 = [eq for t, eq in stored.items() if t not in pure]
+    oi_refs = [stored[t] for t in sorted(pure)]
 
     unknowns = set(desired)
     for eq in stack_p1:
@@ -268,9 +253,9 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict,
 
     h = np.vstack(rows)
     try:  # zf_solve makes the one rank check; the rank is recomputed only to report it
-        sol = zf_solve(h, np.array(values, dtype=complex), tol)
+        sol = zf_solve(h, np.array(values, dtype=complex))
     except RankDeficient:
-        r = rank(h, tol)
+        r = rank(h)
         raise RankDeficient(f"user {k}: effective rank {r} < {h.shape[1]} unknowns") from None
     recovered = {sym: complex(sol[index[sym]]) for sym in unknowns if sym in desired}
     return DecodeResult(recovered, h.shape[1], h, stray)
@@ -302,41 +287,39 @@ def _build(scenario: str, cfg: NetworkConfig):
             raise InvalidUserCount("twxc is defined for exactly 4 users")
         return schedule_twxc(), design_twxc, "decode_forward"
     if scenario == "case1":
-        return schedule_case1(cfg.K), lambda ch, tol: design_case1(ch, cfg.K, tol), "linear_forward"
+        return schedule_case1(cfg.K), lambda ch: design_case1(ch, cfg.K), "linear_forward"
     if scenario == "case2":
-        return schedule_case2(cfg.K), lambda ch, tol: design_case2(ch, cfg.K, tol), "linear_forward"
+        return schedule_case2(cfg.K), lambda ch: design_case2(ch, cfg.K), "linear_forward"
     raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
 
 
-def _execute(scenario: str, cfg: NetworkConfig, seed: int,
-             relay_mode: str | None, tol: Tolerance):
+def _execute(scenario: str, cfg: NetworkConfig, seed: int, relay_mode: str | None):
     sched, make_precoders, default_mode = _build(scenario, cfg)
     ch = draw_channels(cfg, sched.n_slots, derive_trial_seed(seed, 0))
     syms = draw_symbols(sched, derive_trial_seed(seed, 1))
-    precoders = make_precoders(ch, tol)
+    precoders = make_precoders(ch)
     ledger = run_phase1(sched, ch, syms, cfg.noise_var, derive_trial_seed(seed, 2))
-    plan = relay_process(ledger, precoders, sched, relay_mode or default_mode, tol)
+    plan = relay_process(ledger, precoders, sched, relay_mode or default_mode)
     ledger = run_phase2(plan, sched, ch, cfg.noise_var, derive_trial_seed(seed, 3), ledger)
     return sched, ch, syms, precoders, ledger
 
 
-def _decode_all(sched: Schedule, ledger: EquationLedger, syms: dict, tol: Tolerance):
+def _decode_all(sched: Schedule, ledger: EquationLedger, syms: dict):
     """Decode every user: their DecodeResults and each recovered symbol's relative error."""
     results, errors = {}, {}
     for k in sched.users:
         own = {sym: syms[sym] for sym in sched.own_symbols(k)}
-        results[k] = res = decode_user(k, ledger, sched, own, tol)
+        results[k] = res = decode_user(k, ledger, sched, own)
         for sym, est in res.recovered.items():
             errors[sym] = abs(est - syms[sym]) / abs(syms[sym])
     return results, errors
 
 
 def run_end_to_end(scenario: str, cfg: NetworkConfig, seed: int,
-                   relay_mode: str | None = None,
-                   tol: Tolerance = DEFAULT_TOL) -> SimReport:
+                   relay_mode: str | None = None) -> SimReport:
     """Run one full protocol instance and summarize recovery quality."""
-    sched, _, syms, precoders, ledger = _execute(scenario, cfg, seed, relay_mode, tol)
-    results, errors = _decode_all(sched, ledger, syms, tol)
+    sched, _, syms, precoders, ledger = _execute(scenario, cfg, seed, relay_mode)
+    results, errors = _decode_all(sched, ledger, syms)
     recovered: dict = {}
     for res in results.values():
         recovered.update(res.recovered)
@@ -370,27 +353,28 @@ def ledger_linearity_error(ledger: EquationLedger, syms: dict) -> float:
     return worst
 
 
-def alignment_error(ledger: EquationLedger, syms: dict) -> float:
-    """Worst mismatch between overheard-interference parts and the stored equations.
+def alignment_error(ledger: EquationLedger, sched: Schedule, syms: dict) -> float:
+    """Worst mismatch between relayed interference and the stored equations it replays.
 
-    For every phase-2 equation with an OI reference, checks the entrywise
-    coefficients and the reconstructed sub-equation value against the phase-1
-    equation being replayed. Zero (to numerical precision) when the scenario
-    designs no alignment.
+    For every phase-2 equation of every user and every pure slot of that user,
+    checks the entrywise coefficients of the slot's symbols and the value they
+    rebuild against the stored phase-1 equation. Zero (to numerical precision)
+    when the scenario designs no alignment.
     """
     worst = 0.0
     for k, eqs in ledger.users.items():
-        stored = {eq.slot: eq for eq in eqs if eq.parts is None}
+        stored = {eq.slot: eq for eq in eqs if eq.slot <= sched.phase1_len}
         for eq in eqs:
-            if eq.parts is None or eq.oi_ref_slot is None:
+            if eq.slot <= sched.phase1_len:
                 continue
-            ref = stored[eq.oi_ref_slot]
-            oi_value = 0.0
-            for sym, want in ref.coeffs.items():
-                got = eq.parts["OI"].get(sym, 0.0)
-                worst = max(worst, abs(got - want))
-                oi_value += got * syms[sym]
-            worst = max(worst, abs(oi_value - ref.value))
+            for t in sorted(sched.pure_slots(k)):
+                ref = stored[t]
+                oi_value = 0.0
+                for sym, want in ref.coeffs.items():
+                    got = eq.coeffs.get(sym, 0.0)
+                    worst = max(worst, abs(got - want))
+                    oi_value += got * syms[sym]
+                worst = max(worst, abs(oi_value - ref.value))
     return worst
 
 
@@ -402,15 +386,13 @@ EXPECTED_RANK = {
 }
 
 
-def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: int = 0,
-                    relay_mode: str | None = None, tol: Tolerance = DEFAULT_TOL,
-                    symbol_error_tol: float = 1e-8, residual_tol: float = 1e-9) -> dict:
+def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: int = 0) -> dict:
     """Run the invariant suite over derived seeds and report a JSON-ready summary.
 
-    A seed fails when any symbol's relative error reaches symbol_error_tol;
+    A seed fails when any symbol's relative error reaches SYMBOL_ERROR_TOL;
     when the constraint residual, the alignment error (the replay identity
-    between phase-2 OI parts and the stored phase-1 equations), the ledger
-    linearity error or any user's stray coefficient reaches residual_tol;
+    between phase-2 equations and the stored pure-slot equations), the ledger
+    linearity error or any user's stray coefficient reaches RESIDUAL_TOL;
     when a user's effective rank differs from the expected one; or when the
     symbols recovered within tolerance per slot fall short of the
     schedule's own symbols-per-slot ratio.
@@ -423,23 +405,23 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     dof_ok = rank_ok = True
     for i in range(n_seeds):
         seed = derive_trial_seed(base_seed, i)
-        sched, _, syms, precoders, ledger = _execute(scenario, cfg, seed, relay_mode, tol)
-        results, errors = _decode_all(sched, ledger, syms, tol)
+        sched, _, syms, precoders, ledger = _execute(scenario, cfg, seed, None)
+        results, errors = _decode_all(sched, ledger, syms)
         seed_ok = True
         if any(res.effective_rank != expected_rank for res in results.values()):
             rank_ok = seed_ok = False
-        recovered = sum(err < symbol_error_tol for err in errors.values())
+        recovered = sum(err < SYMBOL_ERROR_TOL for err in errors.values())
         if Fraction(recovered, sched.n_slots) != expected_dof:
             dof_ok = seed_ok = False
         worst = max(errors.values(), default=0.0)
         stray = max(res.stray_coeff for res in results.values())
-        align = alignment_error(ledger, syms)
+        align = alignment_error(ledger, sched, syms)
         linear = ledger_linearity_error(ledger, syms)
         max_err = max(max_err, worst)
         max_resid = max(max_resid, precoders.residual)
         max_align = max(max_align, align)
         max_linear = max(max_linear, linear)
-        if worst >= symbol_error_tol or max(precoders.residual, align, linear, stray) >= residual_tol:
+        if worst >= SYMBOL_ERROR_TOL or max(precoders.residual, align, linear, stray) >= RESIDUAL_TOL:
             seed_ok = False
         if not seed_ok:
             failures.append(i)

@@ -11,8 +11,6 @@ def test_config_validation():
         NetworkConfig(4, ())
     with pytest.raises(ValueError):
         NetworkConfig(4, (0,))
-    with pytest.raises(ValueError):
-        NetworkConfig(4, (2,), power_P=0.0)
     cfg = NetworkConfig(4, [2, 1])
     assert cfg.relay_antennas == (2, 1)
     assert cfg.n_relays == 2

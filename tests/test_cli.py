@@ -75,6 +75,14 @@ def test_simulate_antenna_deficit_exit_three(tmp_path):
     assert code == cli.EXIT_INFEASIBLE
 
 
+def test_decode_forward_on_single_antenna_relays_names_the_relay(tmp_path, capsys):
+    code = run(["simulate", "--scenario", "case1", "--k1", "6", "--relays", ",".join(["1"] * 21),
+                "--relay-mode", "decode_forward", "--output", str(tmp_path / "x.json")])
+    assert code == cli.EXIT_INFEASIBLE
+    # six phase-1 slots give the one-antenna relay six equations in thirty symbols
+    assert capsys.readouterr().err == "infeasible: relay 1: effective rank 6 < 30 symbols\n"
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert run(["simulate", "--scenario", "nope"]) == cli.EXIT_USAGE
     assert run(["simulate", "--scenario", "case1", "--relays", "3"]) == cli.EXIT_USAGE  # no --k1

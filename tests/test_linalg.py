@@ -4,7 +4,6 @@ import pytest
 from stpnc.linalg import (
     InconsistentSystem,
     RankDeficient,
-    Tolerance,
     kron,
     null_space,
     rank,
@@ -17,13 +16,6 @@ from stpnc.linalg import (
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def test_tolerance_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Tolerance(rel_eps=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=-1e-3)
 
 
 def test_kron_identity():

@@ -15,7 +15,6 @@ from stpnc.protocol import (
     ledger_linearity_error,
     _execute,
 )
-from stpnc.linalg import DEFAULT_TOL
 
 
 def crandn(rng, *shape):
@@ -71,7 +70,7 @@ def check_ledger_and_recovery(cases):
     cfg = NetworkConfig(4, (2,))
     for i in range(cases):
         seed = derive_trial_seed(8, i)
-        sched, _, syms, precoders, ledger = _execute("twic", cfg, seed, None, DEFAULT_TOL)
+        sched, _, syms, precoders, ledger = _execute("twic", cfg, seed, None)
         assert ledger_linearity_error(ledger, syms) < 1e-9
         assert precoders.residual < 1e-9
         for k in sched.users:

@@ -19,7 +19,14 @@ from stpnc.protocol import (
     run_phase2,
     verify_scenario,
 )
-from stpnc.scheduler import SymbolId, schedule_case1, schedule_twic, schedule_twxc
+from stpnc.scheduler import (
+    Schedule,
+    SlotPlan,
+    SymbolId,
+    schedule_case1,
+    schedule_twic,
+    schedule_twxc,
+)
 
 
 def twic_setup(seed):
@@ -77,7 +84,8 @@ def test_relay_decode_rank_deficient_for_single_antenna_relay():
     ch = draw_channels(cfg, sched.n_slots, 3)
     syms = draw_symbols(sched, 4)
     ledger = run_phase1(sched, ch, syms)
-    with pytest.raises(RankDeficient):
+    # one antenna over four slots gives four equations in twelve symbols
+    with pytest.raises(RankDeficient, match=r"^relay 1: effective rank 4 < 12 symbols$"):
         relay_decode(ledger, 1, sched.symbols)
 
 
@@ -116,11 +124,11 @@ def test_phase2_neutralized_coefficient_is_tiny():
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     eq = [e for e in ledger.users[1] if e.slot == 3][0]
     assert abs(eq.coeffs[SymbolId(4, 2)]) < 1e-10
-    assert eq.parts["N"] == {SymbolId(4, 2): eq.coeffs[SymbolId(4, 2)]}
-    assert set(eq.parts["D"]) == {SymbolId(1, 3)}
-    assert set(eq.parts["SI"]) == {SymbolId(3, 1)}
-    assert set(eq.parts["OI"]) == {SymbolId(2, 4)}
-    assert eq.oi_ref_slot is None  # jointly decoded, not aligned
+    assert set(eq.coeffs) == set(sched.symbols)
+    roles = {sym: sched.role(1, sym) for sym in eq.coeffs}
+    assert roles == {SymbolId(4, 2): "N", SymbolId(1, 3): "D",
+                     SymbolId(3, 1): "SI", SymbolId(2, 4): "OI"}
+    assert not sched.pure_slots(1)  # jointly decoded, not aligned
 
 
 def test_twxc_overheard_part_replays_stored_equation():
@@ -130,11 +138,40 @@ def test_twxc_overheard_part_replays_stored_equation():
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     eq5 = [e for e in ledger.users[1] if e.slot == 5][0]
-    assert eq5.oi_ref_slot == 4
+    assert sched.pure_slots(1) == {4}
     y4 = [e for e in ledger.users[1] if e.slot == 4][0]
-    oi_value = sum(c * syms[sym] for sym, c in eq5.parts["OI"].items())
+    oi = {sym: c for sym, c in eq5.coeffs.items() if sched.role(1, sym) == "OI"}
+    assert set(oi) == set(y4.coeffs)
+    oi_value = sum(c * syms[sym] for sym, c in oi.items())
     assert abs(oi_value - y4.value) < 1e-9
-    assert alignment_error(ledger, syms) < 1e-9
+    assert alignment_error(ledger, sched, syms) < 1e-9
+
+
+def test_alignment_error_checks_every_pure_slot():
+    # user 1 overhears both phase-1 slots and wants neither symbol: two pure slots
+    sched = Schedule("two_pure", (1, 2, 3), (
+        SlotPlan(frozenset({2}), frozenset({1, 3}), True, {2: SymbolId(3, 2)}),
+        SlotPlan(frozenset({3}), frozenset({1, 2}), True, {3: SymbolId(2, 3)}),
+        SlotPlan(frozenset(), frozenset({1, 2, 3}), False),
+    ), phase1_len=2, phase2_len=1)
+    assert sched.pure_slots(1) == {1, 2}
+    ch = draw_channels(NetworkConfig(3, (2,)), sched.n_slots, 19)
+    syms = draw_symbols(sched, 20)
+    p = precoder.design(sched, ch)
+    assert p.residual < 1e-9
+    ledger = run_phase1(sched, ch, syms)
+    plan = relay_process(ledger, p, sched, "linear_forward")
+    ledger = run_phase2(plan, sched, ch, ledger=ledger)
+    for k in (2, 3):
+        own = {sym: syms[sym] for sym in sched.own_symbols(k)}
+        res = decode_user(k, ledger, sched, own)
+        assert set(res.recovered) == set(sched.desired_symbols(k))
+        for sym, est in res.recovered.items():
+            assert abs(est - syms[sym]) < 1e-9
+    assert alignment_error(ledger, sched, syms) < 1e-9
+    eq = next(e for e in ledger.users[1] if e.slot == 3)
+    eq.coeffs[SymbolId(2, 3)] += 1e-6  # a symbol of user 1's second pure slot
+    assert alignment_error(ledger, sched, syms) > 1e-9
 
 
 def test_zero_precoders_give_zero_received_values():
@@ -174,12 +211,10 @@ def test_self_interference_fully_removed():
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     eq = [e for e in ledger.users[2] if e.slot == 3][0]
-    cleaned = eq.value - sum(c * syms[sym] for sym, c in eq.parts["SI"].items())
-    rebuilt = sum(
-        c * syms[sym]
-        for part in ("D", "OI", "N")
-        for sym, c in eq.parts[part].items()
-    )
+    roles = {sym: sched.role(2, sym) for sym in eq.coeffs}
+    assert sorted(roles.values()) == ["D", "N", "OI", "SI"]
+    cleaned = eq.value - sum(c * syms[sym] for sym, c in eq.coeffs.items() if roles[sym] == "SI")
+    rebuilt = sum(c * syms[sym] for sym, c in eq.coeffs.items() if roles[sym] != "SI")
     assert abs(cleaned - rebuilt) < 1e-10
 
 
@@ -207,9 +242,8 @@ def test_general_constructions_decode_system_shapes():
     # smallest instances stack one stored phase-1 row with one relay row
     for scenario, cfg in [("case1", NetworkConfig(3, (2,))), ("case2", NetworkConfig(4, (2,)))]:
         from stpnc.protocol import _execute
-        from stpnc.linalg import DEFAULT_TOL
 
-        sched, _, syms, _, ledger = _execute(scenario, cfg, 21, None, DEFAULT_TOL)
+        sched, _, syms, _, ledger = _execute(scenario, cfg, 21, None)
         for k in sched.users:
             own = {sym: syms[sym] for sym in sched.own_symbols(k)}
             res = decode_user(k, ledger, sched, own)
@@ -280,8 +314,8 @@ def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
     real = precoder.null_space
     state = {"done": False}
 
-    def faulty(a, tol):
-        basis = real(a, tol)
+    def faulty(a):
+        basis = real(a)
         if not state["done"]:
             basis[0, 0] += 1e-6  # one entry of one relay block
             state["done"] = True
@@ -313,11 +347,11 @@ def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
 def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
     real = protocol.run_phase2
 
-    def faulty(*args, **kwargs):
-        ledger = real(*args, **kwargs)
-        eq = next(e for e in ledger.users[1] if e.oi_ref_slot is not None)
-        sym = next(iter(eq.parts["OI"]))
-        eq.parts["OI"][sym] += 1e-6
+    def faulty(plan, sched, *args, **kwargs):
+        ledger = real(plan, sched, *args, **kwargs)
+        eq = next(e for e in ledger.users[1] if e.slot > sched.phase1_len)
+        sym = next(s for s in eq.coeffs if sched.slot_of(s) in sched.pure_slots(1))
+        eq.coeffs[sym] += 1e-6  # the stray gate sees it too: decoding leaves it uncancelled
         return ledger
 
     monkeypatch.setattr(protocol, "run_phase2", faulty)
