@@ -29,7 +29,8 @@ for k in sched.users:
     eq = [e for e in ledger.users[k] if e.slot == 5][0]
     (ref_slot,) = sched.pure_slots(k)  # the overheard slot without desired symbols
     ref = [e for e in ledger.users[k] if e.slot == ref_slot][0]
-    oi_value = sum(c * syms[sym] for sym, c in eq.coeffs.items() if sched.role(k, sym) == "OI")
+    oi_value = sum(eq.coeffs[c] * syms[sym] for sym, c in sched.column.items()
+                   if sched.role(k, sym) == "OI")
     print(f"  user {k}: overheard-interference part equals its stored slot-{ref_slot} "
           f"equation to {abs(oi_value - ref.value):.2e}")
 

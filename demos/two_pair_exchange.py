@@ -29,8 +29,9 @@ for t in sched.phase1_slots:
     print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
           f"users {sorted(plan.destinations)} and the relay listen")
 for (_, slot), eq in ledger.relays.items():
+    heard = sorted(sched.slot(slot).sends.values())
     for m in range(eq.value.shape[0]):
-        terms = " + ".join(f"({c[m]:.2f})s[{s.dest}<-{s.src}]" for s, c in eq.coeffs.items())
+        terms = " + ".join(f"({eq.coeffs[m, sched.column[s]]:.2f})s[{s.dest}<-{s.src}]" for s in heard)
         print(f"  relay antenna eq, slot {slot}: y = {terms}")
 
 # The relay decodes all four symbols and forwards each phase-1 slot's
@@ -45,9 +46,9 @@ ledger = run_phase2(plan, sched, ch, ledger=ledger)
 eq = [e for e in ledger.users[1] if e.slot == 3][0]
 print("\nuser 1, relay slot coefficient split:")
 for part in ("D", "SI", "OI", "N"):
-    for sym, c in eq.coeffs.items():
+    for sym, c in sched.column.items():
         if sched.role(1, sym) == part:
-            print(f"  {part:>2}: s[{sym.dest}<-{sym.src}] coefficient {abs(c):.2e}")
+            print(f"  {part:>2}: s[{sym.dest}<-{sym.src}] coefficient {abs(eq.coeffs[c]):.2e}")
 print("  (N is the neutralized symbol user 1 never overheard)")
 
 # Decoding: subtract self-interference, then solve the little 2x2 system

@@ -6,7 +6,8 @@ the remaining users and all relays listen and store linear equations
 Slots and users are 1-indexed; a symbol id (dest, src) names the unit-power
 data symbol user `src` sends for user `dest`. Schedules are immutable and
 their builders cached, so what a schedule derives (its symbols, the slot of
-a symbol, the pure slots of a user) is computed once per process.
+a symbol, the pure slots of a user, the columns of a coefficient row) is
+computed once per process.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 
 class InvalidUserCount(ValueError):
@@ -108,6 +111,36 @@ class Schedule:
                          if all(sym.dest != j for sym in self.slot(t).sends.values()))
             for j in self.users
         }
+
+    @cached_property
+    def column(self) -> dict:
+        """Position of each symbol in a coefficient row; rows run over ``symbols``."""
+        return {sym: i for i, sym in enumerate(self.symbols)}
+
+    @cached_property
+    def slot_columns(self) -> dict:
+        """Phase-1 slot -> columns of the symbols it carries, in its sends order."""
+        return {t: np.array([self.column[sym] for sym in self.slot(t).sends.values()], dtype=np.intp)
+                for t in self.phase1_slots}
+
+    def unknowns(self, k: int) -> np.ndarray:
+        """Columns user k zero-forces, ascending: its desired symbols plus the
+        symbols of the overheard slots that are not pure slots."""
+        return self.decode_columns[k][0]
+
+    @cached_property
+    def decode_columns(self) -> dict:
+        """User k -> its (unknowns, own, rest) columns. Own symbols are
+        self-interference, subtracted by value; the rest must cancel (aligned
+        OI, by subtracting the pure-slot equations) or arrive neutralized (N)."""
+        out = {}
+        for k in self.users:
+            joint = set(self.listened_phase1(k)) - self.pure_slots(k)
+            unknown = [i for i, s in enumerate(self.symbols) if s.dest == k or self.slot_of(s) in joint]
+            own = [i for i, s in enumerate(self.symbols) if s.src == k]
+            rest = sorted(set(range(len(self.symbols))) - set(unknown) - set(own))
+            out[k] = tuple(np.array(c, dtype=np.intp) for c in (unknown, own, rest))
+        return out
 
 
 def _relay_slot(users) -> SlotPlan:

@@ -38,6 +38,8 @@ def test_spans_instrument_and_restore(perfbench, tmp_path):
     assert stpnc.protocol.run_phase1 is before
     assert tracer.calls["precoder.design"] == 1
     assert tracer.calls["protocol.decode_user"] == 4
+    # twxc stores 8 phase-1 user equations, 4 relay vector equations and 4 relay-slot ones
+    assert tracer.counters["protocol.equations_stored"] == 16
 
 
 @pytest.mark.parametrize("sched,design,antennas", [

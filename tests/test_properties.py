@@ -71,7 +71,7 @@ def check_ledger_and_recovery(cases):
     for i in range(cases):
         seed = derive_trial_seed(8, i)
         sched, _, syms, precoders, ledger = _execute("twic", cfg, seed, None)
-        assert ledger_linearity_error(ledger, syms) < 1e-9
+        assert ledger_linearity_error(ledger, sched, syms) < 1e-9
         assert precoders.residual < 1e-9
         for k in sched.users:
             own = {sym: syms[sym] for sym in sched.own_symbols(k)}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stpnc import precoder, protocol
-from stpnc.channel import NetworkConfig, draw_channels
+from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
 from stpnc.linalg import RankDeficient
 from stpnc.precoder import design_twic, design_twxc
 from stpnc.protocol import (
@@ -24,6 +24,7 @@ from stpnc.scheduler import (
     SlotPlan,
     SymbolId,
     schedule_case1,
+    schedule_case2,
     schedule_twic,
     schedule_twxc,
 )
@@ -50,8 +51,10 @@ def test_phase1_user_equation_coefficients():
     ledger = run_phase1(sched, ch, syms)
     eq = ledger.users[3][0]
     assert eq.slot == 1
-    assert eq.coeffs[SymbolId(3, 1)] == ch.h(3, 1, 1)
-    assert eq.coeffs[SymbolId(4, 2)] == ch.h(3, 2, 1)
+    assert eq.coeffs.shape == (len(sched.symbols),)
+    assert eq.coeffs[sched.column[SymbolId(3, 1)]] == ch.h(3, 1, 1)
+    assert eq.coeffs[sched.column[SymbolId(4, 2)]] == ch.h(3, 2, 1)
+    assert np.count_nonzero(eq.coeffs) == 2  # only the slot's two symbols
     expect = ch.h(3, 1, 1) * syms[SymbolId(3, 1)] + ch.h(3, 2, 1) * syms[SymbolId(4, 2)]
     assert eq.value == expect
 
@@ -64,18 +67,22 @@ def test_phase1_relay_gets_four_scalar_equations():
     assert sum(eq.value.shape[0] for eq in eqs) == 4
     covered = set()
     for eq in eqs:
-        covered.update(eq.coeffs)
+        heard = {sym for sym, c in sched.column.items() if eq.coeffs[:, c].any()}
+        assert heard == set(sched.slot(eq.slot).sends.values())
+        covered.update(heard)
         for m in range(eq.value.shape[0]):
-            assert abs(eq.value[m] - sum(c[m] * syms[sym] for sym, c in eq.coeffs.items())) < 1e-12
+            pred = sum(eq.coeffs[m, c] * syms[sym] for sym, c in sched.column.items())
+            assert abs(eq.value[m] - pred) < 1e-12
     assert covered == set(sched.symbols)
 
 
 def test_relay_decodes_all_symbols_noiselessly():
     _, sched, ch, syms = twic_setup(2)
     ledger = run_phase1(sched, ch, syms)
-    decoded = relay_decode(ledger, 1, sched.symbols)
+    decoded = relay_decode(ledger, 1)
+    assert decoded.shape == (len(sched.symbols),)
     for sym in sched.symbols:
-        assert abs(decoded[sym] - syms[sym]) < 1e-9
+        assert abs(decoded[sched.column[sym]] - syms[sym]) < 1e-9
 
 
 def test_relay_decode_rank_deficient_for_single_antenna_relay():
@@ -86,7 +93,7 @@ def test_relay_decode_rank_deficient_for_single_antenna_relay():
     ledger = run_phase1(sched, ch, syms)
     # one antenna over four slots gives four equations in twelve symbols
     with pytest.raises(RankDeficient, match=r"^relay 1: effective rank 4 < 12 symbols$"):
-        relay_decode(ledger, 1, sched.symbols)
+        relay_decode(ledger, 1)
 
 
 def test_linear_forward_matches_brute_force():
@@ -123,9 +130,9 @@ def test_phase2_neutralized_coefficient_is_tiny():
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     eq = [e for e in ledger.users[1] if e.slot == 3][0]
-    assert abs(eq.coeffs[SymbolId(4, 2)]) < 1e-10
-    assert set(eq.coeffs) == set(sched.symbols)
-    roles = {sym: sched.role(1, sym) for sym in eq.coeffs}
+    assert abs(eq.coeffs[sched.column[SymbolId(4, 2)]]) < 1e-10
+    assert eq.coeffs.shape == (len(sched.symbols),)
+    roles = {sym: sched.role(1, sym) for sym in sched.column}
     assert roles == {SymbolId(4, 2): "N", SymbolId(1, 3): "D",
                      SymbolId(3, 1): "SI", SymbolId(2, 4): "OI"}
     assert not sched.pure_slots(1)  # jointly decoded, not aligned
@@ -140,20 +147,49 @@ def test_twxc_overheard_part_replays_stored_equation():
     eq5 = [e for e in ledger.users[1] if e.slot == 5][0]
     assert sched.pure_slots(1) == {4}
     y4 = [e for e in ledger.users[1] if e.slot == 4][0]
-    oi = {sym: c for sym, c in eq5.coeffs.items() if sched.role(1, sym) == "OI"}
-    assert set(oi) == set(y4.coeffs)
+    oi = {sym: eq5.coeffs[c] for sym, c in sched.column.items() if sched.role(1, sym) == "OI"}
+    assert set(oi) == {sym for sym, c in sched.column.items() if y4.coeffs[c] != 0}
     oi_value = sum(c * syms[sym] for sym, c in oi.items())
     assert abs(oi_value - y4.value) < 1e-9
     assert alignment_error(ledger, sched, syms) < 1e-9
 
 
-def test_alignment_error_checks_every_pure_slot():
+def two_pure_schedule():
     # user 1 overhears both phase-1 slots and wants neither symbol: two pure slots
-    sched = Schedule("two_pure", (1, 2, 3), (
+    return Schedule("two_pure", (1, 2, 3), (
         SlotPlan(frozenset({2}), frozenset({1, 3}), True, {2: SymbolId(3, 2)}),
         SlotPlan(frozenset({3}), frozenset({1, 2}), True, {3: SymbolId(2, 3)}),
         SlotPlan(frozenset(), frozenset({1, 2, 3}), False),
     ), phase1_len=2, phase2_len=1)
+
+
+@pytest.mark.parametrize("sched", [
+    schedule_twic(), schedule_twxc(),
+    schedule_case1(3), schedule_case1(4), schedule_case1(6),
+    schedule_case2(4), schedule_case2(5), schedule_case2(7),
+    two_pure_schedule(),
+], ids=lambda s: f"{s.name}-{len(s.users)}")
+def test_unknowns_match_the_stored_equations(sched):
+    # the decode system the schedule fixes is the one the ledger used to define:
+    # desired symbols plus every symbol of a stored phase-1 equation off the pure slots
+    ch = draw_channels(NetworkConfig(len(sched.users), (2,)), sched.n_slots, 23)
+    ledger = run_phase1(sched, ch, draw_symbols(sched, 24))
+    assert [sched.symbols[c] for c in sched.column.values()] == list(sched.symbols)
+    for k in sched.users:
+        stored = {sym for eq in ledger.users[k] if eq.slot not in sched.pure_slots(k)
+                  for sym, c in sched.column.items() if eq.coeffs[c] != 0}
+        unknowns = [sched.symbols[c] for c in sched.unknowns(k)]
+        assert unknowns == sorted(set(sched.desired_symbols(k)) | stored)
+        _, own, rest = sched.decode_columns[k]
+        assert [sched.symbols[c] for c in own] == list(sched.own_symbols(k))
+        assert sorted([*sched.unknowns(k), *own, *rest]) == list(range(len(sched.symbols)))
+        for c in rest:  # what must cancel or arrive neutralized
+            sym = sched.symbols[c]
+            assert sched.role(k, sym) == "N" or sched.slot_of(sym) in sched.pure_slots(k)
+
+
+def test_alignment_error_checks_every_pure_slot():
+    sched = two_pure_schedule()
     assert sched.pure_slots(1) == {1, 2}
     ch = draw_channels(NetworkConfig(3, (2,)), sched.n_slots, 19)
     syms = draw_symbols(sched, 20)
@@ -170,7 +206,7 @@ def test_alignment_error_checks_every_pure_slot():
             assert abs(est - syms[sym]) < 1e-9
     assert alignment_error(ledger, sched, syms) < 1e-9
     eq = next(e for e in ledger.users[1] if e.slot == 3)
-    eq.coeffs[SymbolId(2, 3)] += 1e-6  # a symbol of user 1's second pure slot
+    eq.coeffs[sched.column[SymbolId(2, 3)]] += 1e-6  # a symbol of user 1's second pure slot
     assert alignment_error(ledger, sched, syms) > 1e-9
 
 
@@ -211,10 +247,11 @@ def test_self_interference_fully_removed():
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     eq = [e for e in ledger.users[2] if e.slot == 3][0]
-    roles = {sym: sched.role(2, sym) for sym in eq.coeffs}
+    roles = {sym: sched.role(2, sym) for sym in sched.column}
     assert sorted(roles.values()) == ["D", "N", "OI", "SI"]
-    cleaned = eq.value - sum(c * syms[sym] for sym, c in eq.coeffs.items() if roles[sym] == "SI")
-    rebuilt = sum(c * syms[sym] for sym, c in eq.coeffs.items() if roles[sym] != "SI")
+    terms = {sym: eq.coeffs[c] * syms[sym] for sym, c in sched.column.items()}
+    cleaned = eq.value - sum(x for sym, x in terms.items() if roles[sym] == "SI")
+    rebuilt = sum(x for sym, x in terms.items() if roles[sym] != "SI")
     assert abs(cleaned - rebuilt) < 1e-10
 
 
@@ -286,9 +323,9 @@ def test_ledger_linearity_reflects_noise_level():
     ch = draw_channels(cfg, 3, 17)
     syms = draw_symbols(sched, 18)
     noiseless = run_phase1(sched, ch, syms, noise_var=0.0, seed=1)
-    assert ledger_linearity_error(noiseless, syms) < 1e-12
+    assert ledger_linearity_error(noiseless, sched, syms) < 1e-12
     noisy = run_phase1(sched, ch, syms, noise_var=1e-4, seed=1)
-    err = ledger_linearity_error(noisy, syms)
+    err = ledger_linearity_error(noisy, sched, syms)
     assert 1e-4 < err < 1e-1
 
 
@@ -330,11 +367,11 @@ def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
 def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
     real = protocol.relay_process
 
-    def faulty(ledger, *args, **kwargs):
-        plan = real(ledger, *args, **kwargs)
+    def faulty(ledger, p, sched, *args, **kwargs):
+        plan = real(ledger, p, sched, *args, **kwargs)
         # after the relays used it: only the stored equation is now wrong
         eq = ledger.relays[(1, 1)]
-        eq.coeffs[next(iter(eq.coeffs))][0] += 1e-6
+        eq.coeffs[0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
         return plan
 
     monkeypatch.setattr(protocol, "relay_process", faulty)
@@ -350,8 +387,8 @@ def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
     def faulty(plan, sched, *args, **kwargs):
         ledger = real(plan, sched, *args, **kwargs)
         eq = next(e for e in ledger.users[1] if e.slot > sched.phase1_len)
-        sym = next(s for s in eq.coeffs if sched.slot_of(s) in sched.pure_slots(1))
-        eq.coeffs[sym] += 1e-6  # the stray gate sees it too: decoding leaves it uncancelled
+        sym = next(s for s in sched.symbols if sched.slot_of(s) in sched.pure_slots(1))
+        eq.coeffs[sched.column[sym]] += 1e-6  # the stray gate sees it too: decoding leaves it uncancelled
         return ledger
 
     monkeypatch.setattr(protocol, "run_phase2", faulty)
@@ -374,6 +411,20 @@ def test_verify_fails_on_stray_coefficient(monkeypatch):
     summary = verify_scenario("twic", NetworkConfig(4, (2,)), n_seeds=2)
     assert summary["failures"] == [0, 1]
     assert summary["max_symbol_error"] < 1e-8
+
+
+def test_simulate_achieved_dof_counts_recovered_symbols():
+    # noise leaves some symbols outside SYMBOL_ERROR_TOL; the achieved DoF counts
+    # only the recovered ones, not the schedule's 4/3
+    cfg = NetworkConfig(4, (2,), noise_var=1e-16)
+    for i, ok in [(0, 1), (1, 2), (2, 0)]:
+        seed = derive_trial_seed(1, i)
+        rep = run_end_to_end("twic", cfg, seed)
+        syms = draw_symbols(schedule_twic(), derive_trial_seed(seed, 1))
+        errors = [abs(est - syms[sym]) / abs(syms[sym]) for sym, est in rep.recovered.items()]
+        assert sum(err < protocol.SYMBOL_ERROR_TOL for err in errors) == ok
+        assert rep.achieved_dof == Fraction(ok, 3)
+        assert rep.symbols_delivered == 4 and rep.slots_used == 3
 
 
 def test_achieved_dof_counts_recovered_symbols(monkeypatch):
