@@ -7,6 +7,7 @@ All links fade independently per time slot with CN(0,1) coefficients
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,37 +95,45 @@ def _complex_pool(rng: np.random.Generator, n: int) -> np.ndarray:
         z[bad] = (rng.standard_normal(bad.sum()) + 1j * rng.standard_normal(bad.sum())) / np.sqrt(2.0)
 
 
+@functools.cache
+def draw_layout(cfg: NetworkConfig) -> tuple[int, dict]:
+    """Pool size per slot, and each coefficient's place in a slot's pool, keyed like the
+    ChannelSet fields without the slot: user_user[(k, i)] indices, the others slices."""
+    users, relays, pos = range(1, cfg.K + 1), tuple(enumerate(cfg.relay_antennas, 1)), 0
+
+    def take(m):
+        nonlocal pos
+        pos += m
+        return slice(pos - m, pos)
+
+    layout = {
+        "user_user": {(k, i): take(1).start for k in users for i in users if i != k},
+        "user_relay": {(ell, i): take(m) for ell, m in relays for i in users},
+        "relay_user": {(k, ell): take(m) for k in users for ell, m in relays},
+    }
+    return pos, layout
+
+
+def draw_pools(cfg: NetworkConfig, slots: int, seed: int) -> np.ndarray:
+    """The (slots, pool size) stack of per-slot IID CN(0,1) draws that draw_channels places."""
+    rng, size = np.random.default_rng(seed), draw_layout(cfg)[0]
+    return np.array([_complex_pool(rng, size) for _ in range(slots)])
+
+
 def draw_channels(cfg: NetworkConfig, slots: int, seed: int) -> ChannelSet:
     """Draw every coefficient for the given number of slots, deterministically.
 
-    Coefficients are IID CN(0,1) across links and slots. The draw order is
-    fixed (per slot: user-user pairs, then uplink vectors, then downlink
-    rows), so identical (cfg, slots, seed) give bitwise-identical results.
+    Coefficients are IID CN(0,1) across links and slots. draw_layout places
+    each slot's pool in a fixed order (user-user pairs, then uplink vectors,
+    then downlink rows), so identical (cfg, slots, seed) give identical bits.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
-    rng = np.random.default_rng(seed)
-    K, antennas = cfg.K, cfg.relay_antennas
-    n_uu = K * (K - 1)
-    n_vec = sum(antennas) * K
-    user_user: dict = {}
-    user_relay: dict = {}
-    relay_user: dict = {}
-    for t in range(1, slots + 1):
-        pool = _complex_pool(rng, n_uu + 2 * n_vec)
-        pos = 0
-        for k in range(1, K + 1):
-            for i in range(1, K + 1):
-                if i == k:
-                    continue
-                user_user[(k, i, t)] = complex(pool[pos])
-                pos += 1
-        for ell, m in enumerate(antennas, start=1):
-            for i in range(1, K + 1):
-                user_relay[(ell, i, t)] = pool[pos:pos + m].copy()
-                pos += m
-        for k in range(1, K + 1):
-            for ell, m in enumerate(antennas, start=1):
-                relay_user[(k, ell, t)] = pool[pos:pos + m].copy()
-                pos += m
+    layout = draw_layout(cfg)[1]
+    pools = list(enumerate(draw_pools(cfg, slots, seed), start=1))
+    user_user = {(*key, t): complex(pool[p]) for t, pool in pools
+                 for key, p in layout["user_user"].items()}
+    user_relay, relay_user = ({(*key, t): pool[s].copy() for t, pool in pools
+                               for key, s in layout[name].items()}
+                              for name in ("user_relay", "relay_user"))
     return ChannelSet(cfg, slots, user_user, user_relay, relay_user)

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -268,19 +267,15 @@ def _cmd_dof_sweep(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gain_block(args) -> np.ndarray:
-    seed, start, count = args
-    return rate.trial_gains(seed, start, count)
-
-
 def _parallel_gains(seed: int, trials: int, jobs: int) -> np.ndarray:
     blocks = [(seed, start, min(_GAIN_BLOCK, trials - start))
               for start in range(0, trials, _GAIN_BLOCK)]
     if jobs == 1 or len(blocks) == 1:
-        parts = [_gain_block(b) for b in blocks]
+        parts = [rate.trial_gains(*b) for b in blocks]
     else:
+        from multiprocessing import Pool  # here, so processes that start no worker skip its import
         with Pool(min(jobs, len(blocks))) as pool:
-            parts = pool.map(_gain_block, blocks)
+            parts = pool.starmap(rate.trial_gains, blocks)
     return np.vstack(parts)
 
 

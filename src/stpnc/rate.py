@@ -10,22 +10,24 @@ of 2.5 sigma^2 / P). The network is symmetric, so the sum rate is 4/3 times
 the per-flow ergodic rate: four symbols cross in three channel uses. The
 TDMA baseline sends one symbol per slot over the direct link.
 
-All Monte Carlo paths draw fresh channels per trial from seeds derived off
-the root seed, so results are deterministic and trials can be computed in
-independent blocks.
+Trial i draws fresh channels from derive_trial_seed(seed, i), so results
+are deterministic and trials can be computed in independent blocks. Both
+relay vectors are 1x2 null directions, so the hop gains are closed-form
+2x2 determinants, evaluated for a whole block of trials at once.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkConfig, derive_trial_seed, draw_channels
-from .linalg import null_space
-from .precoder import design_twic  # noqa: F401  (perfbench/spans.py wraps rate.design_twic)
+from .channel import NetworkConfig, derive_trial_seed, draw_layout, draw_pools
+from .channel import draw_channels  # noqa: F401  (unused; perfbench/spans.py wraps rate.draw_channels)
+from .linalg import null_space  # noqa: F401  (unused; perfbench/spans.py wraps rate.null_space)
+from .precoder import design_twic  # noqa: F401  (unused; perfbench/spans.py wraps rate.design_twic)
 
 _TWIC_CFG = NetworkConfig(K=4, relay_antennas=(2,))  # by symmetry, flow 3 -> 1 stands for all four
+_SNR_BLOCK = 8  # SNR points per broadcast in snr_sweep, so temporaries stay O(trials)
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,24 @@ class RateResult:
     crossover_db: float | None
 
 
+# the coefficients the gains read, in kernel column order; the first of each pair is nulled
+_FLOW_LINKS = (("user_relay", (1, 4, 2)), ("user_relay", (1, 3, 2)), ("relay_user", (4, 1, 3)),
+               ("relay_user", (1, 1, 3)), ("user_user", (1, 3, 2)))
+_POOL, _LAYOUT = draw_layout(_TWIC_CFG)
+_FLOW_INDEX = np.hstack([np.arange(_POOL)[_LAYOUT[name][key[:2]]] + (key[2] - 1) * _POOL
+                         for name, key in _FLOW_LINKS])  # positions in the stacked slot pools
+
+
+def _gains(c: np.ndarray) -> np.ndarray:
+    """(uplink, downlink, direct) gains of a (trials, 9) _FLOW_LINKS batch: a unit relay
+    vector nulling row a = (a1, a2) gains |a2 b1 - a1 b2|^2 / ||a||^2 on row b."""
+    def hop(a, b):  # column offsets of the nulled and the served row
+        return np.abs(c[:, a + 1] * c[:, b] - c[:, a] * c[:, b + 1]) ** 2 / (
+            np.abs(c[:, a]) ** 2 + np.abs(c[:, a + 1]) ** 2)
+    direct = np.abs(c[:, 8]) ** 2
+    return np.column_stack([hop(0, 2), direct + hop(4, 6), direct])
+
+
 def flow_gains(ch) -> tuple[float, float, float]:
     """Uplink, downlink and direct-link gains of the representative flow.
 
@@ -64,38 +84,23 @@ def flow_gains(ch) -> tuple[float, float, float]:
     in the second slot; the unit-norm relay beam nulls the flow at user 4,
     the one user that neither sent nor overheard it. A hop's rate is
     log2(1 + rho * gain), with rho = P / sigma^2 uplink and P / (2.5 sigma^2)
-    downlink.
+    downlink. The trial_gains kernel on a batch of one.
     """
-    u_row = null_space(ch.h_up(1, 4, 2)[None, :])[:, 0]
-    v = null_space(ch.h_dn(4, 1, 3)[None, :])[:, 0]
-    direct = abs(ch.h(1, 3, 2)) ** 2
-    return abs(u_row @ ch.h_up(1, 3, 2)) ** 2, direct + abs(ch.h_dn(1, 1, 3) @ v) ** 2, direct
+    c = np.hstack([getattr(ch, name)[key] for name, key in _FLOW_LINKS])
+    return tuple(float(g) for g in _gains(c[None, :])[0])
 
 
 def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     """Per-trial flow_gains rows (uplink, downlink, direct) for trials start..start+count-1.
 
-    SNR-independent, so a sweep reuses one gains block for every SNR point;
-    blocks from disjoint trial ranges concatenate deterministically.
+    Trial i keeps the nine coefficients of draw_channels(.., derive_trial_seed(seed, i))
+    that the gains read, and one kernel call gives the block's gains. SNR-independent,
+    so a sweep reuses one block for every SNR point; disjoint blocks concatenate.
     """
-    out = np.empty((count, 3))
+    coeffs = np.empty((count, _FLOW_INDEX.size), dtype=complex)
     for i in range(count):
-        ch = draw_channels(_TWIC_CFG, 3, derive_trial_seed(seed, start + i))
-        out[i] = flow_gains(ch)
-    return out
-
-
-def tdma_trial_gains(seed: int, start: int, count: int) -> np.ndarray:
-    """The direct-link column of trial_gains alone, without the relay beams."""
-    out = np.empty(count)
-    for i in range(count):
-        ch = draw_channels(_TWIC_CFG, 3, derive_trial_seed(seed, start + i))
-        out[i] = abs(ch.h(1, 3, 2)) ** 2
-    return out
-
-
-def _interp_crossing(x0, x1, d0, d1) -> float:
-    return float(x0 + (x1 - x0) * (-d0) / (d1 - d0))
+        coeffs[i] = draw_pools(_TWIC_CFG, 3, derive_trial_seed(seed, start + i)).take(_FLOW_INDEX)
+    return _gains(coeffs)
 
 
 def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
@@ -112,21 +117,22 @@ def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
         gains = trial_gains(cfg.seed, 0, cfg.trials)
     n = gains.shape[0]
     points = []
-    for snr in cfg.snr_db:
-        rho = 10.0 ** (snr / 10.0)
+    for b in range(0, len(cfg.snr_db), _SNR_BLOCK):  # (points x trials) temporaries per block
+        grid = cfg.snr_db[b:b + _SNR_BLOCK]
+        rho = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
         up = np.log2(1.0 + rho * gains[:, 0])
         dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
         stats = []
         for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
-            stats.append(float(np.mean(rates)))
-            stats.append(float(np.std(rates, ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
-        points.append(RatePoint(snr, *stats))
+            stats += [np.mean(rates, axis=1),
+                      np.std(rates, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(grid))]
+        points += [RatePoint(snr, *map(float, row)) for snr, row in zip(grid, np.column_stack(stats))]
     crossover = None
     diffs = [p.stpnc_rate - p.tdma_rate for p in points]
     for i in range(len(points) - 1):
         if diffs[i] <= 0.0 < diffs[i + 1]:
-            crossover = _interp_crossing(points[i].snr_db, points[i + 1].snr_db,
-                                         diffs[i], diffs[i + 1])
+            x0, x1 = points[i].snr_db, points[i + 1].snr_db
+            crossover = float(x0 + (x1 - x0) * (-diffs[i]) / (diffs[i + 1] - diffs[i]))
             break
     return RateResult(tuple(points), crossover)
 

@@ -174,6 +174,16 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a rate-sweep that starts worker processes imports multiprocessing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, stpnc.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_reused_parser_gives_the_bytes_of_lone_calls(tmp_path, monkeypatch):
     # the parser is built once per process; a --config call must not leak its
     # values into later calls, which rely on the defaults it overrode

@@ -42,6 +42,21 @@ def test_spans_instrument_and_restore(perfbench, tmp_path):
     assert tracer.counters["protocol.equations_stored"] == 16
 
 
+def test_spans_bind_the_rate_path(perfbench, tmp_path):
+    # the trial loop draws coefficient pools, not ChannelSets, and makes no SVD;
+    # the rate names spans.py patches must still bind
+    _, spans = perfbench
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        argv = ["rate-sweep", "--snr", "0:30:1", "--trials", "5", "--jobs", "1",
+                "--output", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 0
+    assert tracer.counters["rate.trials"] == 5
+    assert tracer.calls["rate.trial_gains"] == 1
+    assert tracer.calls["linalg.null_space"] == 0
+    assert tracer.calls["channel.draw_channels"] == 0
+
+
 @pytest.mark.parametrize("sched,design,antennas", [
     (schedule_twic(), design_twic, (2,)),
     (schedule_twxc(), design_twxc, (2,)),

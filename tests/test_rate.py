@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from stpnc import linalg
 from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
 from stpnc.precoder import design_twic
-from stpnc.rate import RateConfig, flow_gains, snr_sweep, tdma_trial_gains, trial_gains
+from stpnc.rate import RateConfig, RatePoint, flow_gains, snr_sweep, trial_gains
 
 LN2 = np.log(2.0)
 
@@ -111,8 +112,64 @@ def test_trial_gains_positive_finite_and_deterministic():
     # block splits concatenate to the same stream
     ga = np.vstack([trial_gains(0, 0, 200), trial_gains(0, 200, 300)])
     assert np.array_equal(ga, g1)
-    # the tdma-only sampler agrees with the full sampler's direct-link column
-    assert np.array_equal(tdma_trial_gains(0, 0, 500), g1[:, 2])
+    # every row is flow_gains of that trial's ChannelSet, bit for bit, in any block split
+    cfg = NetworkConfig(4, (2,))
+    rows = [flow_gains(draw_channels(cfg, 3, derive_trial_seed(0, i))) for i in range(500)]
+    assert np.array_equal(np.array(rows), g1)
+    assert np.array_equal(np.array(rows[:200]), trial_gains(0, 0, 200))
+    assert np.array_equal(np.array(rows[200:]), trial_gains(0, 200, 300))
+
+
+def null_space_gains(ch):
+    """The gains through SVD null-space vectors, as flow_gains computed them before the closed form."""
+    u_row = linalg.null_space(ch.h_up(1, 4, 2)[None, :])[:, 0]
+    v = linalg.null_space(ch.h_dn(4, 1, 3)[None, :])[:, 0]
+    direct = abs(ch.h(1, 3, 2)) ** 2
+    return abs(u_row @ ch.h_up(1, 3, 2)) ** 2, direct + abs(ch.h_dn(1, 1, 3) @ v) ** 2, direct
+
+
+def test_closed_form_gains_match_null_space_oracle():
+    cfg = NetworkConfig(4, (2,))
+    for seed in range(1000):
+        got = trial_gains(seed, seed, 1)[0]
+        want = null_space_gains(draw_channels(cfg, 3, derive_trial_seed(seed, seed)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def per_point_sweep(cfg, gains):
+    """snr_sweep as one loop over the SNR points, each a mean and stderr over all trials."""
+    n = gains.shape[0]
+    points = []
+    for snr in cfg.snr_db:
+        rho = 10.0 ** (snr / 10.0)
+        up = np.log2(1.0 + rho * gains[:, 0])
+        dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
+        stats = []
+        for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
+            stats.append(float(np.mean(rates)))
+            stats.append(float(np.std(rates, ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+        points.append(RatePoint(snr, *stats))
+    crossover = None
+    diffs = [p.stpnc_rate - p.tdma_rate for p in points]
+    for i in range(len(points) - 1):
+        if diffs[i] <= 0.0 < diffs[i + 1]:
+            x0, x1 = points[i].snr_db, points[i + 1].snr_db
+            crossover = float(x0 + (x1 - x0) * (-diffs[i]) / (diffs[i + 1] - diffs[i]))
+            break
+    return points, crossover
+
+
+@pytest.mark.parametrize("trials", [1, 2, 64, 3000])
+def test_blocked_sweep_is_the_per_point_loop_bitwise(trials):
+    # 31 points span several SNR blocks; the last block is a partial one
+    cfg = RateConfig(tuple(float(s) for s in range(31)), trials=trials, seed=trials)
+    gains = trial_gains(trials, 0, trials)
+    got = snr_sweep(cfg, gains)
+    points, crossover = per_point_sweep(cfg, gains)
+    assert got.points == tuple(points)
+    assert got.crossover_db == crossover
+    if trials == 3000:
+        assert crossover is not None and 6.0 <= crossover <= 10.0
 
 
 def test_single_trial_average_is_hand_computation():
