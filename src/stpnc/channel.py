@@ -8,6 +8,7 @@ All links fade independently per time slot with CN(0,1) coefficients
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ class NetworkConfig:
             raise ValueError("every relay needs at least one antenna")
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
+        if not math.isfinite(self.noise_var):
+            raise ValueError("noise_var must be finite")
 
     @property
     def n_relays(self) -> int:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -51,15 +52,15 @@ def _parse_relays(text) -> tuple:
 
 def _parse_snr_grid(text) -> tuple:
     """SNR grid 'start:stop:step' in dB, endpoints inclusive; or a single value."""
-    parts = str(text).split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
+        values = tuple(float(p) for p in str(text).split(":"))
+        if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
             raise ValueError
-        start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"--snr expects 'start:stop:step' in dB, got {text!r}")
+        raise UsageError(f"--snr expects finite 'start:stop:step' values in dB, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0 or stop < start:
         raise UsageError("--snr needs step > 0 and stop >= start")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -106,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo ergodic sum rate vs the TDMA baseline")
     p.add_argument("--snr", required=True, help="grid 'start:stop:step' in dB")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes for Monte Carlo blocks (0 = all cores)")
+                   help="worker processes for Monte Carlo blocks (0 = all cores; "
+                        "at most the core count)")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -208,6 +210,10 @@ def _report_json(rep, trial: int) -> dict:
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     if ns.noise_var < 0:
         raise UsageError("--noise-var must be nonnegative")
+    if not math.isfinite(ns.noise_var):
+        raise UsageError("--noise-var must be finite")
+    if ns.trials < 1:
+        raise UsageError("--trials must be at least 1")
     seed = _resolve_seed(ns)
     cfg = _network_config(ns, noise_var=ns.noise_var)
     reports = [
@@ -284,8 +290,11 @@ def _cmd_rate_sweep(ns: argparse.Namespace) -> int:
     grid = _parse_snr_grid(ns.snr)
     if ns.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if ns.jobs < 0:
+        raise UsageError("--jobs must be nonnegative (0 = all cores)")
     cfg = rate.RateConfig(grid, ns.trials, seed)
-    jobs = ns.jobs if ns.jobs > 0 else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1  # outputs do not depend on the worker count
+    jobs = min(ns.jobs, cores) if ns.jobs else cores
     gains = _parallel_gains(seed, ns.trials, jobs)
     result = rate.snr_sweep(cfg, gains)
     cross = "none" if result.crossover_db is None else f"{result.crossover_db:.4g}"

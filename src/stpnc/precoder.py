@@ -1,13 +1,10 @@
-"""Relay precoder synthesis, derived from the schedule.
+"""Relay precoder synthesis, derived from the schedule's receive table.
 
-The relays shape phase-2 transmissions so that every user only receives
-signal components it can resolve (``Schedule.role``): symbols it wants (D),
-symbols it previously sent (SI, cancelable self-interference), and
-interference it overheard in phase 1 (OI). Everything else (N) is
-neutralized, i.e. forced to a zero end-to-end coefficient. OI from a slot
-that carried none of the user's desired symbols is aligned: its
-coefficient must equal the phase-1 channel, so the relayed interference
-replays the stored equation and subtracting it cancels the interference.
+The relays shape phase-2 transmissions so that every user receives only
+what ``Schedule.classes`` allows it: D, SI and jointly decoded OI
+components are free; an aligned (AOI) component's coefficient must equal
+the phase-1 channel, so the relayed interference replays the stored
+equation; every N component is neutralized to a zero coefficient.
 
 Each relay l holds one M_l x M_l matrix per (phase-2 slot t, phase-1 slot k)
 pair, applied to what it received in slot k. The end-to-end coefficient of
@@ -63,15 +60,15 @@ class PrecoderSet:
 def _rows(sched: Schedule, k: int) -> list:
     """Constraint rows on phase-1 slot k as (receiver j, transmitter i, aligned).
 
-    Per symbol, in the slot's sends order: the aligned rows (OI on a slot j
-    overheard without desired symbols) first, then the neutralized rows (N),
-    each in user order. D, SI and jointly decoded OI give no row.
+    Per symbol, in the slot's sends order: the aligned rows (AOI) first, then
+    the neutralized rows (N), each in user order. D, SI and jointly decoded
+    OI give no row.
     """
     rows = []
     for i, sym in sched.slot(k).sends.items():
-        roles = [(j, sched.role(j, sym)) for j in sched.users]
-        rows += [(j, i, True) for j, r in roles if r == "OI" and k in sched.pure_slots(j)]
-        rows += [(j, i, False) for j, r in roles if r == "N"]
+        c = sched.column[sym]
+        rows += [(j, i, True) for j in sched.users if sched.classes[j][c] == "AOI"]
+        rows += [(j, i, False) for j in sched.users if sched.classes[j][c] == "N"]
     return rows
 
 
@@ -95,6 +92,12 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     deterministic and bounded.
     """
     rows = {k: _rows(sched, k) for k in sched.phase1_slots}
+    # checked before any decomposition: a slot pair's stacked precoder has sum M_l^2 unknowns;
+    # homogeneous rows need one more than their count for a nonzero null-space vector
+    need = max(len(r) + (not any(aligned for *_, aligned in r)) for r in rows.values())
+    have = ch.config.sum_antenna_sq
+    if have < need:
+        raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {have}")
     p = PrecoderSet(sched.name)
     for t in sched.phase2_slots:
         for k in sched.phase1_slots:
@@ -126,13 +129,6 @@ def _require_two_antenna_relay(ch: ChannelSet, scenario: str) -> None:
         raise AntennaDeficit(f"{scenario} needs a single relay with 2 antennas")
 
 
-def _require_antenna_sq(ch: ChannelSet, needed: int) -> None:
-    if ch.config.sum_antenna_sq < needed:
-        raise AntennaDeficit(
-            f"need sum of squared antennas >= {needed}, have {ch.config.sum_antenna_sq}"
-        )
-
-
 def design_twic(ch: ChannelSet) -> PrecoderSet:
     """Pairwise exchange on one 2-antenna relay: each symbol is nulled at one user."""
     _require_two_antenna_relay(ch, "twic")
@@ -146,14 +142,12 @@ def design_twxc(ch: ChannelSet) -> PrecoderSet:
 
 
 def design_case1(ch: ChannelSet, k1: int) -> PrecoderSet:
-    """Neutralization only; feasible almost surely iff sum M_l^2 > (k1-1)(k1-2)."""
-    _require_antenna_sq(ch, (k1 - 1) * (k1 - 2) + 1)
+    """Neutralization only among k1 users."""
     return design(schedule_case1(k1), ch)
 
 
 def design_case2(ch: ChannelSet, k2: int) -> PrecoderSet:
-    """Joint neutralization and alignment; needs sum M_l^2 >= (k2-2)^2."""
-    _require_antenna_sq(ch, (k2 - 2) ** 2)
+    """Joint neutralization and alignment among k2 users."""
     return design(schedule_case2(k2), ch)
 
 

@@ -82,7 +82,7 @@ def _noise(rng, n, noise_var):
 
 def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
                noise_var: float = 0.0, seed: int = 0) -> EquationLedger:
-    """Execute the learning phase: every listener stores its linear equation."""
+    """Execute the learning phase: every listening user and every relay stores its equation."""
     rng = np.random.default_rng(seed)
     s = _symbol_vector(sched, syms)
     ledger = EquationLedger()
@@ -95,11 +95,10 @@ def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
         rows[:, cols] = [[ch.h(k, sym.src, t) for sym in sent] for k in dests]
         for k, row, value in zip(dests, rows, rows @ s):
             ledger.users[k].append(Equation(t, row, complex(value + _noise(rng, 1, noise_var)[0])))
-        if plan.relay_listen:
-            for ell, m in enumerate(ch.config.relay_antennas, start=1):
-                a = np.zeros((m, len(s)), dtype=complex)
-                a[:, cols] = np.array([ch.h_up(ell, sym.src, t) for sym in sent]).T
-                ledger.relays[(ell, t)] = Equation(t, a, a @ s + _noise(rng, m, noise_var))
+        for ell, m in enumerate(ch.config.relay_antennas, start=1):
+            a = np.zeros((m, len(s)), dtype=complex)
+            a[:, cols] = np.array([ch.h_up(ell, sym.src, t) for sym in sent]).T
+            ledger.relays[(ell, t)] = Equation(t, a, a @ s + _noise(rng, m, noise_var))
     return ledger
 
 
@@ -182,12 +181,10 @@ class DecodeResult:
 def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict) -> DecodeResult:
     """Recover user k's desired symbols from its stored equations.
 
-    Phase-2 rows are cleaned by subtracting the self-interference terms (the
-    columns of sched.own_symbols(k) times the known symbols) and the sum of
-    the stored pure-slot equations (sched.pure_slots(k)), which cancels the
-    aligned interference. Stacked under the other heard phase-1 rows, they
-    are zero-forced over sched.unknowns(k); what the cleaned rows keep on the
-    remaining columns is the stray coefficient.
+    Phase-2 rows are cleaned of SI (the known own symbols subtracted) and of
+    AOI (the stored pure-slot equations subtracted), stacked under the other
+    heard phase-1 rows and zero-forced over the D and OI columns; what the
+    cleaned rows keep on the AOI and N columns is the stray coefficient.
     """
     unknowns, own, rest = sched.decode_columns[k]
     pure = sched.pure_slots(k)
@@ -208,14 +205,14 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict)
         sol = zf_solve(h, y)
     except RankDeficient:
         raise RankDeficient(f"user {k}: effective rank {rank(h)} < {h.shape[1]} unknowns") from None
-    recovered = {sym: x for sym, x in zip([sched.symbols[c] for c in unknowns], sol.tolist())
-                 if sym.dest == k}
+    recovered = {sched.symbols[c]: x for c, x in zip(unknowns, sol.tolist())
+                 if sched.classes[k][c] == "D"}
     return DecodeResult(recovered, h.shape[1], h, stray)
 
 
 @dataclass
 class SimReport:
-    """Outcome of one protocol run."""
+    """Outcome of one protocol run, with the invariants verify gates on."""
 
     scenario: str
     seed: int
@@ -226,6 +223,9 @@ class SimReport:
     symbols_delivered: int
     achieved_dof: Fraction
     constraint_residual: float
+    max_stray_coeff: float   # worst coefficient left outside any user's decode system
+    alignment_error: float   # alignment_error of the run's ledger
+    linearity_error: float   # ledger_linearity_error of the run's ledger
 
 
 def _build(scenario: str, cfg: NetworkConfig):
@@ -256,38 +256,28 @@ def _execute(scenario: str, cfg: NetworkConfig, seed: int, relay_mode: str | Non
     return sched, ch, syms, precoders, ledger
 
 
-def _decode_all(sched: Schedule, ledger: EquationLedger, syms: dict):
-    """Decode every user: their DecodeResults, each recovered symbol's relative
-    error, and the achieved DoF, which counts the symbols recovered within
-    SYMBOL_ERROR_TOL per slot."""
-    results, errors = {}, {}
-    for k in sched.users:
-        own = {sym: syms[sym] for sym in sched.own_symbols(k)}
-        results[k] = res = decode_user(k, ledger, sched, own)
-        for sym, est in res.recovered.items():
-            errors[sym] = abs(est - syms[sym]) / abs(syms[sym])
-    recovered = sum(err < SYMBOL_ERROR_TOL for err in errors.values())
-    return results, errors, Fraction(recovered, sched.n_slots)
-
-
 def run_end_to_end(scenario: str, cfg: NetworkConfig, seed: int,
                    relay_mode: str | None = None) -> SimReport:
-    """Run one full protocol instance and summarize recovery quality."""
+    """Run one protocol instance and decode every user; the achieved DoF counts the
+    symbols recovered within SYMBOL_ERROR_TOL relative error, per slot."""
     sched, _, syms, precoders, ledger = _execute(scenario, cfg, seed, relay_mode)
-    results, errors, achieved = _decode_all(sched, ledger, syms)
-    recovered: dict = {}
-    for res in results.values():
-        recovered.update(res.recovered)
+    results = {k: decode_user(k, ledger, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
+               for k in sched.users}
+    recovered = {sym: x for res in results.values() for sym, x in res.recovered.items()}
+    errors = [abs(est - syms[sym]) / abs(syms[sym]) for sym, est in recovered.items()]
     return SimReport(
         scenario=scenario,
         seed=seed,
         recovered=recovered,
-        max_symbol_error=max(errors.values(), default=0.0),
+        max_symbol_error=max(errors, default=0.0),
         effective_ranks={k: res.effective_rank for k, res in results.items()},
         slots_used=sched.n_slots,
         symbols_delivered=len(sched.symbols),
-        achieved_dof=achieved,
+        achieved_dof=Fraction(sum(err < SYMBOL_ERROR_TOL for err in errors), sched.n_slots),
         constraint_residual=precoders.residual,
+        max_stray_coeff=max(res.stray_coeff for res in results.values()),
+        alignment_error=alignment_error(ledger, sched, syms),
+        linearity_error=ledger_linearity_error(ledger, sched, syms),
     )
 
 
@@ -343,26 +333,18 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     failures = []
     max_err = max_resid = max_align = max_linear = 0.0
     dof_ok = rank_ok = True
-    for i in range(n_seeds):
-        seed = derive_trial_seed(base_seed, i)
-        sched, _, syms, precoders, ledger = _execute(scenario, cfg, seed, None)
-        results, errors, achieved = _decode_all(sched, ledger, syms)
-        seed_ok = True
-        if any(res.effective_rank != expected_rank[k] for k, res in results.items()):
-            rank_ok = seed_ok = False
-        if achieved != expected_dof:
-            dof_ok = seed_ok = False
-        worst = max(errors.values(), default=0.0)
-        stray = max(res.stray_coeff for res in results.values())
-        align = alignment_error(ledger, sched, syms)
-        linear = ledger_linearity_error(ledger, sched, syms)
-        max_err = max(max_err, worst)
-        max_resid = max(max_resid, precoders.residual)
-        max_align = max(max_align, align)
-        max_linear = max(max_linear, linear)
-        if worst >= SYMBOL_ERROR_TOL or max(precoders.residual, align, linear, stray) >= RESIDUAL_TOL:
-            seed_ok = False
-        if not seed_ok:
+    for i in range(n_seeds):  # each report is folded in and dropped: memory stays flat
+        rep = run_end_to_end(scenario, cfg, derive_trial_seed(base_seed, i))
+        rank_ok = rank_ok and rep.effective_ranks == expected_rank
+        dof_ok = dof_ok and rep.achieved_dof == expected_dof
+        max_err = max(max_err, rep.max_symbol_error)
+        max_resid = max(max_resid, rep.constraint_residual)
+        max_align = max(max_align, rep.alignment_error)
+        max_linear = max(max_linear, rep.linearity_error)
+        coeff_err = max(rep.constraint_residual, rep.alignment_error, rep.linearity_error,
+                        rep.max_stray_coeff)
+        if (rep.effective_ranks != expected_rank or rep.achieved_dof != expected_dof
+                or rep.max_symbol_error >= SYMBOL_ERROR_TOL or coeff_err >= RESIDUAL_TOL):
             failures.append(i)
     return {
         "scenario": scenario,

@@ -6,8 +6,8 @@ the remaining users and all relays listen and store linear equations
 Slots and users are 1-indexed; a symbol id (dest, src) names the unit-power
 data symbol user `src` sends for user `dest`. Schedules are immutable and
 their builders cached, so what a schedule derives (its symbols, the slot of
-a symbol, the pure slots of a user, the columns of a coefficient row) is
-computed once per process.
+a symbol, the columns of a coefficient row, and the receive class of every
+symbol at every user) is computed once per process.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ class SymbolId(NamedTuple):
 
 @dataclass(frozen=True)
 class SlotPlan:
-    """One slot: transmitting users, listening users, relay role, payloads."""
+    """One slot: listening users and payloads. Every relay listens in a phase-1 slot."""
 
-    sources: frozenset
     destinations: frozenset
-    relay_listen: bool
     sends: dict = field(default_factory=dict)  # transmitter -> SymbolId (phase 1)
+
+    @property
+    def sources(self) -> frozenset:
+        return frozenset(self.sends)
 
 
 @dataclass(frozen=True)
@@ -72,45 +74,47 @@ class Schedule:
     def slot_of(self, sym: SymbolId) -> int:
         return self._slot_index[sym]
 
-    def desired_symbols(self, k: int) -> tuple:
-        return tuple(s for s in self.symbols if s.dest == k)
-
     def own_symbols(self, k: int) -> tuple:
-        return tuple(s for s in self.symbols if s.src == k)
+        return tuple(self.symbols[c] for c in self.decode_columns[k][1])
 
     def listened_phase1(self, k: int) -> tuple:
         return tuple(t for t in self.phase1_slots if k in self.slot(t).destinations)
 
-    def role(self, j: int, sym: SymbolId) -> str:
-        """How user j may receive symbol sym in phase 2: D, SI, OI or N.
+    @cached_property
+    def classes(self) -> dict:
+        """User j -> the receive class of each column (symbol) at j: the receive rule.
 
-        D: j wants it. SI: j sent it. OI: j overheard it in phase 1, so it may
-        arrive in the shape j stored. N: anything else must be neutralized.
+        D: j wants it. SI: j sent it. OI: j overheard it in a slot with one of
+        its D symbols and decodes it jointly. AOI: j overheard it in a pure slot
+        (one without), so it must arrive in the stored shape, which j subtracts.
+        N: anything else must be neutralized.
         """
-        if sym.dest == j:
-            return "D"
-        if sym.src == j:
-            return "SI"
-        if j in self.slot(self.slot_of(sym)).destinations:
-            return "OI"
-        return "N"
+        table = {}
+        for j in self.users:
+            heard = self.listened_phase1(j)
+            joint = {t for t in heard if any(s.dest == j for s in self.slot(t).sends.values())}
+            table[j] = tuple(
+                "D" if sym.dest == j else "SI" if sym.src == j
+                else "OI" if self._slot_index[sym] in joint
+                else "AOI" if self._slot_index[sym] in heard else "N"
+                for sym in self.symbols
+            )
+        return table
+
+    def role(self, j: int, sym: SymbolId) -> str:
+        """How user j may receive symbol sym in phase 2: D, SI, OI or N (AOI reads as OI)."""
+        c = self.classes[j][self.column[sym]]
+        return "OI" if c == "AOI" else c
 
     def pure_slots(self, j: int) -> frozenset:
-        """Phase-1 slots user j overheard that carry none of its desired symbols.
-
-        Interference from such a slot is aligned: it must reach j in exactly
-        the stored shape, so j cancels it by subtracting that equation. Other
-        overheard symbols share a slot with desired ones and are decoded jointly.
-        """
+        """Phase-1 slots user j overheard that carry none of its desired symbols."""
         return self._pure_slots[j]
 
     @cached_property
     def _pure_slots(self) -> dict:
-        return {
-            j: frozenset(t for t in self.listened_phase1(j)
-                         if all(sym.dest != j for sym in self.slot(t).sends.values()))
-            for j in self.users
-        }
+        return {j: frozenset(self._slot_index[sym] for sym, c in zip(self.symbols, self.classes[j])
+                             if c == "AOI")
+                for j in self.users}
 
     @cached_property
     def column(self) -> dict:
@@ -124,27 +128,17 @@ class Schedule:
                 for t in self.phase1_slots}
 
     def unknowns(self, k: int) -> np.ndarray:
-        """Columns user k zero-forces, ascending: its desired symbols plus the
-        symbols of the overheard slots that are not pure slots."""
+        """Columns user k zero-forces, ascending: its D and OI symbols."""
         return self.decode_columns[k][0]
 
     @cached_property
     def decode_columns(self) -> dict:
-        """User k -> its (unknowns, own, rest) columns. Own symbols are
-        self-interference, subtracted by value; the rest must cancel (aligned
-        OI, by subtracting the pure-slot equations) or arrive neutralized (N)."""
-        out = {}
-        for k in self.users:
-            joint = set(self.listened_phase1(k)) - self.pure_slots(k)
-            unknown = [i for i, s in enumerate(self.symbols) if s.dest == k or self.slot_of(s) in joint]
-            own = [i for i, s in enumerate(self.symbols) if s.src == k]
-            rest = sorted(set(range(len(self.symbols))) - set(unknown) - set(own))
-            out[k] = tuple(np.array(c, dtype=np.intp) for c in (unknown, own, rest))
-        return out
-
-
-def _relay_slot(users) -> SlotPlan:
-    return SlotPlan(frozenset(), frozenset(users), relay_listen=False)
+        """User k -> the columns it zero-forces (D, OI), subtracts by value (SI)
+        and must see cancelled or neutralized (AOI, N), each ascending."""
+        groups = (("D", "OI"), ("SI",), ("AOI", "N"))
+        return {k: tuple(np.array([c for c, x in enumerate(self.classes[k]) if x in g], dtype=np.intp)
+                         for g in groups)
+                for k in self.users}
 
 
 @cache
@@ -156,9 +150,9 @@ def schedule_twic() -> Schedule:
     s31, s42 = SymbolId(3, 1), SymbolId(4, 2)
     s13, s24 = SymbolId(1, 3), SymbolId(2, 4)
     slots = (
-        SlotPlan(frozenset({1, 2}), frozenset({3, 4}), True, {1: s31, 2: s42}),
-        SlotPlan(frozenset({3, 4}), frozenset({1, 2}), True, {3: s13, 4: s24}),
-        _relay_slot((1, 2, 3, 4)),
+        SlotPlan(frozenset({3, 4}), {1: s31, 2: s42}),
+        SlotPlan(frozenset({1, 2}), {3: s13, 4: s24}),
+        SlotPlan(frozenset({1, 2, 3, 4})),
     )
     return Schedule("twic", (1, 2, 3, 4), slots, phase1_len=2, phase2_len=1)
 
@@ -170,15 +164,11 @@ def schedule_twxc() -> Schedule:
     Four learning slots, one relay slot: eight symbols over five channel uses.
     """
     slots = (
-        SlotPlan(frozenset({1, 2}), frozenset({3, 4}), True,
-                 {1: SymbolId(3, 1), 2: SymbolId(3, 2)}),
-        SlotPlan(frozenset({1, 2}), frozenset({3, 4}), True,
-                 {1: SymbolId(4, 1), 2: SymbolId(4, 2)}),
-        SlotPlan(frozenset({3, 4}), frozenset({1, 2}), True,
-                 {3: SymbolId(1, 3), 4: SymbolId(1, 4)}),
-        SlotPlan(frozenset({3, 4}), frozenset({1, 2}), True,
-                 {3: SymbolId(2, 3), 4: SymbolId(2, 4)}),
-        _relay_slot((1, 2, 3, 4)),
+        SlotPlan(frozenset({3, 4}), {1: SymbolId(3, 1), 2: SymbolId(3, 2)}),
+        SlotPlan(frozenset({3, 4}), {1: SymbolId(4, 1), 2: SymbolId(4, 2)}),
+        SlotPlan(frozenset({1, 2}), {3: SymbolId(1, 3), 4: SymbolId(1, 4)}),
+        SlotPlan(frozenset({1, 2}), {3: SymbolId(2, 3), 4: SymbolId(2, 4)}),
+        SlotPlan(frozenset({1, 2, 3, 4})),
     )
     return Schedule("twxc", (1, 2, 3, 4), slots, phase1_len=4, phase2_len=1)
 
@@ -195,10 +185,8 @@ def schedule_case1(k1: int) -> Schedule:
     users = tuple(range(1, k1 + 1))
     slots = []
     for k in users:
-        srcs = frozenset(u for u in users if u != k)
-        slots.append(SlotPlan(srcs, frozenset({k}), True,
-                              {i: SymbolId(k, i) for i in sorted(srcs)}))
-    slots.extend(_relay_slot(users) for _ in range(k1 - 2))
+        slots.append(SlotPlan(frozenset({k}), {i: SymbolId(k, i) for i in users if i != k}))
+    slots.extend(SlotPlan(frozenset(users)) for _ in range(k1 - 2))
     return Schedule("case1", users, tuple(slots), phase1_len=k1, phase2_len=k1 - 2)
 
 
@@ -222,7 +210,6 @@ def schedule_case2(k2: int) -> Schedule:
     for k in users:
         dests = frozenset({k, cyclic_user(k, 1, k2)})
         srcs = tuple(cyclic_user(k, j, k2) for j in range(2, k2))
-        slots.append(SlotPlan(frozenset(srcs), dests, True,
-                              {i: SymbolId(k, i) for i in srcs}))
-    slots.extend(_relay_slot(users) for _ in range(k2 - 3))
+        slots.append(SlotPlan(dests, {i: SymbolId(k, i) for i in srcs}))
+    slots.extend(SlotPlan(frozenset(users)) for _ in range(k2 - 3))
     return Schedule("case2", users, tuple(slots), phase1_len=k2, phase2_len=k2 - 3)

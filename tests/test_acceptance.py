@@ -92,7 +92,7 @@ def test_criterion_4_general_alignment():
             assert doc["rank_ok"] and doc["expected_rank"] == k2 - 2
             sched = schedule_case2(k2)
             for u in sched.users:
-                assert len(sched.desired_symbols(u)) == k2 - 2
+                assert sched.classes[u].count("D") == k2 - 2
 
 
 def test_criterion_5_dof_table():

@@ -11,6 +11,9 @@ def test_config_validation():
         NetworkConfig(4, ())
     with pytest.raises(ValueError):
         NetworkConfig(4, (0,))
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_var"):
+            NetworkConfig(4, (2,), noise_var=bad)
     cfg = NetworkConfig(4, [2, 1])
     assert cfg.relay_antennas == (2, 1)
     assert cfg.n_relays == 2

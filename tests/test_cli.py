@@ -103,6 +103,13 @@ def test_dof_sweep_matches_library(tmp_path):
     buf = io.StringIO()
     write_sweep_csv(single_antenna_sweep(6, 30), buf)
     assert out.read_text() == buf.getvalue()
+    outj = tmp_path / "dof.json"
+    assert run(["dof-sweep", "--k", "6", "--l-max", "30", "--format", "json",
+                "--output", str(outj)]) == 0
+    doc = json.loads(outj.read_text())
+    jsonschema.validate(doc, load_schema("dof_sweep.schema.json"))
+    assert [(r["L"], r["stpnc_value"], r["optimal"]) for r in doc] == [
+        (L, str(r.value), r.optimal) for L, r in single_antenna_sweep(6, 30)]
 
 
 def test_dof_sweep_byte_identical(tmp_path):
@@ -172,6 +179,36 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
     assert run(["rate-sweep", "--snr", "0:6:3", "--trials", "4100", "--seed", "3",
                 "--jobs", "2", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_worker_pool_is_capped_at_the_core_count(tmp_path, monkeypatch):
+    # a fake pool records its size and maps in-process: no worker is started
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    args = ["rate-sweep", "--snr", "0:6:3", "--trials", str(4 * 2048 + 1), "--seed", "3"]
+    outs = {}
+    for jobs in ("1", "2", "0", "100000"):
+        outs[jobs] = tmp_path / f"j{jobs}.csv"
+        assert run(args + ["--jobs", jobs, "--output", str(outs[jobs])]) == 0
+    assert sizes == [2, 3, 3]  # five trial blocks; --jobs 1 starts no pool
+    assert len({p.read_bytes() for p in outs.values()}) == 1
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
@@ -249,6 +286,16 @@ BAD_INPUTS = {  # name: (text of {tmp}/cfg.json or None, argv)
     "negative-noise": (None, ["simulate", "--scenario", "twic", "--noise-var", "-1"]),
     "unwritable-output": (None, ["dof-sweep", "--k", "5", "--l-max", "3",
                                  "--output", "{tmp}/no/such/dir/x.csv"]),
+    "infinite-snr-stop": (None, ["rate-sweep", "--snr", "0:inf:1"]),
+    "nan-snr-stop": (None, ["rate-sweep", "--snr", "0:nan:1"]),
+    "nan-snr-step": (None, ["rate-sweep", "--snr", "0:10:nan"]),
+    "nan-snr": (None, ["rate-sweep", "--snr", "nan"]),
+    "infinite-snr": (None, ["rate-sweep", "--snr", "inf"]),
+    "nan-noise": (None, ["simulate", "--scenario", "twic", "--noise-var", "nan"]),
+    "infinite-noise": (None, ["simulate", "--scenario", "twic", "--noise-var", "inf"]),
+    "zero-trials": (None, ["simulate", "--scenario", "twic", "--trials", "0"]),
+    "negative-trials": (None, ["simulate", "--scenario", "twic", "--trials", "-2"]),
+    "negative-jobs": (None, ["rate-sweep", "--snr", "0:10:5", "--jobs", "-4"]),
 }
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from stpnc import precoder
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import (
     AntennaDeficit,
@@ -216,6 +219,40 @@ def test_case2_antenna_deficit(k2, antennas):
     ch = draw_channels(NetworkConfig(k2, antennas), 2 * k2 - 3, 6)
     with pytest.raises(AntennaDeficit):
         design_case2(ch, k2)
+
+
+class ReachedSynthesis(Exception):
+    pass
+
+
+# the closed-form antenna bounds of the two general constructions, the oracle
+# for the need design derives from the constraint rows
+HAND_NEED = {"case1": lambda k1: (k1 - 1) * (k1 - 2) + 1, "case2": lambda k2: (k2 - 2) ** 2}
+
+
+@pytest.mark.parametrize("scenario,k", [("case1", k) for k in range(3, 13)]
+                         + [("case2", k) for k in range(4, 13)])
+def test_derived_antenna_need_is_the_hand_bound(scenario, k, monkeypatch):
+    def reached(*args):
+        raise ReachedSynthesis
+
+    # the need is checked before any decomposition, so a deficit never reaches one
+    monkeypatch.setattr(precoder, "null_space", reached)
+    monkeypatch.setattr(precoder, "solve_least_norm", reached)
+    need = HAND_NEED[scenario](k)
+    entry = {"case1": design_case1, "case2": design_case2}[scenario]
+    n_slots = {"case1": 2 * k - 2, "case2": 2 * k - 3}[scenario]
+    for have in (need - 1, need):
+        m = math.isqrt(have)
+        ch = draw_channels(NetworkConfig(k, (m,) + (1,) * (have - m * m)), n_slots, k)
+        assert ch.config.sum_antenna_sq == have
+        if have < need:
+            with pytest.raises(AntennaDeficit,
+                               match=rf"^need sum of squared antennas >= {need}, have {have}$"):
+                entry(ch, k)
+        else:
+            with pytest.raises(ReachedSynthesis):
+                entry(ch, k)
 
 
 def test_case2_alignment_targets():

@@ -157,10 +157,15 @@ def test_twxc_overheard_part_replays_stored_equation():
 def two_pure_schedule():
     # user 1 overhears both phase-1 slots and wants neither symbol: two pure slots
     return Schedule("two_pure", (1, 2, 3), (
-        SlotPlan(frozenset({2}), frozenset({1, 3}), True, {2: SymbolId(3, 2)}),
-        SlotPlan(frozenset({3}), frozenset({1, 2}), True, {3: SymbolId(2, 3)}),
-        SlotPlan(frozenset(), frozenset({1, 2, 3}), False),
+        SlotPlan(frozenset({1, 3}), {2: SymbolId(3, 2)}),
+        SlotPlan(frozenset({1, 2}), {3: SymbolId(2, 3)}),
+        SlotPlan(frozenset({1, 2, 3})),
     ), phase1_len=2, phase2_len=1)
+
+
+def desired(sched, k):
+    """User k's symbols of class D in the schedule's receive table, in column order."""
+    return [sym for sym, c in zip(sched.symbols, sched.classes[k]) if c == "D"]
 
 
 @pytest.mark.parametrize("sched", [
@@ -179,13 +184,56 @@ def test_unknowns_match_the_stored_equations(sched):
         stored = {sym for eq in ledger.users[k] if eq.slot not in sched.pure_slots(k)
                   for sym, c in sched.column.items() if eq.coeffs[c] != 0}
         unknowns = [sched.symbols[c] for c in sched.unknowns(k)]
-        assert unknowns == sorted(set(sched.desired_symbols(k)) | stored)
+        assert unknowns == sorted(set(desired(sched, k)) | stored)
         _, own, rest = sched.decode_columns[k]
         assert [sched.symbols[c] for c in own] == list(sched.own_symbols(k))
         assert sorted([*sched.unknowns(k), *own, *rest]) == list(range(len(sched.symbols)))
         for c in rest:  # what must cancel or arrive neutralized
             sym = sched.symbols[c]
             assert sched.role(k, sym) == "N" or sched.slot_of(sym) in sched.pure_slots(k)
+
+
+def brute_force_class(sched, j, sym):
+    """The receive rule from the slots' sends and listeners alone."""
+    plan = next(sched.slot(t) for t in sched.phase1_slots if sym in sched.slot(t).sends.values())
+    if sym.dest == j:
+        return "D"
+    if sym.src == j:
+        return "SI"
+    if j not in plan.destinations:
+        return "N"
+    return "OI" if any(s.dest == j for s in plan.sends.values()) else "AOI"
+
+
+@pytest.mark.parametrize("sched", [
+    schedule_twic(), schedule_twxc(),
+    *(schedule_case1(k) for k in range(3, 9)),
+    *(schedule_case2(k) for k in range(4, 9)),
+    two_pure_schedule(),
+], ids=lambda s: f"{s.name}-{len(s.users)}")
+def test_receive_table_is_the_rule_and_feeds_every_view(sched):
+    table = {j: [brute_force_class(sched, j, sym) for sym in sched.symbols] for j in sched.users}
+    assert {j: list(row) for j, row in sched.classes.items()} == table
+    for j in sched.users:
+        def cols(*classes):
+            return [c for c, x in enumerate(table[j]) if x in classes]
+
+        for sym, x in zip(sched.symbols, table[j]):
+            assert sched.role(j, sym) == ("OI" if x == "AOI" else x)
+        pure = {t for t in sched.phase1_slots if j in sched.slot(t).destinations
+                and all(s.dest != j for s in sched.slot(t).sends.values())}
+        assert sched.pure_slots(j) == pure
+        assert [list(c) for c in sched.decode_columns[j]] == [
+            cols("D", "OI"), cols("SI"), cols("AOI", "N")]
+        assert list(sched.unknowns(j)) == cols("D", "OI")
+        assert list(sched.own_symbols(j)) == [sched.symbols[c] for c in cols("SI")]
+    for k in sched.phase1_slots:
+        rows = []
+        for i, sym in sched.slot(k).sends.items():
+            c = sched.column[sym]
+            rows += [(j, i, True) for j in sched.users if table[j][c] == "AOI"]
+            rows += [(j, i, False) for j in sched.users if table[j][c] == "N"]
+        assert precoder._rows(sched, k) == rows
 
 
 def test_alignment_error_checks_every_pure_slot():
@@ -201,7 +249,7 @@ def test_alignment_error_checks_every_pure_slot():
     for k in (2, 3):
         own = {sym: syms[sym] for sym in sched.own_symbols(k)}
         res = decode_user(k, ledger, sched, own)
-        assert set(res.recovered) == set(sched.desired_symbols(k))
+        assert set(res.recovered) == set(desired(sched, k))
         for sym, est in res.recovered.items():
             assert abs(est - syms[sym]) < 1e-9
     assert alignment_error(ledger, sched, syms) < 1e-9
@@ -286,7 +334,7 @@ def test_general_constructions_decode_system_shapes():
             res = decode_user(k, ledger, sched, own)
             assert res.matrix.shape == (2, 2)
             assert res.effective_rank == 2
-            assert len(res.recovered) == len(sched.desired_symbols(k))
+            assert len(res.recovered) == len(desired(sched, k))
 
 
 def test_relay_modes_agree_noiselessly():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from stpnc.channel import NetworkConfig, draw_channels
+from stpnc.protocol import draw_symbols, run_phase1
 from stpnc.scheduler import (
     InvalidUserCount,
     SymbolId,
@@ -30,7 +32,7 @@ def test_twic_shape():
     assert s.slot(2).sources == {3, 4}
     assert len(s.symbols) == 4
     assert set(s.symbols) == {SymbolId(3, 1), SymbolId(4, 2), SymbolId(1, 3), SymbolId(2, 4)}
-    assert s.slot(3).sources == frozenset() and not s.slot(3).relay_listen
+    assert s.slot(3).sources == frozenset()
 
 
 def test_twxc_shape():
@@ -91,9 +93,20 @@ def test_half_duplex(build):
         plan = s.slot(t)
         assert not (plan.sources & plan.destinations)
         if t <= s.phase1_len:
-            assert plan.sources and plan.relay_listen
+            assert plan.sources
         else:
-            assert not plan.sources and not plan.relay_listen
+            assert not plan.sources
+
+
+@pytest.mark.parametrize("build", ALL_BUILDERS)
+def test_every_relay_stores_every_phase1_slot(build):
+    s = build()
+    cfg = NetworkConfig(len(s.users), (2, 1))
+    ch = draw_channels(cfg, s.n_slots, 3)
+    ledger = run_phase1(s, ch, draw_symbols(s, 4))
+    assert set(ledger.relays) == {(ell, t) for ell in (1, 2) for t in s.phase1_slots}
+    for (ell, t), eq in ledger.relays.items():
+        assert eq.slot == t and eq.coeffs.shape == (cfg.relay_antennas[ell - 1], len(s.symbols))
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -152,10 +165,11 @@ def test_roles_partition_every_symbol(build):
     s = build()
     for u in s.users:
         roles = {sym: s.role(u, sym) for sym in s.symbols}
-        assert {sym for sym, r in roles.items() if r == "D"} == set(s.desired_symbols(u))
+        desired = {sym for sym in s.symbols if sym.dest == u}
+        assert {sym for sym, r in roles.items() if r == "D"} == desired
         assert {sym for sym, r in roles.items() if r == "SI"} == set(s.own_symbols(u))
         overheard = {sym for t in s.listened_phase1(u) for sym in s.slot(t).sends.values()}
-        assert {sym for sym, r in roles.items() if r == "OI"} == overheard - set(s.desired_symbols(u))
+        assert {sym for sym, r in roles.items() if r == "OI"} == overheard - desired
         # pure slots are overheard slots without a desired symbol
         assert s.pure_slots(u) <= set(s.listened_phase1(u))
         for t in s.pure_slots(u):
