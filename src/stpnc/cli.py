@@ -23,9 +23,9 @@ import numpy as np
 
 from . import dof, rate
 from .channel import NetworkConfig, derive_trial_seed
-from .linalg import InconsistentSystem, RankDeficient
-from .precoder import AntennaDeficit, SynthesisFailed
-from .protocol import SCENARIOS, run_end_to_end, verify_scenario
+from .linalg import RankDeficient
+from .precoder import AntennaDeficit
+from .protocol import SCENARIOS, run_end_to_end, scenario_schedule, verify_scenario
 from .scheduler import InvalidUserCount
 
 EXIT_OK = 0
@@ -157,25 +157,16 @@ def _resolve_seed(ns: argparse.Namespace) -> int:
 
 
 def _network_config(ns: argparse.Namespace, noise_var: float = 0.0) -> NetworkConfig:
-    scenario = ns.scenario
-    if scenario in ("twic", "twxc"):
-        relays = _parse_relays(ns.relays) if ns.relays else (2,)
-        return NetworkConfig(4, relays, noise_var=noise_var)
-    if scenario == "case1":
-        if ns.k1 is None:
-            raise UsageError("--k1 is required for scenario case1")
-        if ns.k1 < 3:
-            raise UsageError("--k1 must be at least 3")
-        users = ns.k1
-    else:
-        if ns.k2 is None:
-            raise UsageError("--k2 is required for scenario case2")
-        if ns.k2 < 4:
-            raise UsageError("--k2 must be at least 4")
-        users = ns.k2
-    if ns.relays is None:
-        raise UsageError(f"--relays is required for scenario {scenario}")
-    return NetworkConfig(users, _parse_relays(ns.relays), noise_var=noise_var)
+    """Users from the scenario's user-count flag or schedule; relays from --relays or schedule."""
+    flag = SCENARIOS[ns.scenario].user_flag
+    users = getattr(ns, flag) if flag else None
+    if flag and users is None:
+        raise UsageError(f"--{flag} is required for scenario {ns.scenario}")
+    sched = scenario_schedule(ns.scenario, users)
+    if ns.relays is None and sched.relays is None:
+        raise UsageError(f"--relays is required for scenario {ns.scenario}")
+    relays = sched.relays if ns.relays is None else _parse_relays(ns.relays)
+    return NetworkConfig(len(sched.users), relays, noise_var=noise_var)
 
 
 def _out_stream(ns: argparse.Namespace):
@@ -187,22 +178,21 @@ def _out_stream(ns: argparse.Namespace):
         raise UsageError(f"cannot write --output {ns.output}: {exc.strerror}")
 
 
-def _sym_key(sym) -> str:
-    return f"{sym.dest}:{sym.src}"
-
-
 def _report_json(rep, trial: int) -> dict:
     return {
         "trial": trial,
         "seed": rep.seed,
         "max_symbol_error": rep.max_symbol_error,
         "constraint_residual": rep.constraint_residual,
+        "max_stray_coeff": rep.max_stray_coeff,
+        "alignment_error": rep.alignment_error,
+        "linearity_error": rep.linearity_error,
         "achieved_dof": str(rep.achieved_dof),
         "slots_used": rep.slots_used,
         "symbols_delivered": rep.symbols_delivered,
         "effective_ranks": {str(k): r for k, r in sorted(rep.effective_ranks.items())},
         "recovered": {
-            _sym_key(sym): [val.real, val.imag] for sym, val in sorted(rep.recovered.items())
+            f"{sym.dest}:{sym.src}": [val.real, val.imag] for sym, val in sorted(rep.recovered.items())
         },
     }
 
@@ -216,10 +206,9 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         raise UsageError("--trials must be at least 1")
     seed = _resolve_seed(ns)
     cfg = _network_config(ns, noise_var=ns.noise_var)
-    reports = [
-        run_end_to_end(ns.scenario, cfg, derive_trial_seed(seed, i), ns.relay_mode)
-        for i in range(ns.trials)
-    ]
+    mode = ns.relay_mode or SCENARIOS[ns.scenario].relay_mode
+    reports = [run_end_to_end(ns.scenario, cfg, derive_trial_seed(seed, i), mode)
+               for i in range(ns.trials)]
     with _out_stream(ns) as f:
         if ns.format == "json":
             doc = {
@@ -228,7 +217,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                 "relay_antennas": list(cfg.relay_antennas),
                 "power_P": 1.0,  # unit transmit power; the key stays in the schema
                 "noise_var": cfg.noise_var,
-                "relay_mode": ns.relay_mode,
+                "relay_mode": mode,
                 "trials": [_report_json(rep, i) for i, rep in enumerate(reports)],
             }
             json.dump(doc, f, indent=2, sort_keys=True)
@@ -355,7 +344,7 @@ def main(argv=None) -> int:
     except (UsageError, InvalidUserCount) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AntennaDeficit, RankDeficient, SynthesisFailed, InconsistentSystem) as exc:
+    except (AntennaDeficit, RankDeficient) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -33,8 +33,8 @@ from .scheduler import (
 class SynthesisFailed(Exception):
     """A precoder constraint system was singular (probability-zero event).
 
-    ``design`` reports an unsolvable slot pair as AntennaDeficit; callers
-    still catch this class alongside it.
+    Nothing raises it: ``design`` reports an unsolvable slot pair as
+    AntennaDeficit. The name stays public.
     """
 
 
@@ -89,8 +89,12 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     Per (phase-2 slot, phase-1 slot) pair the stacked vec'd precoder is the
     first null-space vector of the constraint rows when every target is
     zero, and the minimum-norm solution otherwise; both keep the precoders
-    deterministic and bounded.
+    deterministic and bounded. A schedule that fixes its relay set
+    (``Schedule.relays``) rejects any other before that.
     """
+    if sched.relays not in (None, ch.config.relay_antennas):
+        (m,) = sched.relays  # the built-in fixed sets are one relay
+        raise AntennaDeficit(f"{sched.name} needs a single relay with {m} antennas")
     rows = {k: _rows(sched, k) for k in sched.phase1_slots}
     # checked before any decomposition: a slot pair's stacked precoder has sum M_l^2 unknowns;
     # homogeneous rows need one more than their count for a nonzero null-space vector
@@ -124,20 +128,13 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     return p
 
 
-def _require_two_antenna_relay(ch: ChannelSet, scenario: str) -> None:
-    if ch.config.relay_antennas != (2,):
-        raise AntennaDeficit(f"{scenario} needs a single relay with 2 antennas")
-
-
 def design_twic(ch: ChannelSet) -> PrecoderSet:
     """Pairwise exchange on one 2-antenna relay: each symbol is nulled at one user."""
-    _require_two_antenna_relay(ch, "twic")
     return design(schedule_twic(), ch)
 
 
 def design_twxc(ch: ChannelSet) -> PrecoderSet:
     """Crossed exchange on one 2-antenna relay: null at one user, align at another."""
-    _require_two_antenna_relay(ch, "twxc")
     return design(schedule_twxc(), ch)
 
 

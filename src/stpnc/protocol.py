@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .scheduler import (
     schedule_twxc,
 )
 
-SCENARIOS = ("twic", "twxc", "case1", "case2")
 SYMBOL_ERROR_TOL = 1e-8  # a symbol counts as recovered below this relative error
 RESIDUAL_TOL = 1e-9      # gate on constraint residual, alignment, linearity and stray error
 
@@ -228,30 +228,41 @@ class SimReport:
     linearity_error: float   # ledger_linearity_error of the run's ledger
 
 
-def _build(scenario: str, cfg: NetworkConfig):
-    """Schedule, precoder factory and default relay mode for a scenario."""
-    if scenario == "twic":
-        if cfg.K != 4:
-            raise InvalidUserCount("twic is defined for exactly 4 users")
-        return schedule_twic(), design_twic, "decode_forward"
-    if scenario == "twxc":
-        if cfg.K != 4:
-            raise InvalidUserCount("twxc is defined for exactly 4 users")
-        return schedule_twxc(), design_twxc, "decode_forward"
-    if scenario == "case1":
-        return schedule_case1(cfg.K), lambda ch: design_case1(ch, cfg.K), "linear_forward"
-    if scenario == "case2":
-        return schedule_case2(cfg.K), lambda ch: design_case2(ch, cfg.K), "linear_forward"
-    raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+class Scenario(NamedTuple):
+    """A built-in construction; its user count and relay set are read from its schedule."""
+
+    schedule: Callable   # user count K (None where the schedule fixes it) -> Schedule
+    design: Callable     # (ChannelSet, K) -> PrecoderSet
+    relay_mode: str      # the default relay processing
+    user_flag: str | None  # the CLI flag that carries K; None where the schedule fixes it
+
+
+# design callables look up this module's design_* globals per call: wrappers set there fire
+SCENARIOS = {
+    "twic": Scenario(lambda K: schedule_twic(), lambda ch, K: design_twic(ch), "decode_forward", None),
+    "twxc": Scenario(lambda K: schedule_twxc(), lambda ch, K: design_twxc(ch), "decode_forward", None),
+    "case1": Scenario(schedule_case1, lambda ch, K: design_case1(ch, K), "linear_forward", "k1"),
+    "case2": Scenario(schedule_case2, lambda ch, K: design_case2(ch, K), "linear_forward", "k2"),
+}
+
+
+def scenario_schedule(scenario: str, K: int | None = None) -> Schedule:
+    """The scenario's schedule for K users; K None takes the count the schedule fixes."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; expected one of {tuple(SCENARIOS)}")
+    sched = SCENARIOS[scenario].schedule(K)
+    if K is not None and len(sched.users) != K:
+        raise InvalidUserCount(f"{scenario} is defined for exactly {len(sched.users)} users")
+    return sched
 
 
 def _execute(scenario: str, cfg: NetworkConfig, seed: int, relay_mode: str | None):
-    sched, make_precoders, default_mode = _build(scenario, cfg)
+    sched = scenario_schedule(scenario, cfg.K)
     ch = draw_channels(cfg, sched.n_slots, derive_trial_seed(seed, 0))
     syms = draw_symbols(sched, derive_trial_seed(seed, 1))
-    precoders = make_precoders(ch)
+    precoders = SCENARIOS[scenario].design(ch, cfg.K)
     ledger = run_phase1(sched, ch, syms, cfg.noise_var, derive_trial_seed(seed, 2))
-    plan = relay_process(ledger, precoders, sched, relay_mode or default_mode)
+    plan = relay_process(ledger, precoders, sched, relay_mode or SCENARIOS[scenario].relay_mode)
     ledger = run_phase2(plan, sched, ch, cfg.noise_var, derive_trial_seed(seed, 3), ledger)
     return sched, ch, syms, precoders, ledger
 
@@ -327,7 +338,7 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     (sched.unknowns); or when the symbols recovered within tolerance per slot
     fall short of the schedule's own symbols-per-slot ratio.
     """
-    sched = _build(scenario, cfg)[0]
+    sched = scenario_schedule(scenario, cfg.K)
     expected_dof = Fraction(len(sched.symbols), sched.n_slots)
     expected_rank = {k: len(sched.unknowns(k)) for k in sched.users}
     failures = []

@@ -25,8 +25,10 @@ from .channel import NetworkConfig, derive_trial_seed, draw_layout, draw_pools
 from .channel import draw_channels  # noqa: F401  (unused; perfbench/spans.py wraps rate.draw_channels)
 from .linalg import null_space  # noqa: F401  (unused; perfbench/spans.py wraps rate.null_space)
 from .precoder import design_twic  # noqa: F401  (unused; perfbench/spans.py wraps rate.design_twic)
+from .scheduler import schedule_twic
 
-_TWIC_CFG = NetworkConfig(K=4, relay_antennas=(2,))  # by symmetry, flow 3 -> 1 stands for all four
+_TWIC = schedule_twic()  # by symmetry, flow 3 -> 1 stands for all four
+_TWIC_CFG = NetworkConfig(len(_TWIC.users), _TWIC.relays)
 _SNR_BLOCK = 8  # SNR points per broadcast in snr_sweep, so temporaries stay O(trials)
 
 

@@ -47,6 +47,7 @@ class Schedule:
     slots: tuple  # SlotPlan, position i is time slot i+1
     phase1_len: int
     phase2_len: int
+    relays: tuple | None = None  # the one relay set (antennas per relay) it allows; None: any
 
     @property
     def n_slots(self) -> int:
@@ -143,7 +144,7 @@ class Schedule:
 
 @cache
 def schedule_twic() -> Schedule:
-    """Two user pairs (1<->3, 2<->4) exchanging one symbol each via the relay.
+    """Two user pairs (1<->3, 2<->4) exchanging one symbol each via one 2-antenna relay.
 
     Two learning slots, one relay slot: four symbols over three channel uses.
     """
@@ -154,12 +155,12 @@ def schedule_twic() -> Schedule:
         SlotPlan(frozenset({1, 2}), {3: s13, 4: s24}),
         SlotPlan(frozenset({1, 2, 3, 4})),
     )
-    return Schedule("twic", (1, 2, 3, 4), slots, phase1_len=2, phase2_len=1)
+    return Schedule("twic", (1, 2, 3, 4), slots, phase1_len=2, phase2_len=1, relays=(2,))
 
 
 @cache
 def schedule_twxc() -> Schedule:
-    """Users 1,2 exchange two symbols with each of users 3,4 (crossed flows).
+    """Users 1,2 exchange two symbols with each of users 3,4 via one 2-antenna relay.
 
     Four learning slots, one relay slot: eight symbols over five channel uses.
     """
@@ -170,7 +171,7 @@ def schedule_twxc() -> Schedule:
         SlotPlan(frozenset({1, 2}), {3: SymbolId(2, 3), 4: SymbolId(2, 4)}),
         SlotPlan(frozenset({1, 2, 3, 4})),
     )
-    return Schedule("twxc", (1, 2, 3, 4), slots, phase1_len=4, phase2_len=1)
+    return Schedule("twxc", (1, 2, 3, 4), slots, phase1_len=4, phase2_len=1, relays=(2,))
 
 
 @cache
@@ -181,7 +182,7 @@ def schedule_case1(k1: int) -> Schedule:
     ordered user pair, targeting a rate of k1/2 symbols per channel use.
     """
     if k1 < 3:
-        raise InvalidUserCount("this construction needs at least 3 users")
+        raise InvalidUserCount("case1 needs at least 3 users")
     users = tuple(range(1, k1 + 1))
     slots = []
     for k in users:
@@ -204,7 +205,7 @@ def schedule_case2(k2: int) -> Schedule:
     k2 learning slots plus k2-3 relay slots carry k2*(k2-2) symbols.
     """
     if k2 < 4:
-        raise InvalidUserCount("this construction needs at least 4 users")
+        raise InvalidUserCount("case2 needs at least 4 users")
     users = tuple(range(1, k2 + 1))
     slots = []
     for k in users:

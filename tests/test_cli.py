@@ -9,6 +9,8 @@ import jsonschema
 import pytest
 
 from stpnc import cli
+from stpnc.channel import NetworkConfig
+from stpnc.protocol import SCENARIOS, run_end_to_end, verify_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,6 +60,71 @@ def test_simulate_json_schema_and_determinism(tmp_path):
     jsonschema.validate(doc, load_schema("sim_report.schema.json"))
     assert doc["trials"][0]["achieved_dof"] == "8/5"
     assert doc["trials"][0]["max_symbol_error"] < 1e-8
+
+
+def _choices(command, dest):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_scenario_names_agree_across_registry_cli_and_schemas():
+    names = set(SCENARIOS)
+    assert set(_choices("verify", "scenario")) == set(_choices("simulate", "scenario")) == names
+    for schema in ("verify_report.schema.json", "sim_report.schema.json"):
+        assert set(load_schema(schema)["properties"]["scenario"]["enum"]) == names
+    modes = set(load_schema("sim_report.schema.json")["properties"]["relay_mode"]["enum"])
+    assert modes == set(_choices("simulate", "relay_mode"))
+    assert {entry.relay_mode for entry in SCENARIOS.values()} <= modes
+
+
+VERIFY_CONFIGS = {  # scenario: (CLI flags, the NetworkConfig they resolve to)
+    "twic": ([], NetworkConfig(4, (2,))),
+    "twxc": ([], NetworkConfig(4, (2,))),
+    "case1": (["--k1", "4", "--relays", "2,2,1"], NetworkConfig(4, (2, 2, 1))),
+    "case2": (["--k2", "5", "--relays", "3"], NetworkConfig(5, (3,))),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_verify_bytes_are_the_library_summary(scenario, tmp_path):
+    flags, cfg = VERIFY_CONFIGS[scenario]
+    out = tmp_path / "v.json"
+    argv = ["verify", "--scenario", scenario, "--seeds", "3", "--seed", "5", *flags]
+    assert run(argv + ["--output", str(out)]) == 0
+    summary = verify_scenario(scenario, cfg, 3, 5)
+    assert out.read_text() == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("scenario", ["twxc", "case2"])
+@pytest.mark.parametrize("mode", [None, "decode_forward", "linear_forward"])
+def test_simulate_reports_the_mode_that_ran_and_every_check(scenario, mode, tmp_path):
+    flags, cfg = VERIFY_CONFIGS[scenario]
+    out = tmp_path / "s.json"
+    argv = ["simulate", "--scenario", scenario, "--seed", "4", "--noise-var", "0.01", *flags]
+    assert run(argv + (["--relay-mode", mode] if mode else []) + ["--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, load_schema("sim_report.schema.json"))
+    ran = mode or SCENARIOS[scenario].relay_mode
+    assert doc["relay_mode"] == ran
+    trial = doc["trials"][0]
+    rep = run_end_to_end(scenario, NetworkConfig(cfg.K, cfg.relay_antennas, 0.01), trial["seed"], ran)
+    assert trial["max_stray_coeff"] == rep.max_stray_coeff
+    assert trial["alignment_error"] == rep.alignment_error
+    assert trial["linearity_error"] == rep.linearity_error > 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--scenario", "case1", "--k1", "2", "--relays", "3"], "error: case1 needs at least 3 users\n"),
+    (["--scenario", "case1", "--k1", "1", "--relays", "3"], "error: case1 needs at least 3 users\n"),
+    (["--scenario", "case2", "--k2", "3", "--relays", "3"], "error: case2 needs at least 4 users\n"),
+    (["--scenario", "case2", "--relays", "3"], "error: --k2 is required for scenario case2\n"),
+    (["--scenario", "case1", "--k1", "4"], "error: --relays is required for scenario case1\n"),
+    (["--scenario", "twxc", "--relays", ""],
+     "error: --relays expects comma-separated antenna counts, got ''\n"),
+])
+def test_scenario_usage_messages_name_the_scenario_or_flag(argv, message, capsys):
+    assert run(["verify", *argv, "--seeds", "1"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == message
 
 
 def test_simulate_csv(tmp_path):
@@ -296,6 +363,10 @@ BAD_INPUTS = {  # name: (text of {tmp}/cfg.json or None, argv)
     "zero-trials": (None, ["simulate", "--scenario", "twic", "--trials", "0"]),
     "negative-trials": (None, ["simulate", "--scenario", "twic", "--trials", "-2"]),
     "negative-jobs": (None, ["rate-sweep", "--snr", "0:10:5", "--jobs", "-4"]),
+    "k1-below-two": (None, ["verify", "--scenario", "case1", "--k1", "1", "--relays", "3"]),
+    "k2-below-four": (None, ["verify", "--scenario", "case2", "--k2", "3", "--relays", "3"]),
+    "twic-empty-relays": (None, ["verify", "--scenario", "twic", "--relays", ""]),
+    "case1-empty-relays": (None, ["verify", "--scenario", "case1", "--k1", "4", "--relays", ""]),
 }
 
 

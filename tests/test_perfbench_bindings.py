@@ -42,6 +42,24 @@ def test_spans_instrument_and_restore(perfbench, tmp_path):
     assert tracer.counters["protocol.equations_stored"] == 16
 
 
+@pytest.mark.parametrize("flags,users", [
+    (["--scenario", "twic"], 4),
+    (["--scenario", "twxc"], 4),
+    (["--scenario", "case1", "--k1", "4", "--relays", "3"], 4),
+    (["--scenario", "case2", "--k2", "5", "--relays", "3"], 5),
+], ids=["twic", "twxc", "case1", "case2"])
+def test_spans_see_every_registry_route(perfbench, tmp_path, flags, users):
+    # the registry reaches the design_* entry points through stpnc.protocol's globals,
+    # which is where spans.py wraps them
+    _, spans = perfbench
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        out = tmp_path / "v.json"
+        assert cli.main(["verify", *flags, "--seeds", "2", "--output", str(out)]) == 0
+    assert tracer.calls["precoder.design"] == 2
+    assert tracer.calls["protocol.decode_user"] == 2 * users
+
+
 def test_spans_bind_the_rate_path(perfbench, tmp_path):
     # the trial loop draws coefficient pools, not ChannelSets, and makes no SVD;
     # the rate names spans.py patches must still bind

@@ -77,6 +77,16 @@ def test_twic_wrong_antennas_rejected():
         design_twic(ch)
 
 
+def test_the_fixed_relay_set_is_schedule_data_that_design_checks():
+    assert schedule_twic().relays == schedule_twxc().relays == (2,)
+    assert schedule_case1(4).relays is None and schedule_case2(5).relays is None
+    for sched in (schedule_twic(), schedule_twxc()):
+        for antennas in [(3,), (1, 1), (2, 2), (1,)]:
+            ch = draw_channels(NetworkConfig(4, antennas), sched.n_slots, 3)
+            with pytest.raises(AntennaDeficit, match=f"^{sched.name} needs a single relay with 2 antennas$"):
+                design(sched, ch)
+
+
 def test_twxc_all_sixteen_constraints():
     ch = twxc_channels(0)
     p = design_twxc(ch)

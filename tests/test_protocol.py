@@ -17,9 +17,11 @@ from stpnc.protocol import (
     run_end_to_end,
     run_phase1,
     run_phase2,
+    scenario_schedule,
     verify_scenario,
 )
 from stpnc.scheduler import (
+    InvalidUserCount,
     Schedule,
     SlotPlan,
     SymbolId,
@@ -390,6 +392,35 @@ def test_verify_scenario_summary():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         run_end_to_end("bogus", NetworkConfig(4, (2,)), 0)
+
+
+def test_unknown_scenario_error_lists_the_registry_keys():
+    for call in (lambda: run_end_to_end("bogus", NetworkConfig(4, (2,)), 0),
+                 lambda: verify_scenario("bogus", NetworkConfig(4, (2,)), 1)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert "'bogus'" in str(exc.value)
+        assert all(repr(name) in str(exc.value) for name in protocol.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario,K", [("twic", 5), ("twxc", 3), ("case1", 2), ("case2", 3)])
+def test_library_rejects_a_user_count_the_schedule_cannot_take(scenario, K):
+    cfg = NetworkConfig(K, (2,))
+    with pytest.raises(InvalidUserCount, match=f"^{scenario} "):
+        run_end_to_end(scenario, cfg, 0)
+    with pytest.raises(InvalidUserCount, match=f"^{scenario} "):
+        verify_scenario(scenario, cfg, 1)
+
+
+def test_registry_builds_one_cached_schedule_per_scenario_and_count():
+    assert scenario_schedule("twic") is scenario_schedule("twic", 4) is schedule_twic()
+    assert scenario_schedule("twxc", 4) is schedule_twxc()
+    assert scenario_schedule("case1", 5) is schedule_case1(5)
+    assert scenario_schedule("case2", 6) is schedule_case2(6)
+    for entry in protocol.SCENARIOS.values():
+        assert entry.relay_mode in ("decode_forward", "linear_forward")
+        # a schedule that fixes its user count also fixes its relay set; builders that fix it ignore K
+        assert (entry.user_flag is None) == (entry.schedule(5).relays is not None)
 
 
 # fault injection: each test perturbs one input of an otherwise passing run and
