@@ -1,8 +1,8 @@
 """Command-line front end: scenario runs, DoF sweeps, rate sweeps, verification.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible configuration
-(antenna deficit / rank-deficient decoding), 4 verification failure.
-The STPNC_SEED environment variable supplies the default root seed; an
+Exit codes: 0 success, 1 output closed early, 2 usage error, 3 infeasible
+configuration (antenna deficit / rank-deficient decoding), 4 verification
+failure. The root seed, a nonnegative integer, defaults to $STPNC_SEED or 0; an
 optional JSON config file can pre-set any flag of the subcommand; its
 values are parsed like the flags themselves, and explicit flags win. Output
 files are byte-identical across runs with identical arguments.
@@ -29,6 +29,7 @@ from .protocol import SCENARIOS, run_end_to_end, scenario_schedule, verify_scena
 from .scheduler import InvalidUserCount
 
 EXIT_OK = 0
+EXIT_OUTPUT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
@@ -151,9 +152,12 @@ def _parse_args(argv: list) -> argparse.Namespace:
 
 
 def _resolve_seed(ns: argparse.Namespace) -> int:
-    if ns.seed is not None:
-        return int(ns.seed)
-    return int(os.environ.get("STPNC_SEED", "0"))
+    """--seed (a config's seed included), else $STPNC_SEED, else 0: a nonnegative integer."""
+    text = os.environ.get("STPNC_SEED", "0") if ns.seed is None else str(ns.seed)
+    if not text.strip().isdecimal():
+        name = "$STPNC_SEED" if ns.seed is None else "--seed"
+        raise UsageError(f"{name} must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _network_config(ns: argparse.Namespace, noise_var: float = 0.0) -> NetworkConfig:
@@ -340,7 +344,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.command](ns)
+        status = _COMMANDS[ns.command](ns)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        return status
+    except BrokenPipeError:  # point stdout at devnull so no later flush fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
     except (UsageError, InvalidUserCount) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,7 @@
 """Relay precoder synthesis, derived from the schedule's receive table.
 
 The relays shape phase-2 transmissions so that every user receives only
-what ``Schedule.classes`` allows it: D, SI and jointly decoded OI
+what its receive class allows it: D, SI and jointly decoded OI
 components are free; an aligned (AOI) component's coefficient must equal
 the phase-1 channel, so the relayed interference replays the stored
 equation; every N component is neutralized to a zero coefficient.
@@ -57,30 +57,20 @@ class PrecoderSet:
     residual: float = 0.0
 
 
-def _rows(sched: Schedule, k: int) -> list:
-    """Constraint rows on phase-1 slot k as (receiver j, transmitter i, aligned).
-
-    Per symbol, in the slot's sends order: the aligned rows (AOI) first, then
-    the neutralized rows (N), each in user order. D, SI and jointly decoded
-    OI give no row.
-    """
-    rows = []
-    for i, sym in sched.slot(k).sends.items():
-        c = sched.column[sym]
-        rows += [(j, i, True) for j in sched.users if sched.classes[j][c] == "AOI"]
-        rows += [(j, i, False) for j in sched.users if sched.classes[j][c] == "N"]
-    return rows
-
-
-def _constraint_matrix(ch: ChannelSet, rows: list, t: int, k: int) -> np.ndarray:
-    """Row (j, i) segment l is kron(h_up(l, i, k), h_dn(j, l, t)), for every relay l."""
-    n = len(rows)
-    blocks = []
-    for ell, m in enumerate(ch.config.relay_antennas, start=1):
-        up = np.array([ch.h_up(ell, i, k) for _, i, _ in rows]).reshape(n, m)
-        dn = np.array([ch.h_dn(j, ell, t) for j, _, _ in rows]).reshape(n, m)
-        blocks.append((up[:, :, None] * dn[:, None, :]).reshape(n, m * m))
-    return np.hstack(blocks)
+def _read_links(ch: ChannelSet, sched: Schedule) -> tuple:
+    """Each link read once, as per-relay (users, M_l) stacks: up[k] of h_up(l, i, k), dn[t]
+    of h_dn(j, l, t); and targets[k], each constraint row's h(j, i, k) if aligned, else 0."""
+    users, relays = sched.users, range(1, ch.config.n_relays + 1)
+    up, targets = {}, {}
+    for k, (rows, _, _) in sched.constraint_rows.items():
+        up[k] = [np.array([ch.h_up(ell, i, k) for i in users]) for ell in relays]
+        gains = {}
+        if any(aligned for *_, aligned in rows):  # user-user gains are read only where rows align
+            gains = {(j, i): ch.h(j, i, k) for j in users for i in users if i != j}
+        targets[k] = np.array([gains[j, i] if a else 0j for j, i, a in rows], dtype=complex)
+    dn = {t: [np.array([ch.h_dn(j, ell, t) for j in users]) for ell in relays]
+          for t in sched.phase2_slots}
+    return up, dn, targets
 
 
 def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
@@ -95,22 +85,23 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     if sched.relays not in (None, ch.config.relay_antennas):
         (m,) = sched.relays  # the built-in fixed sets are one relay
         raise AntennaDeficit(f"{sched.name} needs a single relay with {m} antennas")
-    rows = {k: _rows(sched, k) for k in sched.phase1_slots}
+    view = sched.constraint_rows
     # checked before any decomposition: a slot pair's stacked precoder has sum M_l^2 unknowns;
     # homogeneous rows need one more than their count for a nonzero null-space vector
-    need = max(len(r) + (not any(aligned for *_, aligned in r)) for r in rows.values())
+    need = max(len(rows) + (not any(aligned for *_, aligned in rows)) for rows, _, _ in view.values())
     have = ch.config.sum_antenna_sq
     if have < need:
         raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {have}")
     p = PrecoderSet(sched.name)
+    up, dn, targets = _read_links(ch, sched)
     for t in sched.phase2_slots:
-        for k in sched.phase1_slots:
-            a = _constraint_matrix(ch, rows[k], t, k)
-            b = np.array([ch.h(j, i, k) if aligned else 0.0 for j, i, aligned in rows[k]],
-                         dtype=complex)
-            if b.any():
+        for k, (rows, rx, tx) in view.items():
+            # row (j, i) is kron(h_up(l, i, k), h_dn(j, l, t)) for each relay l in turn
+            a = np.concatenate([(u[tx][:, :, None] * d[rx][:, None, :]).reshape(len(rows), m * m)
+                                for u, d, m in zip(up[k], dn[t], ch.config.relay_antennas)], axis=1)
+            if targets[k].any():
                 try:
-                    f = solve_least_norm(a, b)
+                    f = solve_least_norm(a, targets[k])
                 except InconsistentSystem as exc:
                     raise AntennaDeficit(
                         f"alignment constraints for slot pair ({t},{k}) are infeasible"
@@ -148,24 +139,18 @@ def design_case2(ch: ChannelSet, k2: int) -> PrecoderSet:
     return design(schedule_case2(k2), ch)
 
 
-def _block_coefficient(ch: ChannelSet, p: PrecoderSet, j: int, i: int, t: int, k: int) -> complex:
-    """End-to-end coefficient of slot-k transmitter i at user j, via all relays."""
-    return complex(sum(
-        ch.h_dn(j, ell, t) @ p.per_block[(ell, t, k)] @ ch.h_up(ell, i, k)
-        for ell in range(1, ch.config.n_relays + 1)
-    ))
-
-
 def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule) -> float:
-    """Max absolute violation over the derived constraints, recomputed from raw channels.
+    """Max absolute violation over the schedule's constraint rows, recomputed from raw channels.
 
-    Deliberately evaluates every coefficient as direct products
-    h_dn @ V @ h_up instead of the stacked rows used during synthesis.
+    Independent of the Kronecker rows synthesis stacks: per slot pair, one direct
+    product sum_l DN(l,t) @ V_(l,t,k) @ UP(l,k) gives every (receiver, transmitter)
+    coefficient, read at the rows' positions.
     """
-    worst = 0.0
-    for t in sched.phase2_slots:
-        for k in sched.phase1_slots:
-            for j, i, aligned in _rows(sched, k):
-                want = ch.h(j, i, k) if aligned else 0.0
-                worst = max(worst, abs(_block_coefficient(ch, p, j, i, t, k) - want))
-    return worst
+    up, dn, want = _read_links(ch, sched)
+    gaps = []
+    for k, (_, rx, tx) in sched.constraint_rows.items():
+        for t in sched.phase2_slots:
+            coeff = sum(d @ p.per_block[(ell, t, k)] @ u.T
+                        for ell, (u, d) in enumerate(zip(up[k], dn[t]), start=1))
+            gaps.append(coeff[rx, tx] - want[k])
+    return float(np.abs(np.concatenate(gaps)).max(initial=0.0))

@@ -6,8 +6,8 @@ the remaining users and all relays listen and store linear equations
 Slots and users are 1-indexed; a symbol id (dest, src) names the unit-power
 data symbol user `src` sends for user `dest`. Schedules are immutable and
 their builders cached, so what a schedule derives (its symbols, the slot of
-a symbol, the columns of a coefficient row, and the receive class of every
-symbol at every user) is computed once per process.
+a symbol, the columns of a coefficient row, the receive class of every
+symbol at every user, and its constraint rows) is computed once per process.
 """
 
 from __future__ import annotations
@@ -116,6 +116,23 @@ class Schedule:
         return {j: frozenset(self._slot_index[sym] for sym, c in zip(self.symbols, self.classes[j])
                              if c == "AOI")
                 for j in self.users}
+
+    @cached_property
+    def constraint_rows(self) -> dict:
+        """Phase-1 slot k -> the relays' constraints on it: the rows (receiver j, transmitter
+        i, aligned), then each row's j and each row's i as positions in ``users`` (arrays).
+        Per symbol, in the slot's sends order: its AOI users (aligned: the coefficient must
+        equal the phase-1 channel), then its N users (neutralized), each in user order. D,
+        SI and OI give no row."""
+        view = {}
+        for k in self.phase1_slots:
+            rows = tuple((j, i, x == "AOI") for i, sym in self.slot(k).sends.items()
+                         for x in ("AOI", "N") for j in self.users
+                         if self.classes[j][self.column[sym]] == x)
+            rx = np.array([self.users.index(j) for j, _, _ in rows], dtype=np.intp)
+            tx = np.array([self.users.index(i) for _, i, _ in rows], dtype=np.intp)
+            view[k] = (rows, rx, tx)
+        return view
 
     @cached_property
     def column(self) -> dict:

@@ -367,6 +367,8 @@ BAD_INPUTS = {  # name: (text of {tmp}/cfg.json or None, argv)
     "k2-below-four": (None, ["verify", "--scenario", "case2", "--k2", "3", "--relays", "3"]),
     "twic-empty-relays": (None, ["verify", "--scenario", "twic", "--relays", ""]),
     "case1-empty-relays": (None, ["verify", "--scenario", "case1", "--k1", "4", "--relays", ""]),
+    "negative-seed": (None, VERIFY + ["--seed", "-1"]),
+    "negative-config-seed": ('{"seed": -3}', VERIFY + ["--config", "{tmp}/cfg.json"]),
 }
 
 
@@ -382,3 +384,41 @@ def test_bad_input_exits_two_without_traceback(name, tmp_path):
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def cli_process(args, tmp_path, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.update(kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, "-m", "stpnc.cli", *args], cwd=tmp_path, env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+@pytest.mark.parametrize("command", [VERIFY, ["rate-sweep", "--snr", "0", "--trials", "2"]],
+                         ids=["verify", "rate-sweep"])
+def test_bad_env_seed_exits_two_naming_the_variable(value, command, tmp_path):
+    proc = cli_process(command, tmp_path, env={"STPNC_SEED": value}, stdout=subprocess.PIPE)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: $STPNC_SEED must be a nonnegative integer, got {value!r}\n"
+    assert proc.stdout == ""
+
+
+def test_flag_seed_error_names_the_flag(tmp_path):
+    proc = cli_process(VERIFY + ["--seed", "-1"], tmp_path, env={"STPNC_SEED": "abc"},
+                       stdout=subprocess.PIPE)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr == "error: --seed must be a nonnegative integer, got '-1'\n"
+
+
+def test_closed_output_pipe_exits_one_without_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = cli_process(["dof-sweep", "--k", "6", "--l-max", "200", "--format", "json"],
+                           tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_OUTPUT_CLOSED == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

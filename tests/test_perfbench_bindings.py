@@ -42,15 +42,16 @@ def test_spans_instrument_and_restore(perfbench, tmp_path):
     assert tracer.counters["protocol.equations_stored"] == 16
 
 
-@pytest.mark.parametrize("flags,users", [
-    (["--scenario", "twic"], 4),
-    (["--scenario", "twxc"], 4),
-    (["--scenario", "case1", "--k1", "4", "--relays", "3"], 4),
-    (["--scenario", "case2", "--k2", "5", "--relays", "3"], 5),
+@pytest.mark.parametrize("flags,users,rows,solves", [
+    (["--scenario", "twic"], 4, 8, 4),
+    (["--scenario", "twxc"], 4, 32, 8),
+    (["--scenario", "case1", "--k1", "4", "--relays", "3"], 4, 96, 16),
+    (["--scenario", "case2", "--k2", "5", "--relays", "3"], 5, 180, 20),
 ], ids=["twic", "twxc", "case1", "case2"])
-def test_spans_see_every_registry_route(perfbench, tmp_path, flags, users):
+def test_spans_see_every_registry_route(perfbench, tmp_path, flags, users, rows, solves):
     # the registry reaches the design_* entry points through stpnc.protocol's globals,
-    # which is where spans.py wraps them
+    # which is where spans.py wraps them; design reaches the solvers and the check
+    # through stpnc.precoder's globals
     _, spans = perfbench
     tracer = spans.Tracer()
     with spans.instrument(tracer):
@@ -58,6 +59,10 @@ def test_spans_see_every_registry_route(perfbench, tmp_path, flags, users):
         assert cli.main(["verify", *flags, "--seeds", "2", "--output", str(out)]) == 0
     assert tracer.calls["precoder.design"] == 2
     assert tracer.calls["protocol.decode_user"] == 2 * users
+    assert tracer.calls["precoder.verify_constraints"] == 2
+    # one solver call per (phase-2 slot, phase-1 slot) pair and seed, fed every constraint row
+    assert tracer.calls["linalg.null_space"] + tracer.calls["linalg.solve_least_norm"] == solves
+    assert tracer.counters["precoder.constraint_rows"] == rows
 
 
 def test_spans_bind_the_rate_path(perfbench, tmp_path):

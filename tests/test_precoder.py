@@ -7,8 +7,6 @@ from stpnc import precoder
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import (
     AntennaDeficit,
-    _constraint_matrix,
-    _rows,
     design,
     design_case1,
     design_case2,
@@ -17,6 +15,8 @@ from stpnc.precoder import (
     verify_constraints,
 )
 from stpnc.scheduler import (
+    Schedule,
+    SlotPlan,
     SymbolId,
     cyclic_user,
     schedule_case1,
@@ -40,6 +40,20 @@ def coefficient(ch, p, j, i, t, k):
         ch.h_dn(j, ell, t) @ p.per_block[(ell, t, k)] @ ch.h_up(ell, i, k)
         for ell in range(1, ch.config.n_relays + 1)
     )
+
+
+def solver_inputs(sched, ch, monkeypatch):
+    """(t, k) -> the constraint matrix design hands that slot pair's solver, and the precoders."""
+    seen = []
+    for name in ("null_space", "solve_least_norm"):
+        def record(a, *rest, real=getattr(precoder, name)):
+            seen.append(a)
+            return real(a, *rest)
+        monkeypatch.setattr(precoder, name, record)
+    p = design(sched, ch)
+    pairs = [(t, k) for t in sched.phase2_slots for k in sched.phase1_slots]
+    assert len(seen) == len(pairs)
+    return dict(zip(pairs, seen)), p
 
 
 def test_twic_zero_constraints():
@@ -128,13 +142,14 @@ def test_verify_constraints_detects_perturbation():
     assert verify_constraints(p, ch, schedule_twic()) > 1e-5
 
 
-def test_stacked_constraints_shape_and_rows():
+def test_stacked_constraints_shape_and_rows(monkeypatch):
     cfg = NetworkConfig(3, (2,))
     ch = draw_channels(cfg, 4, 2)
     sched = schedule_case1(3)
-    rows = _rows(sched, 1)
-    assert rows == [(3, 2, False), (2, 3, False)]  # (j, i) for i, then j, ascending
-    a = _constraint_matrix(ch, rows, t=4, k=1)
+    rows, rx, tx = sched.constraint_rows[1]
+    assert rows == ((3, 2, False), (2, 3, False))  # (j, i) for i, then j, ascending
+    assert rx.tolist() == [2, 1] and tx.tolist() == [1, 2]  # positions in sched.users
+    a = solver_inputs(sched, ch, monkeypatch)[0][(4, 1)]
     assert a.shape == (2, 4)  # (k1-1)(k1-2) rows, sum of squared antennas cols
     # row oracle: the broadcast row (j, i) is bitwise kron(uplink, downlink);
     # applying it to vec(V) equals the direct triple product
@@ -148,23 +163,31 @@ def test_stacked_constraints_shape_and_rows():
         assert abs(row @ f - direct) < 1e-12
 
 
-def test_stacked_constraints_degenerate_two_users():
+def test_stacked_constraints_degenerate_two_users(monkeypatch):
     # a slot whose every receiver is a destination or a transmitter has no rows
-    ch = draw_channels(NetworkConfig(2, (2,)), 2, 0)
-    assert _constraint_matrix(ch, [], t=2, k=1).shape == (0, 4)
+    sched = Schedule("pair", (1, 2), (
+        SlotPlan(frozenset({2}), {1: SymbolId(2, 1)}),
+        SlotPlan(frozenset({1}), {2: SymbolId(1, 2)}),
+        SlotPlan(frozenset({1, 2})),
+    ), phase1_len=2, phase2_len=1)
+    ch = draw_channels(NetworkConfig(2, (2,)), 3, 0)
+    for rows, rx, tx in sched.constraint_rows.values():
+        assert rows == () and rx.shape == tx.shape == (0,)
+    matrices, p = solver_inputs(sched, ch, monkeypatch)
+    assert [a.shape for a in matrices.values()] == [(0, 4), (0, 4)]
+    assert p.residual == 0.0
 
 
-def test_broadcast_rows_match_kron_across_relays():
+def test_broadcast_rows_match_kron_across_relays(monkeypatch):
     # multi-relay, mixed antennas: each row concatenates one kron segment per relay
     k2 = 5
     ch = draw_channels(NetworkConfig(k2, (2, 3, 1)), 2 * k2 - 3, 8)
     sched = schedule_case2(k2)
-    for k in sched.phase1_slots:
-        rows = _rows(sched, k)
-        a = _constraint_matrix(ch, rows, t=6, k=k)
+    matrices = solver_inputs(sched, ch, monkeypatch)[0]
+    for (t, k), a in matrices.items():
         expect = np.vstack([
-            np.concatenate([np.kron(ch.h_up(ell, i, k), ch.h_dn(j, ell, 6)) for ell in (1, 2, 3)])
-            for j, i, _ in rows
+            np.concatenate([np.kron(ch.h_up(ell, i, k), ch.h_dn(j, ell, t)) for ell in (1, 2, 3)])
+            for j, i, _ in sched.constraint_rows[k][0]
         ])
         assert np.array_equal(a, expect)
 
@@ -181,7 +204,45 @@ def test_case2_rows_align_before_neutralizing():
             i = cyclic_user(k, off, k2)
             expect.append((nxt, i, True))
             expect += [(j, i, False) for j in sched.users if j not in (k, nxt, i)]
-        assert _rows(sched, k) == expect
+        assert sched.constraint_rows[k][0] == tuple(expect)
+
+
+def brute_force_residual(p, ch, sched):
+    """Max |coefficient - target| over every constraint row and phase-2 slot, one product each."""
+    return max(
+        abs(coefficient(ch, p, j, i, t, k) - (ch.h(j, i, k) if aligned else 0.0))
+        for k, (rows, *_) in sched.constraint_rows.items() for j, i, aligned in rows
+        for t in sched.phase2_slots
+    )
+
+
+@pytest.mark.parametrize("sched,antennas", [
+    (schedule_twic(), (2,)),
+    (schedule_twxc(), (2,)),
+    (schedule_case1(4), (1, 1, 1, 2)),
+    (schedule_case2(5), (2, 2, 1)),
+    (schedule_case2(6), (1,) * 16),
+], ids=["twic", "twxc", "case1-4", "case2-5", "case2-6-16x1"])
+def test_verify_constraints_is_the_brute_force_maximum(sched, antennas):
+    ch = draw_channels(NetworkConfig(len(sched.users), antennas), sched.n_slots, 21)
+    p = design(sched, ch)
+    assert abs(verify_constraints(p, ch, sched) - brute_force_residual(p, ch, sched)) <= 1e-12
+    # off the solution as well, where the residual is of order one
+    rng = np.random.default_rng(5)
+    for key, v in p.per_block.items():
+        p.per_block[key] = v + 0.1 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+    got, want = verify_constraints(p, ch, sched), brute_force_residual(p, ch, sched)
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_verify_constraints_sees_one_single_antenna_block():
+    sched = schedule_case1(6)
+    ch = draw_channels(NetworkConfig(6, (1,) * 21), sched.n_slots, 3)
+    p = design(sched, ch)
+    assert p.residual < 1e-12
+    p.per_block[(21, 7, 1)] = p.per_block[(21, 7, 1)] + 1e-6
+    assert verify_constraints(p, ch, sched) >= 1e-7
 
 
 def test_entry_points_equal_schedule_design():

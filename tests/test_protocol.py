@@ -235,7 +235,10 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
             c = sched.column[sym]
             rows += [(j, i, True) for j in sched.users if table[j][c] == "AOI"]
             rows += [(j, i, False) for j in sched.users if table[j][c] == "N"]
-        assert precoder._rows(sched, k) == rows
+        view, rx, tx = sched.constraint_rows[k]
+        assert view == tuple(rows)
+        assert rx.tolist() == [sched.users.index(j) for j, _, _ in rows]
+        assert tx.tolist() == [sched.users.index(i) for _, i, _ in rows]
 
 
 def test_alignment_error_checks_every_pure_slot():
