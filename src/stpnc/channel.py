@@ -55,37 +55,52 @@ class NetworkConfig:
             raise ValueError("noise_var must be finite")
 
     @property
-    def n_relays(self) -> int:
-        return len(self.relay_antennas)
-
-    @property
     def sum_antenna_sq(self) -> int:
         return sum(m * m for m in self.relay_antennas)
 
+    @functools.cached_property
+    def relay_columns(self) -> tuple:
+        """Relay l's antenna columns in the ChannelSet up and dn stacks: slice l-1."""
+        ends = np.cumsum(self.relay_antennas).tolist()
+        return tuple(slice(end - m, end) for end, m in zip(ends, self.relay_antennas))
 
-@dataclass(frozen=True)
+
+class _KeyedView:
+    """Read-only keyed access to the stacks: view[(a, b, t)] is read(a, b, t)."""
+
+    def __init__(self, read):
+        self._read = read
+
+    def __getitem__(self, key):
+        return self._read(*key)
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """All channel coefficients of one realization, indexed per link and slot.
+    """All channel coefficients of one realization, as dense stacks over slots and users.
 
-    user_user[(k, i, t)]   scalar from user i to user k in slot t
-    user_relay[(l, i, t)]  length-M_l uplink vector from user i to relay l
-    relay_user[(k, l, t)]  length-M_l downlink row from relay l to user k
+    gain[t-1, k-1, i-1]   scalar from user i to user k in slot t (0 on the diagonal)
+    up[t-1, i-1, c]       relay l's uplink vector from user i, c = config.relay_columns[l-1]
+    dn[t-1, k-1, c]       relay l's downlink row to user k
     """
 
     config: NetworkConfig
-    slots: int
-    user_user: dict = field(repr=False)
-    user_relay: dict = field(repr=False)
-    relay_user: dict = field(repr=False)
+    gain: np.ndarray = field(repr=False)  # (slots, K, K)
+    up: np.ndarray = field(repr=False)    # (slots, K, sum M_l)
+    dn: np.ndarray = field(repr=False)    # (slots, K, sum M_l)
 
-    def h(self, k: int, i: int, t: int) -> complex:
-        return self.user_user[(k, i, t)]
+    # read-only keyed views, kept only for perfbench/oracles.py; stpnc itself slices the stacks
+    @property
+    def user_user(self):
+        return _KeyedView(lambda k, i, t: self.gain[t - 1, k - 1, i - 1])
 
-    def h_up(self, ell: int, i: int, t: int) -> np.ndarray:
-        return self.user_relay[(ell, i, t)]
+    @property
+    def user_relay(self):
+        return _KeyedView(lambda ell, i, t: self.up[t - 1, i - 1, self.config.relay_columns[ell - 1]])
 
-    def h_dn(self, k: int, ell: int, t: int) -> np.ndarray:
-        return self.relay_user[(k, ell, t)]
+    @property
+    def relay_user(self):
+        return _KeyedView(lambda k, ell, t: self.dn[t - 1, k - 1, self.config.relay_columns[ell - 1]])
 
 
 def _complex_pool(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -99,22 +114,20 @@ def _complex_pool(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @functools.cache
-def draw_layout(cfg: NetworkConfig) -> tuple[int, dict]:
-    """Pool size per slot, and each coefficient's place in a slot's pool, keyed like the
-    ChannelSet fields without the slot: user_user[(k, i)] indices, the others slices."""
-    users, relays, pos = range(1, cfg.K + 1), tuple(enumerate(cfg.relay_antennas, 1)), 0
-
-    def take(m):
-        nonlocal pos
-        pos += m
-        return slice(pos - m, pos)
-
-    layout = {
-        "user_user": {(k, i): take(1).start for k in users for i in users if i != k},
-        "user_relay": {(ell, i): take(m) for ell, m in relays for i in users},
-        "relay_user": {(k, ell): take(m) for k in users for ell, m in relays},
-    }
-    return pos, layout
+def draw_layout(cfg: NetworkConfig) -> tuple:
+    """Pool size per slot, then each coefficient's position in a slot's pool as index arrays
+    shaped like one slot of the ChannelSet stacks: gain (K, K), up and dn (K, sum M_l). A pool
+    holds the user pairs row by row without the diagonal, then each relay's uplinks user by
+    user, then each user's downlinks relay by relay; gain's diagonal points one past the pool.
+    """
+    K, width, pairs = cfg.K, sum(cfg.relay_antennas), cfg.K * (cfg.K - 1)
+    gain = np.full((K, K), pairs + 2 * K * width)
+    gain[~np.eye(K, dtype=bool)] = np.arange(pairs)
+    up = np.hstack([pairs + K * c.start + np.arange(K * (c.stop - c.start)).reshape(K, -1)
+                    for c in cfg.relay_columns])
+    dn = pairs + K * width + np.arange(K * width).reshape(K, width)
+    gain.flags.writeable = up.flags.writeable = dn.flags.writeable = False  # cached: shared
+    return pairs + 2 * K * width, gain, up, dn
 
 
 def draw_pools(cfg: NetworkConfig, slots: int, seed: int) -> np.ndarray:
@@ -126,17 +139,10 @@ def draw_pools(cfg: NetworkConfig, slots: int, seed: int) -> np.ndarray:
 def draw_channels(cfg: NetworkConfig, slots: int, seed: int) -> ChannelSet:
     """Draw every coefficient for the given number of slots, deterministically.
 
-    Coefficients are IID CN(0,1) across links and slots. draw_layout places
-    each slot's pool in a fixed order (user-user pairs, then uplink vectors,
-    then downlink rows), so identical (cfg, slots, seed) give identical bits.
+    Coefficients are IID CN(0,1) across links and slots; each stack indexes the slot pools
+    in draw_layout's fixed order, so identical (cfg, slots, seed) give identical bits.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
-    layout = draw_layout(cfg)[1]
-    pools = list(enumerate(draw_pools(cfg, slots, seed), start=1))
-    user_user = {(*key, t): complex(pool[p]) for t, pool in pools
-                 for key, p in layout["user_user"].items()}
-    user_relay, relay_user = ({(*key, t): pool[s].copy() for t, pool in pools
-                               for key, s in layout[name].items()}
-                              for name in ("user_relay", "relay_user"))
-    return ChannelSet(cfg, slots, user_user, user_relay, relay_user)
+    pools = np.hstack([draw_pools(cfg, slots, seed), np.zeros((slots, 1))])  # the diagonal's 0
+    return ChannelSet(cfg, *(pools[:, index] for index in draw_layout(cfg)[1:]))

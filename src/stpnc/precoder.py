@@ -57,20 +57,9 @@ class PrecoderSet:
     residual: float = 0.0
 
 
-def _read_links(ch: ChannelSet, sched: Schedule) -> tuple:
-    """Each link read once, as per-relay (users, M_l) stacks: up[k] of h_up(l, i, k), dn[t]
-    of h_dn(j, l, t); and targets[k], each constraint row's h(j, i, k) if aligned, else 0."""
-    users, relays = sched.users, range(1, ch.config.n_relays + 1)
-    up, targets = {}, {}
-    for k, (rows, _, _) in sched.constraint_rows.items():
-        up[k] = [np.array([ch.h_up(ell, i, k) for i in users]) for ell in relays]
-        gains = {}
-        if any(aligned for *_, aligned in rows):  # user-user gains are read only where rows align
-            gains = {(j, i): ch.h(j, i, k) for j in users for i in users if i != j}
-        targets[k] = np.array([gains[j, i] if a else 0j for j, i, a in rows], dtype=complex)
-    dn = {t: [np.array([ch.h_dn(j, ell, t) for j in users]) for ell in relays]
-          for t in sched.phase2_slots}
-    return up, dn, targets
+def _targets(ch: ChannelSet, k: int, rows: tuple, rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Each constraint row's required coefficient: h(j, i, k) where it aligns, else 0."""
+    return np.where([aligned for *_, aligned in rows], ch.gain[k - 1][rx, tx], 0)
 
 
 def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
@@ -93,12 +82,14 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     if have < need:
         raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {have}")
     p = PrecoderSet(sched.name)
-    up, dn, targets = _read_links(ch, sched)
+    targets = {k: _targets(ch, k, *rows) for k, rows in view.items()}
+    # row (j, i) is kron(h_up(l, i, k), h_dn(j, l, t)) for each relay l in turn: its entries
+    # pair every uplink antenna a of relay l with every downlink antenna b (stack columns)
+    up_col, dn_col = np.array([(a, b) for c in ch.config.relay_columns
+                               for a in range(c.start, c.stop) for b in range(c.start, c.stop)]).T
     for t in sched.phase2_slots:
         for k, (rows, rx, tx) in view.items():
-            # row (j, i) is kron(h_up(l, i, k), h_dn(j, l, t)) for each relay l in turn
-            a = np.concatenate([(u[tx][:, :, None] * d[rx][:, None, :]).reshape(len(rows), m * m)
-                                for u, d, m in zip(up[k], dn[t], ch.config.relay_antennas)], axis=1)
+            a = ch.up[k - 1][np.ix_(tx, up_col)] * ch.dn[t - 1][np.ix_(rx, dn_col)]
             if targets[k].any():
                 try:
                     f = solve_least_norm(a, targets[k])
@@ -146,11 +137,11 @@ def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule) -> float
     product sum_l DN(l,t) @ V_(l,t,k) @ UP(l,k) gives every (receiver, transmitter)
     coefficient, read at the rows' positions.
     """
-    up, dn, want = _read_links(ch, sched)
     gaps = []
-    for k, (_, rx, tx) in sched.constraint_rows.items():
+    for k, (rows, rx, tx) in sched.constraint_rows.items():
+        want = _targets(ch, k, rows, rx, tx)
         for t in sched.phase2_slots:
-            coeff = sum(d @ p.per_block[(ell, t, k)] @ u.T
-                        for ell, (u, d) in enumerate(zip(up[k], dn[t]), start=1))
-            gaps.append(coeff[rx, tx] - want[k])
+            coeff = sum(ch.dn[t - 1][:, c] @ p.per_block[(ell, t, k)] @ ch.up[k - 1][:, c].T
+                        for ell, c in enumerate(ch.config.relay_columns, start=1))
+            gaps.append(coeff[rx, tx] - want)
     return float(np.abs(np.concatenate(gaps)).max(initial=0.0))

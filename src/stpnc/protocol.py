@@ -88,17 +88,17 @@ def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
     ledger = EquationLedger()
     for t in sched.phase1_slots:
         plan = sched.slot(t)
-        sent = list(plan.sends.values())
+        src = [sym.src - 1 for sym in plan.sends.values()]  # a user's row in the stacks is user - 1
         cols = sched.slot_columns[t]
         dests = sorted(plan.destinations)
         rows = np.zeros((len(dests), len(s)), dtype=complex)
-        rows[:, cols] = [[ch.h(k, sym.src, t) for sym in sent] for k in dests]
+        rows[:, cols] = ch.gain[t - 1][np.ix_([k - 1 for k in dests], src)]
         for k, row, value in zip(dests, rows, rows @ s):
             ledger.users[k].append(Equation(t, row, complex(value + _noise(rng, 1, noise_var)[0])))
-        for ell, m in enumerate(ch.config.relay_antennas, start=1):
-            a = np.zeros((m, len(s)), dtype=complex)
-            a[:, cols] = np.array([ch.h_up(ell, sym.src, t) for sym in sent]).T
-            ledger.relays[(ell, t)] = Equation(t, a, a @ s + _noise(rng, m, noise_var))
+        for ell, c in enumerate(ch.config.relay_columns, start=1):
+            a = np.zeros((c.stop - c.start, len(s)), dtype=complex)
+            a[:, cols] = ch.up[t - 1][src, c].T
+            ledger.relays[(ell, t)] = Equation(t, a, a @ s + _noise(rng, len(a), noise_var))
     return ledger
 
 
@@ -160,13 +160,14 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
     if ledger is None:
         ledger = EquationLedger()
     rng = np.random.default_rng(seed)
-    relays = sorted({ell for (ell, _) in plan.signals})
+    relays = tuple(enumerate(ch.config.relay_columns, start=1))
     for t in sched.phase2_slots:
-        for j in sorted(sched.slot(t).destinations):
-            row = sum(ch.h_dn(j, ell, t) @ plan.coeffs[(ell, t)] for ell in relays)
-            value = sum(complex(ch.h_dn(j, ell, t) @ plan.signals[(ell, t)]) for ell in relays)
-            value += complex(_noise(rng, 1, noise_var)[0])
-            ledger.users[j].append(Equation(t, row, complex(value)))
+        dests = sorted(sched.slot(t).destinations)
+        dn = ch.dn[t - 1][[j - 1 for j in dests]]  # (users, sum M_l): one row per destination
+        rows = sum(dn[:, c] @ plan.coeffs[(ell, t)] for ell, c in relays)
+        values = sum(dn[:, c] @ plan.signals[(ell, t)] for ell, c in relays)
+        for j, row, value in zip(dests, rows, values):  # noise per user, in user order
+            ledger.users[j].append(Equation(t, row, complex(value + _noise(rng, 1, noise_var)[0])))
     return ledger
 
 

@@ -61,16 +61,18 @@ class RateResult:
     crossover_db: float | None
 
 
-# the coefficients the gains read, in kernel column order; the first of each pair is nulled
-_FLOW_LINKS = (("user_relay", (1, 4, 2)), ("user_relay", (1, 3, 2)), ("relay_user", (4, 1, 3)),
-               ("relay_user", (1, 1, 3)), ("user_user", (1, 3, 2)))
-_POOL, _LAYOUT = draw_layout(_TWIC_CFG)
-_FLOW_INDEX = np.hstack([np.arange(_POOL)[_LAYOUT[name][key[:2]]] + (key[2] - 1) * _POOL
-                         for name, key in _FLOW_LINKS])  # positions in the stacked slot pools
+def _flow(gain, up, dn) -> np.ndarray:
+    """The kernel's nine columns, from ChannelSet-shaped stacks: the slot-2 uplinks of users 4, 3
+    and slot-3 downlinks to users 4, 1 (each pair's first is nulled), then user 3 -> 1 in slot 2."""
+    return np.concatenate([up[1, 3], up[1, 2], dn[2, 3], dn[2, 0], gain[1, 0, 2:3]], axis=-1)
+
+
+_POOL, *_SLOT_INDEX = draw_layout(_TWIC_CFG)
+_FLOW_INDEX = _flow(*(index + _POOL * np.arange(3)[:, None, None] for index in _SLOT_INDEX))
 
 
 def _gains(c: np.ndarray) -> np.ndarray:
-    """(uplink, downlink, direct) gains of a (trials, 9) _FLOW_LINKS batch: a unit relay
+    """(uplink, downlink, direct) gains of a (trials, 9) _flow batch: a unit relay
     vector nulling row a = (a1, a2) gains |a2 b1 - a1 b2|^2 / ||a||^2 on row b."""
     def hop(a, b):  # column offsets of the nulled and the served row
         return np.abs(c[:, a + 1] * c[:, b] - c[:, a] * c[:, b + 1]) ** 2 / (
@@ -88,8 +90,7 @@ def flow_gains(ch) -> tuple[float, float, float]:
     log2(1 + rho * gain), with rho = P / sigma^2 uplink and P / (2.5 sigma^2)
     downlink. The trial_gains kernel on a batch of one.
     """
-    c = np.hstack([getattr(ch, name)[key] for name, key in _FLOW_LINKS])
-    return tuple(float(g) for g in _gains(c[None, :])[0])
+    return tuple(float(g) for g in _gains(_flow(ch.gain, ch.up, ch.dn)[None, :])[0])
 
 
 def trial_gains(seed: int, start: int, count: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import stpnc.protocol
 from stpnc import cli
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import design_case1, design_case2, design_twic, design_twxc
+from stpnc.protocol import run_end_to_end
 from stpnc.scheduler import schedule_case1, schedule_case2, schedule_twic, schedule_twxc
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -98,5 +99,20 @@ def test_oracle_coefficients_follow_the_rule(perfbench, sched, design, antennas)
         if kind == "N":
             assert abs(c) <= oracles.COEFF_TOL
         if kind == "OI" and t1 in sched.pure_slots(j):
-            assert abs(c - ch.h(j, sym.src, t1)) <= oracles.COEFF_TOL
+            assert abs(c - ch.gain[t1 - 1, j - 1, sym.src - 1]) <= oracles.COEFF_TOL
     assert seen == sched.phase2_len * len(sched.users) * len(sched.symbols)
+
+
+@pytest.mark.parametrize("scenario,cfg", [
+    ("twic", NetworkConfig(4, (2,))),
+    ("twxc", NetworkConfig(4, (2,))),
+    ("case1", NetworkConfig(4, (1, 1, 1, 2))),
+    ("case2", NetworkConfig(5, (2, 2, 1))),
+], ids=["twic", "twxc", "case1", "case2"])
+@pytest.mark.parametrize("seed", [3, 12345])
+def test_oracle_accepts_runs_through_the_keyed_views(perfbench, scenario, cfg, seed):
+    # the verify oracle reads the channel through ChannelSet's keyed views user_user,
+    # user_relay and relay_user; a view reading the wrong link fails a correct run
+    oracles, _ = perfbench
+    trial = cli._report_json(run_end_to_end(scenario, cfg, seed), 0)
+    assert oracles.check_verify_seed(scenario, cfg, seed, trial) == []

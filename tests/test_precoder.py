@@ -37,8 +37,8 @@ def twxc_channels(seed):
 def coefficient(ch, p, j, i, t, k):
     """End-to-end coefficient of slot-k transmitter i at user j, by direct products."""
     return sum(
-        ch.h_dn(j, ell, t) @ p.per_block[(ell, t, k)] @ ch.h_up(ell, i, k)
-        for ell in range(1, ch.config.n_relays + 1)
+        ch.dn[t - 1, j - 1, c] @ p.per_block[(ell, t, k)] @ ch.up[k - 1, i - 1, c]
+        for ell, c in enumerate(ch.config.relay_columns, start=1)
     )
 
 
@@ -75,11 +75,11 @@ def test_twic_zero_constraints():
 
 def test_twic_axis_null_space():
     ch = twic_channels(1)
-    ch.relay_user[(2, 1, 3)] = np.array([1.0 + 0j, 0.0 + 0j])
+    ch.dn[2, 1] = np.array([1.0 + 0j, 0.0 + 0j])  # relay 1 -> user 2 in slot 3
     p = design_twic(ch)
     # symbol 3<-1 must reach user 2 with a zero coefficient, so the relayed
     # vector of slot 1's transmitter 1 lies on the second antenna axis
-    x = p.per_block[(1, 3, 1)] @ ch.h_up(1, 1, 1)
+    x = p.per_block[(1, 3, 1)] @ ch.up[0, 0]
     assert np.linalg.norm(x) > 1e-6
     assert abs(x[0]) < 1e-12 * np.linalg.norm(x)
     assert abs(abs(x[1]) - np.linalg.norm(x)) < 1e-12
@@ -116,7 +116,7 @@ def test_twxc_all_sixteen_constraints():
     for sym, (victim, partner, t1) in table.items():
         assert abs(coefficient(ch, p, victim, sym.src, t, t1)) < 1e-10
         got = coefficient(ch, p, partner, sym.src, t, t1)
-        assert abs(got - ch.h(partner, sym.src, t1)) < 1e-10
+        assert abs(got - ch.gain[t1 - 1, partner - 1, sym.src - 1]) < 1e-10
 
 
 def test_verify_constraints_zero_precoders_equals_max_target():
@@ -126,7 +126,7 @@ def test_verify_constraints_zero_precoders_equals_max_target():
         p.per_block[key] = np.zeros((2, 2), dtype=complex)
     sched = schedule_twxc()
     expected = max(
-        abs(ch.h(partner, sym.src, sched.slot_of(sym)))
+        abs(ch.gain[sched.slot_of(sym) - 1, partner - 1, sym.src - 1])
         for sym in sched.symbols
         for partner in (sched.slot(sched.slot_of(sym)).destinations - {sym.dest})
     )
@@ -157,9 +157,9 @@ def test_stacked_constraints_shape_and_rows(monkeypatch):
     v = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     f = v.reshape(-1, order="F")
     for row, (j, i, _) in zip(a, rows):
-        expect = np.kron(ch.h_up(1, i, 1), ch.h_dn(j, 1, 4))
+        expect = np.kron(ch.up[0, i - 1], ch.dn[3, j - 1])
         assert np.array_equal(row, expect)
-        direct = ch.h_dn(j, 1, 4) @ v @ ch.h_up(1, i, 1)
+        direct = ch.dn[3, j - 1] @ v @ ch.up[0, i - 1]
         assert abs(row @ f - direct) < 1e-12
 
 
@@ -186,7 +186,8 @@ def test_broadcast_rows_match_kron_across_relays(monkeypatch):
     matrices = solver_inputs(sched, ch, monkeypatch)[0]
     for (t, k), a in matrices.items():
         expect = np.vstack([
-            np.concatenate([np.kron(ch.h_up(ell, i, k), ch.h_dn(j, ell, t)) for ell in (1, 2, 3)])
+            np.concatenate([np.kron(ch.up[k - 1, i - 1, c], ch.dn[t - 1, j - 1, c])
+                            for c in (slice(0, 2), slice(2, 5), slice(5, 6))])
             for j, i, _ in sched.constraint_rows[k][0]
         ])
         assert np.array_equal(a, expect)
@@ -210,7 +211,7 @@ def test_case2_rows_align_before_neutralizing():
 def brute_force_residual(p, ch, sched):
     """Max |coefficient - target| over every constraint row and phase-2 slot, one product each."""
     return max(
-        abs(coefficient(ch, p, j, i, t, k) - (ch.h(j, i, k) if aligned else 0.0))
+        abs(coefficient(ch, p, j, i, t, k) - (ch.gain[k - 1, j - 1, i - 1] if aligned else 0.0))
         for k, (rows, *_) in sched.constraint_rows.items() for j, i, aligned in rows
         for t in sched.phase2_slots
     )
@@ -337,10 +338,10 @@ def test_case2_alignment_targets():
             nxt = (k % k2) + 1
             for i in sorted(sched.slot(k).sources):
                 got = sum(
-                    ch.h_dn(nxt, ell, t) @ p.per_block[(ell, t, k)] @ ch.h_up(ell, i, k)
-                    for ell in range(1, ch.config.n_relays + 1)
+                    ch.dn[t - 1, nxt - 1, c] @ p.per_block[(ell, t, k)] @ ch.up[k - 1, i - 1, c]
+                    for ell, c in enumerate(ch.config.relay_columns, start=1)
                 )
-                assert abs(got - ch.h(nxt, i, k)) < 1e-9
+                assert abs(got - ch.gain[k - 1, nxt - 1, i - 1]) < 1e-9
 
 
 def test_synthesis_is_deterministic():

@@ -54,10 +54,10 @@ def test_phase1_user_equation_coefficients():
     eq = ledger.users[3][0]
     assert eq.slot == 1
     assert eq.coeffs.shape == (len(sched.symbols),)
-    assert eq.coeffs[sched.column[SymbolId(3, 1)]] == ch.h(3, 1, 1)
-    assert eq.coeffs[sched.column[SymbolId(4, 2)]] == ch.h(3, 2, 1)
+    assert eq.coeffs[sched.column[SymbolId(3, 1)]] == ch.gain[0, 2, 0]
+    assert eq.coeffs[sched.column[SymbolId(4, 2)]] == ch.gain[0, 2, 1]
     assert np.count_nonzero(eq.coeffs) == 2  # only the slot's two symbols
-    expect = ch.h(3, 1, 1) * syms[SymbolId(3, 1)] + ch.h(3, 2, 1) * syms[SymbolId(4, 2)]
+    expect = ch.gain[0, 2, 0] * syms[SymbolId(3, 1)] + ch.gain[0, 2, 1] * syms[SymbolId(4, 2)]
     assert eq.value == expect
 
 
@@ -287,8 +287,8 @@ def test_decode_user_twic_effective_system():
     assert res.matrix.shape == (2, 2)
     assert res.effective_rank == 2
     # first row is the stored direct observation
-    assert res.matrix[0, 0] == ch.h(1, 3, 2)
-    assert res.matrix[0, 1] == ch.h(1, 4, 2)
+    assert res.matrix[0, 0] == ch.gain[1, 0, 2]
+    assert res.matrix[0, 1] == ch.gain[1, 0, 3]
     assert abs(res.recovered[SymbolId(1, 3)] - syms[SymbolId(1, 3)]) < 1e-9
     assert res.stray_coeff < 1e-10
 

@@ -23,8 +23,8 @@ def test_closed_form_matches_quadrature():
 
 def test_uplink_rate_axis_case():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 0)
-    ch.user_relay[(1, 4, 2)] = np.array([1.0 + 0j, 0.0 + 0j])
-    ch.user_relay[(1, 3, 2)] = np.array([0.0 + 0j, 1.0 + 0j])
+    ch.up[1, 3] = np.array([1.0 + 0j, 0.0 + 0j])  # user 4 -> relay 1 in slot 2
+    ch.up[1, 2] = np.array([0.0 + 0j, 1.0 + 0j])  # user 3 -> relay 1 in slot 2
     assert flow_gains(ch)[0] == pytest.approx(1.0)
 
 
@@ -38,8 +38,8 @@ def test_uplink_gain_matches_analytic_projection():
     # |h4[0]*h3[1] - h4[1]*h3[0]|^2 / ||h4||^2
     for seed in range(200):
         ch = draw_channels(NetworkConfig(4, (2,)), 3, seed)
-        h4 = ch.h_up(1, 4, 2)
-        h3 = ch.h_up(1, 3, 2)
+        h4 = ch.up[1, 3]
+        h3 = ch.up[1, 2]
         gain = abs(h4[0] * h3[1] - h4[1] * h3[0]) ** 2 / np.linalg.norm(h4) ** 2
         got = flow_gains(ch)[0]
         assert got == pytest.approx(gain, rel=1e-9)
@@ -62,11 +62,11 @@ def test_uplink_ergodic_rate_matches_quadrature_oracle():
 
 def test_downlink_rate_algebraic_identity():
     ch = draw_channels(NetworkConfig(4, (2,)), 3, 2)
-    ch.user_user[(1, 3, 2)] = complex(np.sqrt(1.5))
-    ch.relay_user[(1, 1, 3)] = np.array([1.0 + 0j, 0.0 + 0j])
+    ch.gain[1, 0, 2] = complex(np.sqrt(1.5))  # user 3 -> user 1 in slot 2
+    ch.dn[2, 0] = np.array([1.0 + 0j, 0.0 + 0j])  # relay 1 -> user 1 in slot 3
     # the beam nulls the flow at user 4, whose downlink row is the second
     # axis, so the beam is [1, 0]
-    ch.relay_user[(4, 1, 3)] = np.array([0.0 + 0j, 1.0 + 0j])
+    ch.dn[2, 3] = np.array([0.0 + 0j, 1.0 + 0j])
     # squared effective channel norm is 1.5 + 1 = 2.5, so at P/sigma^2 = 1 the
     # rate log2(1 + gain / 2.5) is exactly log2(2) = 1
     assert flow_gains(ch)[1] == pytest.approx(2.5)
@@ -83,9 +83,9 @@ def test_downlink_beam_is_the_block_precoders_direction():
     # send that flow along the rate beam
     for seed in range(10):
         ch = draw_channels(NetworkConfig(4, (2,)), 3, seed)
-        x = design_twic(ch).per_block[(1, 3, 2)] @ ch.h_up(1, 3, 2)
-        direct = abs(ch.h(1, 3, 2)) ** 2
-        gain = direct + abs(ch.h_dn(1, 1, 3) @ x) ** 2 / np.linalg.norm(x) ** 2
+        x = design_twic(ch).per_block[(1, 3, 2)] @ ch.up[1, 2]
+        direct = abs(ch.gain[1, 0, 2]) ** 2
+        gain = direct + abs(ch.dn[2, 0] @ x) ** 2 / np.linalg.norm(x) ** 2
         assert flow_gains(ch)[1] == pytest.approx(gain, rel=1e-9)
 
 
@@ -122,10 +122,10 @@ def test_trial_gains_positive_finite_and_deterministic():
 
 def null_space_gains(ch):
     """The gains through SVD null-space vectors, as flow_gains computed them before the closed form."""
-    u_row = linalg.null_space(ch.h_up(1, 4, 2)[None, :])[:, 0]
-    v = linalg.null_space(ch.h_dn(4, 1, 3)[None, :])[:, 0]
-    direct = abs(ch.h(1, 3, 2)) ** 2
-    return abs(u_row @ ch.h_up(1, 3, 2)) ** 2, direct + abs(ch.h_dn(1, 1, 3) @ v) ** 2, direct
+    u_row = linalg.null_space(ch.up[1, 3][None, :])[:, 0]  # nulls user 4's slot-2 uplink
+    v = linalg.null_space(ch.dn[2, 3][None, :])[:, 0]  # nulls the slot-3 downlink to user 4
+    direct = abs(ch.gain[1, 0, 2]) ** 2
+    return abs(u_row @ ch.up[1, 2]) ** 2, direct + abs(ch.dn[2, 0] @ v) ** 2, direct
 
 
 def test_closed_form_gains_match_null_space_oracle():

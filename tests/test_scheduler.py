@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from stpnc.channel import NetworkConfig, draw_channels
-from stpnc.protocol import draw_symbols, run_phase1
+from stpnc.protocol import draw_symbols, run_phase1, scenario_schedule
 from stpnc.scheduler import (
     InvalidUserCount,
     SymbolId,
@@ -181,3 +181,11 @@ def test_case2_next_user_overhears_one_pure_slot():
     s = schedule_case2(k2)
     for k in s.phase1_slots:
         assert s.pure_slots(cyclic_user(k, 1, k2)) == {k}
+
+
+@pytest.mark.parametrize("scenario,K", [("twic", 4), ("twxc", 4)]
+                         + [("case1", K) for K in range(3, 11)] + [("case2", K) for K in range(4, 11)])
+def test_user_positions_are_user_numbers_minus_one(scenario, K):
+    # the precoder and the protocol index the channel stacks' user axes by the positions
+    # in Schedule.users (constraint_rows' arrays) or by user - 1: the two must agree
+    assert scenario_schedule(scenario, K).users == tuple(range(1, K + 1))
