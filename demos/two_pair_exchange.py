@@ -28,7 +28,7 @@ for t in sched.phase1_slots:
     plan = sched.slot(t)
     print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
           f"users {sorted(plan.destinations)} and the relay listen")
-for (_, slot), eq in ledger.relays.items():
+for slot, eq in ledger.relays.items():
     heard = sorted(sched.slot(slot).sends.values())
     for m in range(eq.value.shape[0]):
         terms = " + ".join(f"({eq.coeffs[m, sched.column[s]]:.2f})s[{s.dest}<-{s.src}]" for s in heard)

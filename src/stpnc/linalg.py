@@ -48,14 +48,6 @@ def vec(m) -> np.ndarray:
     return as_cmatrix(m).reshape(-1, 1, order="F")
 
 
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec: refold a length rows*cols vector column-by-column."""
-    flat = np.asarray(v, dtype=complex).reshape(-1)
-    if flat.size != rows * cols:
-        raise ValueError(f"cannot fold {flat.size} entries into {rows}x{cols}")
-    return flat.reshape(rows, cols, order="F")
-
-
 def _sv_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     if s.size == 0:
         return 0.0

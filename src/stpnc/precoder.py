@@ -6,11 +6,15 @@ components are free; an aligned (AOI) component's coefficient must equal
 the phase-1 channel, so the relayed interference replays the stored
 equation; every N component is neutralized to a zero coefficient.
 
-Each relay l holds one M_l x M_l matrix per (phase-2 slot t, phase-1 slot k)
-pair, applied to what it received in slot k. The end-to-end coefficient of
-transmitter i at user j is sum_l h_dn(j, l, t) V_(l,t,k) h_up(l, i, k), the
-Kronecker row (h_up^T x h_dn) applied to vec(V), so each pair's stacked
-vec'd precoders solve one linear system in those rows.
+The relays act together as one distributed precoder. Relay l owns the
+antenna columns ``relay_columns[l-1]``, so the whole bank is one
+block-diagonal sum M_l x sum M_l matrix per (phase-2 slot t, phase-1 slot k)
+pair, applied to what every relay received in slot k; relay l's M_l x M_l
+block V_(l,t,k) sits on its own columns and everything off the blocks is
+zero (no relay combines another relay's receptions). The end-to-end
+coefficient of transmitter i at user j is h_dn(j, t) B_(t,k) h_up(i, k),
+which per relay is the Kronecker row (h_up^T x h_dn) applied to vec(V), so
+each pair's stacked vec'd blocks solve one linear system in those rows.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet
-from .linalg import InconsistentSystem, null_space, solve_least_norm, unvec
+from .channel import ChannelSet, _KeyedView
+from .linalg import InconsistentSystem, null_space, solve_least_norm
 from .scheduler import (
     Schedule,
     schedule_case1,
@@ -46,15 +50,30 @@ class AntennaDeficit(Exception):
 class PrecoderSet:
     """Synthesized relay precoders plus the recomputed worst constraint violation.
 
-    per_block maps (relay, phase-2 slot, phase-1 slot) -> matrix. Null-space
-    precoders are unit norm per slot pair; aligning ones keep the scale the
-    constraints pin.
+    bank[t', k-1] is the relay bank of the pair (phase-2 slot t, phase-1 slot k),
+    t' = t - phase1_len - 1: a (phase-2 slots, phase-1 slots, sum M_l, sum M_l) array,
+    block-diagonal by ``columns`` (the config's relay_columns), relay l's block on
+    columns[l-1] x columns[l-1]. Null-space precoders are unit norm per slot pair;
+    aligning ones keep the scale the constraints pin.
     """
 
     scenario: str
-    mode: str = "per_block"  # the only layout
-    per_block: dict = field(default_factory=dict)
+    bank: np.ndarray = field(repr=False)
+    columns: tuple
+    mode: str = "per_block"
     residual: float = 0.0
+
+    # read-only keyed view block[(l, t, k)], kept only for perfbench/oracles.py (with mode);
+    # stpnc itself reads the bank
+    @property
+    def per_block(self):
+        return _KeyedView(self._block)
+
+    def _block(self, ell: int, t: int, k: int) -> np.ndarray:
+        c = self.columns[ell - 1]
+        block = self.bank[t - self.bank.shape[1] - 1, k - 1, c, c]
+        block.flags.writeable = False
+        return block
 
 
 def _targets(ch: ChannelSet, k: int, rows: tuple, rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
@@ -81,15 +100,20 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     have = ch.config.sum_antenna_sq
     if have < need:
         raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {have}")
-    p = PrecoderSet(sched.name)
-    targets = {k: _targets(ch, k, *rows) for k, rows in view.items()}
+    cfg = ch.config
+    width = sum(cfg.relay_antennas)
+    bank = np.zeros((sched.phase2_len, sched.phase1_len, width, width), dtype=complex)
     # row (j, i) is kron(h_up(l, i, k), h_dn(j, l, t)) for each relay l in turn: its entries
-    # pair every uplink antenna a of relay l with every downlink antenna b (stack columns)
-    up_col, dn_col = np.array([(a, b) for c in ch.config.relay_columns
-                               for a in range(c.start, c.stop) for b in range(c.start, c.stop)]).T
-    for t in sched.phase2_slots:
-        for k, (rows, rx, tx) in view.items():
-            a = ch.up[k - 1][np.ix_(tx, up_col)] * ch.dn[t - 1][np.ix_(rx, dn_col)]
+    # pair every uplink antenna a of relay l with every downlink antenna b (stack columns),
+    # and the entry for (a, b) is the bank's [b, a]: one assignment places a pair's blocks
+    owner = np.repeat(np.arange(len(cfg.relay_antennas)), cfg.relay_antennas)  # antenna -> relay
+    up_col, dn_col = np.nonzero(owner[:, None] == owner)
+    # a row's uplink half and its target depend on the phase-1 slot alone
+    up = {k: ch.up[k - 1][np.ix_(tx, up_col)] for k, (_, _, tx) in view.items()}
+    targets = {k: _targets(ch, k, *rows) for k, rows in view.items()}
+    for tp, t in enumerate(sched.phase2_slots):
+        for k, (_, rx, _) in view.items():
+            a = up[k] * ch.dn[t - 1][np.ix_(rx, dn_col)]
             if targets[k].any():
                 try:
                     f = solve_least_norm(a, targets[k])
@@ -102,10 +126,8 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
                 if basis.shape[1] == 0:
                     raise AntennaDeficit(f"constraints for slot pair ({t},{k}) leave no null space")
                 f = basis[:, 0]
-            pos = 0
-            for ell, m in enumerate(ch.config.relay_antennas, start=1):
-                p.per_block[(ell, t, k)] = unvec(f[pos:pos + m * m], m, m)
-                pos += m * m
+            bank[tp, k - 1, dn_col, up_col] = f
+    p = PrecoderSet(sched.name, bank, cfg.relay_columns)
     p.residual = verify_constraints(p, ch, sched)
     return p
 
@@ -134,14 +156,13 @@ def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule) -> float
     """Max absolute violation over the schedule's constraint rows, recomputed from raw channels.
 
     Independent of the Kronecker rows synthesis stacks: per slot pair, one direct
-    product sum_l DN(l,t) @ V_(l,t,k) @ UP(l,k) gives every (receiver, transmitter)
-    coefficient, read at the rows' positions.
+    product DN(t) @ B_(t,k) @ UP(k)^T of the downlink stack, the block-diagonal bank and
+    the uplink stack gives every (receiver, transmitter) coefficient, read at the rows'
+    positions. Equal to the per-relay sum while the bank is zero off its relay blocks.
     """
-    gaps = []
-    for k, (rows, rx, tx) in sched.constraint_rows.items():
-        want = _targets(ch, k, rows, rx, tx)
-        for t in sched.phase2_slots:
-            coeff = sum(ch.dn[t - 1][:, c] @ p.per_block[(ell, t, k)] @ ch.up[k - 1][:, c].T
-                        for ell, c in enumerate(ch.config.relay_columns, start=1))
-            gaps.append(coeff[rx, tx] - want)
-    return float(np.abs(np.concatenate(gaps)).max(initial=0.0))
+    n1 = sched.phase1_len
+    # (phase-2 slot, phase-1 slot, receiver, transmitter)
+    coeff = ch.dn[n1:sched.n_slots, None] @ p.bank @ ch.up[:n1].transpose(0, 2, 1)
+    gaps = [coeff[:, k - 1][:, rx, tx] - _targets(ch, k, rows, rx, tx)
+            for k, (rows, rx, tx) in sched.constraint_rows.items()]
+    return float(np.abs(np.concatenate(gaps, axis=None)).max(initial=0.0))

@@ -45,8 +45,9 @@ class Equation:
     """One stored linear observation: value = coeffs @ symbols (+ noise).
 
     coeffs runs over ``Schedule.symbols`` (column ``sched.column[sym]``): a
-    length-n row for a user, an M x n matrix for an M-antenna relay, whose
-    value is then a length-M vector.
+    length-n row for a user, a sum M_l x n matrix for the relay bank (relay l's
+    rows are its antenna columns ``relay_columns[l-1]``), whose value is then a
+    length-sum M_l vector.
     """
 
     slot: int
@@ -56,10 +57,10 @@ class Equation:
 
 @dataclass
 class EquationLedger:
-    """Per-node storage of everything heard: scalar equations for users, vectors for relays."""
+    """Per-node storage of everything heard: scalar equations for users, vectors for the relays."""
 
     users: dict = field(default_factory=lambda: defaultdict(list))  # user -> [Equation]
-    relays: dict = field(default_factory=dict)  # (relay, slot) -> Equation
+    relays: dict = field(default_factory=dict)  # phase-1 slot -> the relay bank's Equation
 
 
 def draw_symbols(sched: Schedule, seed: int) -> dict:
@@ -82,7 +83,8 @@ def _noise(rng, n, noise_var):
 
 def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
                noise_var: float = 0.0, seed: int = 0) -> EquationLedger:
-    """Execute the learning phase: every listening user and every relay stores its equation."""
+    """Execute the learning phase: every listening user stores its equation, and the relay
+    bank one sum M_l x n equation per slot (relay l's rows at its antenna columns)."""
     rng = np.random.default_rng(seed)
     s = _symbol_vector(sched, syms)
     ledger = EquationLedger()
@@ -95,62 +97,63 @@ def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
         rows[:, cols] = ch.gain[t - 1][np.ix_([k - 1 for k in dests], src)]
         for k, row, value in zip(dests, rows, rows @ s):
             ledger.users[k].append(Equation(t, row, complex(value + _noise(rng, 1, noise_var)[0])))
-        for ell, c in enumerate(ch.config.relay_columns, start=1):
-            a = np.zeros((c.stop - c.start, len(s)), dtype=complex)
-            a[:, cols] = ch.up[t - 1][src, c].T
-            ledger.relays[(ell, t)] = Equation(t, a, a @ s + _noise(rng, len(a), noise_var))
+        a = np.zeros((ch.up.shape[2], len(s)), dtype=complex)
+        a[:, cols] = ch.up[t - 1][src].T
+        noise = 0.0
+        if noise_var:  # one _noise call per relay, relay after relay: the stream's order
+            noise = np.concatenate([_noise(rng, m, noise_var) for m in ch.config.relay_antennas])
+        ledger.relays[t] = Equation(t, a, a @ s + noise)
     return ledger
 
 
 @dataclass
 class RelayTransmitPlan:
-    """Per (relay, phase-2 slot): realized transmit vector plus its design expansion.
+    """Per phase-2 slot: the relay bank's realized transmit vector plus its design expansion.
 
-    coeffs[(l, t)] is the M x n matrix sum_k V(l,t,k) @ A(l,k) that the relay
-    applies to the symbol vector by design, A(l,k) being the coefficients it
-    stored in phase-1 slot k; signals[(l, t)] is the transmit vector actually
-    formed from the stored receptions (they coincide in noiseless runs).
+    coeffs[t] is the sum M_l x n matrix sum_k B(t,k) @ A(k) that the bank applies
+    to the symbol vector by design, A(k) being the coefficients it stored in
+    phase-1 slot k; signals[t] is the transmit vector actually formed from the
+    stored receptions (they coincide in noiseless runs). Relay l's entries are
+    the rows ``relay_columns[l-1]``.
     """
 
     coeffs: dict = field(default_factory=dict)
     signals: dict = field(default_factory=dict)
 
 
-def relay_decode(ledger: EquationLedger, ell: int) -> np.ndarray:
-    """Zero-force the whole symbol vector from one relay's stacked equations."""
-    eqs = [eq for (r, _), eq in sorted(ledger.relays.items()) if r == ell]
-    h = np.vstack([eq.coeffs for eq in eqs])
+def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> np.ndarray:
+    """Zero-force the whole symbol vector from relay ell's own rows of the bank equations."""
+    eqs = [ledger.relays[k] for k in sorted(ledger.relays)]
+    h = np.vstack([eq.coeffs[rows] for eq in eqs])
     try:  # as in decode_user, the rank is recomputed only to report it
-        return zf_solve(h, np.concatenate([eq.value for eq in eqs]))
+        return zf_solve(h, np.concatenate([eq.value[rows] for eq in eqs]))
     except RankDeficient:
         raise RankDeficient(f"relay {ell}: effective rank {rank(h)} < {h.shape[1]} symbols") from None
 
 
 def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
                   mode: str = "linear_forward") -> RelayTransmitPlan:
-    """Turn stored receptions into phase-2 transmit signals through the block precoders.
+    """Turn stored receptions into phase-2 transmit signals through the relay bank.
 
-    linear_forward applies each block to the raw vector received in its
-    phase-1 slot. decode_forward first zero-forces every symbol from the
-    relay's own stacked equations and transmits the design coefficients
-    applied to them. Both modes expose identical design coefficients and
-    agree in noiseless runs.
+    Per phase-2 slot, the bank's product with each phase-1 slot's equation, summed in slot
+    order. linear_forward applies it to the raw vectors received. decode_forward first
+    zero-forces every symbol from each relay's own rows and transmits that relay's rows of
+    the design coefficients applied to them. Both modes expose identical design
+    coefficients and agree in noiseless runs.
     """
     if mode not in ("decode_forward", "linear_forward"):
         raise ValueError(f"unknown relay mode {mode!r}")
-    plan = RelayTransmitPlan()
-    n_relays = len({ell for (ell, _) in ledger.relays})
-    for ell in range(1, n_relays + 1):
-        if mode == "decode_forward":
-            decoded = relay_decode(ledger, ell)
-        for t in sched.phase2_slots:
-            blocks = [(p.per_block[(ell, t, k)], ledger.relays[(ell, k)]) for k in sched.phase1_slots]
-            plan.coeffs[(ell, t)] = coeffs = sum(v @ eq.coeffs for v, eq in blocks)
-            if mode == "decode_forward":
-                plan.signals[(ell, t)] = coeffs @ decoded
-            else:
-                plan.signals[(ell, t)] = sum(v @ eq.value for v, eq in blocks)
-    return plan
+    eqs = [ledger.relays[k] for k in sched.phase1_slots]
+    coeffs = (p.bank @ np.array([eq.coeffs for eq in eqs])).sum(axis=1)  # (phase-2 slots, sum M_l, n)
+    if mode == "decode_forward":
+        signals = np.empty(coeffs.shape[:2], dtype=complex)
+        for ell, c in enumerate(p.columns, start=1):
+            signals[:, c] = coeffs[:, c] @ relay_decode(ledger, ell, c)
+    else:
+        received = np.array([eq.value for eq in eqs])[..., None]  # (phase-1 slots, sum M_l, 1)
+        signals = (p.bank @ received).sum(axis=1)[..., 0]
+    slots = sched.phase2_slots
+    return RelayTransmitPlan(dict(zip(slots, coeffs)), dict(zip(slots, signals)))
 
 
 def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
@@ -160,12 +163,10 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
     if ledger is None:
         ledger = EquationLedger()
     rng = np.random.default_rng(seed)
-    relays = tuple(enumerate(ch.config.relay_columns, start=1))
     for t in sched.phase2_slots:
         dests = sorted(sched.slot(t).destinations)
         dn = ch.dn[t - 1][[j - 1 for j in dests]]  # (users, sum M_l): one row per destination
-        rows = sum(dn[:, c] @ plan.coeffs[(ell, t)] for ell, c in relays)
-        values = sum(dn[:, c] @ plan.signals[(ell, t)] for ell, c in relays)
+        rows, values = dn @ plan.coeffs[t], dn @ plan.signals[t]
         for j, row, value in zip(dests, rows, values):  # noise per user, in user order
             ledger.users[j].append(Equation(t, row, complex(value + _noise(rng, 1, noise_var)[0])))
     return ledger

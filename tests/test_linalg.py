@@ -8,7 +8,6 @@ from stpnc.linalg import (
     null_space,
     rank,
     solve_least_norm,
-    unvec,
     vec,
     zf_solve,
 )
@@ -47,12 +46,6 @@ def test_vec_definition():
 def test_vec_of_column_is_itself():
     col = np.array([[1.0 + 2j], [3.0]])
     assert np.array_equal(vec(col), col)
-
-
-def test_unvec_inverts_vec():
-    rng = np.random.default_rng(1)
-    m = crandn(rng, 3, 4)
-    assert np.array_equal(unvec(vec(m), 3, 4), m)
 
 
 def test_vec_kron_multiply_out_oracle():

@@ -108,11 +108,15 @@ def test_oracle_coefficients_follow_the_rule(perfbench, sched, design, antennas)
     ("twxc", NetworkConfig(4, (2,))),
     ("case1", NetworkConfig(4, (1, 1, 1, 2))),
     ("case2", NetworkConfig(5, (2, 2, 1))),
-], ids=["twic", "twxc", "case1", "case2"])
+    ("case1", NetworkConfig(6, (1,) * 21)),
+    ("case2", NetworkConfig(6, (1,) * 16)),
+], ids=["twic", "twxc", "case1", "case2", "case1-21x1", "case2-16x1"])
 @pytest.mark.parametrize("seed", [3, 12345])
 def test_oracle_accepts_runs_through_the_keyed_views(perfbench, scenario, cfg, seed):
     # the verify oracle reads the channel through ChannelSet's keyed views user_user,
-    # user_relay and relay_user; a view reading the wrong link fails a correct run
+    # user_relay and relay_user, and the precoders through PrecoderSet.per_block; a view
+    # reading the wrong link or block fails a correct run; the many-relay sets are the
+    # verify-many-relays workload's shapes
     oracles, _ = perfbench
     trial = cli._report_json(run_end_to_end(scenario, cfg, seed), 0)
     assert oracles.check_verify_seed(scenario, cfg, seed, trial) == []

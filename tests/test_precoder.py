@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stpnc import precoder
+from stpnc import precoder, protocol
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import (
     AntennaDeficit,
@@ -40,6 +40,14 @@ def coefficient(ch, p, j, i, t, k):
         ch.dn[t - 1, j - 1, c] @ p.per_block[(ell, t, k)] @ ch.up[k - 1, i - 1, c]
         for ell, c in enumerate(ch.config.relay_columns, start=1)
     )
+
+
+def block_mask(cfg):
+    """True on the relays' diagonal blocks of a bank slice, False off them."""
+    mask = np.zeros((sum(cfg.relay_antennas),) * 2, dtype=bool)
+    for c in cfg.relay_columns:
+        mask[c, c] = True
+    return mask
 
 
 def solver_inputs(sched, ch, monkeypatch):
@@ -122,8 +130,7 @@ def test_twxc_all_sixteen_constraints():
 def test_verify_constraints_zero_precoders_equals_max_target():
     ch = twxc_channels(3)
     p = design_twxc(ch)
-    for key in p.per_block:
-        p.per_block[key] = np.zeros((2, 2), dtype=complex)
+    p.bank[:] = 0
     sched = schedule_twxc()
     expected = max(
         abs(ch.gain[sched.slot_of(sym) - 1, partner - 1, sym.src - 1])
@@ -137,8 +144,7 @@ def test_verify_constraints_detects_perturbation():
     ch = twic_channels(4)
     p = design_twic(ch)
     rng = np.random.default_rng(0)
-    key = (1, 3, 1)
-    p.per_block[key] = p.per_block[key] + 1e-3 * rng.standard_normal((2, 2))
+    p.bank[0, 0] += 1e-3 * rng.standard_normal((2, 2))  # relay 1's block of slot pair (3, 1)
     assert verify_constraints(p, ch, schedule_twic()) > 1e-5
 
 
@@ -230,8 +236,8 @@ def test_verify_constraints_is_the_brute_force_maximum(sched, antennas):
     assert abs(verify_constraints(p, ch, sched) - brute_force_residual(p, ch, sched)) <= 1e-12
     # off the solution as well, where the residual is of order one
     rng = np.random.default_rng(5)
-    for key, v in p.per_block.items():
-        p.per_block[key] = v + 0.1 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+    shape = p.bank.shape
+    p.bank += 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * block_mask(ch.config)
     got, want = verify_constraints(p, ch, sched), brute_force_residual(p, ch, sched)
     assert want > 1e-3
     assert abs(got - want) <= 1e-12 * want
@@ -242,16 +248,47 @@ def test_verify_constraints_sees_one_single_antenna_block():
     ch = draw_channels(NetworkConfig(6, (1,) * 21), sched.n_slots, 3)
     p = design(sched, ch)
     assert p.residual < 1e-12
-    p.per_block[(21, 7, 1)] = p.per_block[(21, 7, 1)] + 1e-6
+    p.bank[0, 0, 20, 20] += 1e-6  # relay 21's 1x1 block of slot pair (7, 1)
     assert verify_constraints(p, ch, sched) >= 1e-7
+
+
+@pytest.mark.parametrize("scenario,cfg", [
+    ("twic", NetworkConfig(4, (2,))),
+    ("twxc", NetworkConfig(4, (2,))),
+    ("case1", NetworkConfig(4, (1, 1, 1, 2))),
+    ("case1", NetworkConfig(5, (2, 2, 2, 1, 1, 1, 1))),
+    ("case1", NetworkConfig(6, (1,) * 21)),
+    ("case2", NetworkConfig(5, (2, 2, 1))),
+    ("case2", NetworkConfig(6, (1,) * 16)),
+], ids=["twic", "twxc", "case1-1112", "case1-2221111", "case1-21x1", "case2-221", "case2-16x1"])
+def test_bank_is_zero_outside_the_relay_blocks(scenario, cfg):
+    # the product form of verify_constraints and of the relay processing is the per-relay
+    # physics only while no relay combines another relay's receptions
+    entry = protocol.SCENARIOS[scenario]
+    sched = protocol.scenario_schedule(scenario, cfg.K)
+    ch = draw_channels(cfg, sched.n_slots, 17)
+    p = entry.design(ch, cfg.K)
+    width = sum(cfg.relay_antennas)
+    assert p.bank.shape == (sched.phase2_len, sched.phase1_len, width, width)
+    assert p.columns == cfg.relay_columns
+    mask = block_mask(cfg)
+    assert np.all(p.bank[..., ~mask] == 0)
+    # the per-relay view reads the blocks on the diagonal, read-only
+    for ell, c in enumerate(cfg.relay_columns, start=1):
+        for tp, t in enumerate(sched.phase2_slots):
+            for k in sched.phase1_slots:
+                block = p.per_block[(ell, t, k)]
+                assert np.array_equal(block, p.bank[tp, k - 1, c, c])
+                with pytest.raises(ValueError):
+                    block[...] = 0
+    assert np.abs(p.bank[..., mask]).max() > 0
 
 
 def test_entry_points_equal_schedule_design():
     ch = draw_channels(NetworkConfig(5, (3,)), 7, 4)
     a, b = design_case2(ch, 5), design(schedule_case2(5), ch)
-    assert a.per_block.keys() == b.per_block.keys()
-    for key in a.per_block:
-        assert np.array_equal(a.per_block[key], b.per_block[key])
+    assert a.columns == b.columns
+    assert np.array_equal(a.bank, b.bank)
     assert a.residual == b.residual
 
 
@@ -260,8 +297,7 @@ def test_case1_synthesis_feasible(k1, antennas):
     ch = draw_channels(NetworkConfig(k1, antennas), 2 * k1 - 2, 5)
     p = design_case1(ch, k1)
     assert p.residual < 1e-10
-    for f_key in p.per_block:
-        assert np.all(np.isfinite(p.per_block[f_key]))
+    assert np.all(np.isfinite(p.bank))
     # stacked vector per (t, k) is unit norm
     sched = schedule_case1(k1)
     for t in sched.phase2_slots:
@@ -347,9 +383,7 @@ def test_case2_alignment_targets():
 def test_synthesis_is_deterministic():
     ch = twxc_channels(9)
     a, b = design_twxc(ch), design_twxc(ch)
-    for key in a.per_block:
-        assert np.array_equal(a.per_block[key], b.per_block[key])
+    assert np.array_equal(a.bank, b.bank)
     ch1 = draw_channels(NetworkConfig(4, (3,)), 6, 9)
     c1, c2 = design_case1(ch1, 4), design_case1(ch1, 4)
-    for key in c1.per_block:
-        assert np.array_equal(c1.per_block[key], c2.per_block[key])
+    assert np.array_equal(c1.bank, c2.bank)

@@ -64,7 +64,7 @@ def test_phase1_user_equation_coefficients():
 def test_phase1_relay_gets_four_scalar_equations():
     _, sched, ch, syms = twic_setup(1)
     ledger = run_phase1(sched, ch, syms)
-    eqs = [eq for (ell, _), eq in ledger.relays.items() if ell == 1]
+    eqs = list(ledger.relays.values())  # the one relay's equations
     # two slots, one scalar equation per antenna in each
     assert sum(eq.value.shape[0] for eq in eqs) == 4
     covered = set()
@@ -81,7 +81,7 @@ def test_phase1_relay_gets_four_scalar_equations():
 def test_relay_decodes_all_symbols_noiselessly():
     _, sched, ch, syms = twic_setup(2)
     ledger = run_phase1(sched, ch, syms)
-    decoded = relay_decode(ledger, 1)
+    decoded = relay_decode(ledger, 1, ch.config.relay_columns[0])
     assert decoded.shape == (len(sched.symbols),)
     for sym in sched.symbols:
         assert abs(decoded[sched.column[sym]] - syms[sym]) < 1e-9
@@ -95,24 +95,25 @@ def test_relay_decode_rank_deficient_for_single_antenna_relay():
     ledger = run_phase1(sched, ch, syms)
     # one antenna over four slots gives four equations in twelve symbols
     with pytest.raises(RankDeficient, match=r"^relay 1: effective rank 4 < 12 symbols$"):
-        relay_decode(ledger, 1)
+        relay_decode(ledger, 1, cfg.relay_columns[0])
 
 
 def test_linear_forward_matches_brute_force():
-    cfg = NetworkConfig(3, (2,))
-    sched = schedule_case1(3)
-    ch = draw_channels(cfg, sched.n_slots, 5)
-    syms = draw_symbols(sched, 6)
-    from stpnc.precoder import design_case1
-
-    p = design_case1(ch, 3)
-    ledger = run_phase1(sched, ch, syms)
-    plan = relay_process(ledger, p, sched, "linear_forward")
-    for t in sched.phase2_slots:
-        expect = sum(
-            p.per_block[(1, t, k)] @ ledger.relays[(1, k)].value for k in sched.phase1_slots
-        )
-        assert np.linalg.norm(plan.signals[(1, t)] - expect) < 1e-12
+    # per relay, in slot order: each block applied to that relay's own reception
+    for sched, cfg in [(schedule_case1(3), NetworkConfig(3, (2,))),
+                       (schedule_case2(5), NetworkConfig(5, (2, 3, 1)))]:
+        ch = draw_channels(cfg, sched.n_slots, 5)
+        syms = draw_symbols(sched, 6)
+        p = precoder.design(sched, ch)
+        ledger = run_phase1(sched, ch, syms)
+        plan = relay_process(ledger, p, sched, "linear_forward")
+        for ell, c in enumerate(cfg.relay_columns, start=1):
+            for t in sched.phase2_slots:
+                blocks = [(p.per_block[(ell, t, k)], ledger.relays[k]) for k in sched.phase1_slots]
+                expect = sum(v @ eq.value[c] for v, eq in blocks)
+                assert np.linalg.norm(plan.signals[t][c] - expect) < 1e-12
+                expect = sum(v @ eq.coeffs[c] for v, eq in blocks)
+                assert np.abs(plan.coeffs[t][c] - expect).max() < 1e-12
 
 
 def test_zero_symbols_give_zero_transmit_plan():
@@ -266,8 +267,7 @@ def test_alignment_error_checks_every_pure_slot():
 def test_zero_precoders_give_zero_received_values():
     _, sched, ch, syms = twic_setup(10)
     p = design_twic(ch)
-    for key in p.per_block:
-        p.per_block[key] = np.zeros((2, 2), dtype=complex)
+    p.bank[:] = 0
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
@@ -348,6 +348,7 @@ def test_relay_modes_agree_noiselessly():
         ("twxc", NetworkConfig(4, (2,))),
         ("case1", NetworkConfig(3, (2,))),
         ("case2", NetworkConfig(4, (2,))),
+        ("case1", NetworkConfig(4, (3, 3))),  # each relay decodes from its own rows
     ]:
         a = run_end_to_end(scenario, cfg, 14, relay_mode="decode_forward")
         b = run_end_to_end(scenario, cfg, 14, relay_mode="linear_forward")
@@ -380,6 +381,32 @@ def test_ledger_linearity_reflects_noise_level():
     noisy = run_phase1(sched, ch, syms, noise_var=1e-4, seed=1)
     err = ledger_linearity_error(noisy, sched, syms)
     assert 1e-4 < err < 1e-1
+
+
+def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
+    # phase 1 draws, per slot, one _noise(rng, 1) call per listening user in user order,
+    # then one _noise(rng, M_l) call per relay l = 1..L (M_l real parts, then M_l
+    # imaginary ones); the relay bank's noise vector must keep that stream bit for bit
+    cfg = NetworkConfig(5, (2, 3, 1), noise_var=1e-3)
+    sched = schedule_case2(5)
+    ch = draw_channels(cfg, sched.n_slots, 31)
+    syms = draw_symbols(sched, 32)
+    ledger = run_phase1(sched, ch, syms, cfg.noise_var, seed=33)
+    s = np.array([syms[sym] for sym in sched.symbols])
+    rng = np.random.default_rng(33)
+    scale = np.sqrt(cfg.noise_var / 2.0)
+
+    def noise(n):
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    for t in sched.phase1_slots:
+        for k in sorted(sched.slot(t).destinations):
+            eq = next(e for e in ledger.users[k] if e.slot == t)
+            assert abs(eq.value - (eq.coeffs @ s + noise(1)[0])) < 1e-14
+        eq = ledger.relays[t]
+        expect = np.concatenate([noise(m) for m in cfg.relay_antennas])
+        assert np.array_equal(eq.value, eq.coeffs @ s + expect)
+        assert np.abs(expect).min() > 0
 
 
 def test_verify_scenario_summary():
@@ -452,7 +479,7 @@ def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
     def faulty(ledger, p, sched, *args, **kwargs):
         plan = real(ledger, p, sched, *args, **kwargs)
         # after the relays used it: only the stored equation is now wrong
-        eq = ledger.relays[(1, 1)]
+        eq = ledger.relays[1]  # row 0: relay 1's first antenna
         eq.coeffs[0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
         return plan
 

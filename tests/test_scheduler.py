@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stpnc.channel import NetworkConfig, draw_channels
@@ -104,9 +105,15 @@ def test_every_relay_stores_every_phase1_slot(build):
     cfg = NetworkConfig(len(s.users), (2, 1))
     ch = draw_channels(cfg, s.n_slots, 3)
     ledger = run_phase1(s, ch, draw_symbols(s, 4))
-    assert set(ledger.relays) == {(ell, t) for ell in (1, 2) for t in s.phase1_slots}
-    for (ell, t), eq in ledger.relays.items():
-        assert eq.slot == t and eq.coeffs.shape == (cfg.relay_antennas[ell - 1], len(s.symbols))
+    # one equation of the whole relay bank per slot: relay l's rows are its antenna columns
+    assert set(ledger.relays) == set(s.phase1_slots)
+    for t, eq in ledger.relays.items():
+        assert eq.slot == t and eq.coeffs.shape == (3, len(s.symbols))
+        src = [sym.src - 1 for sym in s.slot(t).sends.values()]
+        for c in cfg.relay_columns:
+            assert np.array_equal(eq.coeffs[c][:, s.slot_columns[t]], ch.up[t - 1][src, c].T)
+        others = np.setdiff1d(np.arange(len(s.symbols)), s.slot_columns[t])
+        assert not eq.coeffs[:, others].any()
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
