@@ -1,10 +1,9 @@
 """Dense complex linear-algebra kernels used by the precoder, protocol and rate code.
 
-Everything operates on 2-D complex numpy arrays. All routines are
-deterministic: in particular the null-space basis is ordered by ascending
-singular value and each basis vector's phase is fixed so its first
-significant entry is real and positive, which makes downstream precoders
-reproducible across runs.
+Everything operates on 2-D complex numpy arrays, deterministically. The
+precoders use only ``solve_least_norm``. ``null_space`` (ascending singular
+values, each column's first significant entry real positive) stays as a test
+oracle and a benchmark binding.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, _KeyedView
-from .linalg import InconsistentSystem, null_space, solve_least_norm
+from .linalg import InconsistentSystem, solve_least_norm
+from .linalg import null_space  # noqa: F401  (unused; perfbench/spans.py wraps precoder.null_space)
 from .scheduler import (
     Schedule,
     schedule_case1,
@@ -53,8 +54,8 @@ class PrecoderSet:
     bank[t', k-1] is the relay bank of the pair (phase-2 slot t, phase-1 slot k),
     t' = t - phase1_len - 1: a (phase-2 slots, phase-1 slots, sum M_l, sum M_l) array,
     block-diagonal by ``columns`` (the config's relay_columns), relay l's block on
-    columns[l-1] x columns[l-1]. Null-space precoders are unit norm per slot pair;
-    aligning ones keep the scale the constraints pin.
+    columns[l-1] x columns[l-1]. Each pair's operator is the constrained point nearest to
+    amplify-and-forward (see ``design``), scaled to unit norm where no target pins the scale.
     """
 
     scenario: str
@@ -84,18 +85,18 @@ def _targets(ch: ChannelSet, k: int, rows: tuple, rx: np.ndarray, tx: np.ndarray
 def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     """Block precoders meeting every constraint the schedule's D/SI/OI/N rule derives.
 
-    Per (phase-2 slot, phase-1 slot) pair the stacked vec'd precoder is the
-    first null-space vector of the constraint rows when every target is
-    zero, and the minimum-norm solution otherwise; both keep the precoders
-    deterministic and bounded. A schedule that fixes its relay set
-    (``Schedule.relays``) rejects any other before that.
+    One rule per (phase-2 slot, phase-1 slot) pair, from one least-norm solve: with A the
+    pair's rows, b their targets and g the stacked vec(I) blocks (amplify-and-forward),
+    f = g - A^+ (A g - b), the constrained point nearest to g, whatever basis the solver
+    uses; a pair without targets is then scaled to unit norm. A schedule that fixes its
+    relay set (``Schedule.relays``) rejects any other before that.
     """
     if sched.relays not in (None, ch.config.relay_antennas):
         (m,) = sched.relays  # the built-in fixed sets are one relay
         raise AntennaDeficit(f"{sched.name} needs a single relay with {m} antennas")
     view = sched.constraint_rows
     # checked before any decomposition: a slot pair's stacked precoder has sum M_l^2 unknowns;
-    # homogeneous rows need one more than their count for a nonzero null-space vector
+    # homogeneous rows need one more than their count for a nonzero solution
     need = max(len(rows) + (not any(aligned for *_, aligned in rows)) for rows, _, _ in view.values())
     have = ch.config.sum_antenna_sq
     if have < need:
@@ -108,25 +109,22 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     # and the entry for (a, b) is the bank's [b, a]: one assignment places a pair's blocks
     owner = np.repeat(np.arange(len(cfg.relay_antennas)), cfg.relay_antennas)  # antenna -> relay
     up_col, dn_col = np.nonzero(owner[:, None] == owner)
+    g = (up_col == dn_col).astype(complex)  # vec(I) per relay: amplify-and-forward
     # a row's uplink half and its target depend on the phase-1 slot alone
     up = {k: ch.up[k - 1][np.ix_(tx, up_col)] for k, (_, _, tx) in view.items()}
     targets = {k: _targets(ch, k, *rows) for k, rows in view.items()}
     for tp, t in enumerate(sched.phase2_slots):
+        dn = ch.dn[t - 1][:, dn_col]
         for k, (_, rx, _) in view.items():
-            a = up[k] * ch.dn[t - 1][np.ix_(rx, dn_col)]
-            if targets[k].any():
-                try:
-                    f = solve_least_norm(a, targets[k])
-                except InconsistentSystem as exc:
-                    raise AntennaDeficit(
-                        f"alignment constraints for slot pair ({t},{k}) are infeasible"
-                    ) from exc
-            else:
-                basis = null_space(a)
-                if basis.shape[1] == 0:
-                    raise AntennaDeficit(f"constraints for slot pair ({t},{k}) leave no null space")
-                f = basis[:, 0]
-            bank[tp, k - 1, dn_col, up_col] = f
+            a = up[k] * dn[rx]
+            b = targets[k]
+            try:
+                f = g - solve_least_norm(a, a @ g - b)
+            except InconsistentSystem as exc:
+                raise AntennaDeficit(
+                    f"alignment constraints for slot pair ({t},{k}) are infeasible"
+                ) from exc
+            bank[tp, k - 1, dn_col, up_col] = f if b.any() else f / np.linalg.norm(f)
     p = PrecoderSet(sched.name, bank, cfg.relay_columns)
     p.residual = verify_constraints(p, ch, sched)
     return p

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -148,6 +149,19 @@ def test_decode_forward_on_single_antenna_relays_names_the_relay(tmp_path, capsy
     assert code == cli.EXIT_INFEASIBLE
     # six phase-1 slots give the one-antenna relay six equations in thirty symbols
     assert capsys.readouterr().err == "infeasible: relay 1: effective rank 6 < 30 symbols\n"
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["case1", "--k1", "5", "--relays", "3,2"], r"^infeasible: user 1: effective rank \d+ < 4 unknowns$"),
+    (["case2", "--k2", "7", "--relays", "4,3"],
+     r"^infeasible: alignment constraints for slot pair \(8,1\) are infeasible\n\Z"),
+], ids=["case1-5-32", "case2-7-43"])
+def test_refuted_relay_sets_exit_three_with_their_reason(tmp_path, capsys, flags, reason):
+    # both sets meet the antenna need and count as feasible in sum_dof, yet fail structurally
+    code = run(["verify", "--scenario", *flags, "--seeds", "3", "--output", str(tmp_path / "v.json")])
+    assert code == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert re.search(reason, err), err
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stpnc import precoder, protocol
+from stpnc import linalg, precoder, protocol
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import (
     AntennaDeficit,
@@ -241,6 +241,39 @@ def test_verify_constraints_is_the_brute_force_maximum(sched, antennas):
     got, want = verify_constraints(p, ch, sched), brute_force_residual(p, ch, sched)
     assert want > 1e-3
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("sched,antennas", [
+    (schedule_twic(), (2,)),
+    (schedule_twxc(), (2,)),
+    (schedule_case1(4), (1, 1, 1, 2)),
+    (schedule_case1(6), (1,) * 21),
+    (schedule_case2(5), (2, 2, 1)),
+    (schedule_case2(5), (2, 2, 2)),
+], ids=["twic", "twxc", "case1-1112", "case1-21x1", "case2-221", "case2-222"])
+def test_each_pair_is_the_constrained_point_nearest_to_amplify_and_forward(sched, antennas):
+    # oracle: N, an orthonormal basis of the null space of the pair's Kronecker rows A.
+    # The point of {A f = b} nearest to g differs from g by a row-space vector, so
+    # N^H (f - g) = 0; with b = 0 it is the projection N N^H g, here scaled to unit norm
+    cfg = NetworkConfig(len(sched.users), antennas)
+    ch = draw_channels(cfg, sched.n_slots, 13)
+    p = design(sched, ch)
+    cols = cfg.relay_columns
+    g = np.concatenate([np.eye(m).reshape(-1, order="F") for m in antennas])  # vec(I) per relay
+    for tp, t in enumerate(sched.phase2_slots):
+        for k in sched.phase1_slots:
+            rows = sched.constraint_rows[k][0]
+            a = np.array([np.concatenate([np.kron(ch.up[k - 1, i - 1, c], ch.dn[t - 1, j - 1, c])
+                                          for c in cols]) for j, i, _ in rows])
+            b = np.array([ch.gain[k - 1, j - 1, i - 1] if aligned else 0 for j, i, aligned in rows])
+            f = np.concatenate([p.bank[tp, k - 1, c, c].reshape(-1, order="F") for c in cols])
+            n = linalg.null_space(a)
+            if b.any():
+                assert np.linalg.norm(a @ f - b) <= 1e-9
+                assert np.linalg.norm(n.conj().T @ (f - g)) <= 1e-9
+            else:
+                want = n @ (n.conj().T @ g)
+                assert np.linalg.norm(f - want / np.linalg.norm(want)) <= 1e-9
 
 
 def test_verify_constraints_sees_one_single_antenna_block():
