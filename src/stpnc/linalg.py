@@ -1,18 +1,28 @@
 """Dense complex linear-algebra kernels used by the precoder, protocol and rate code.
 
-Everything operates on 2-D complex numpy arrays, deterministically. The
-precoders use only ``solve_least_norm``. ``null_space`` (ascending singular
-values, each column's first significant entry real positive) stays as a test
-oracle and a benchmark binding.
+Everything operates on complex numpy arrays, deterministically; ``solve_least_norm``
+also takes a stack of systems of one shape, (..., r, n), and solves them all from one
+batched QR. The precoders use only ``solve_least_norm``; decoding uses ``zf_solve``,
+one SVD per system. ``null_space`` (ascending singular values, each column's first
+significant entry real positive) stays as a test oracle and a benchmark binding.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
 class InconsistentSystem(Exception):
-    """The linear constraints admit no solution within tolerance."""
+    """The linear constraints admit no solution within tolerance.
+
+    ``index`` is the failing system's position in the stack (``()`` for a single system).
+    """
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class RankDeficient(Exception):
@@ -21,7 +31,7 @@ class RankDeficient(Exception):
 
 # Singular values at or below REL_EPS * s_max * max(shape) count as zero.
 REL_EPS = 1e-10
-# A least-norm solve is consistent when its residual is at most ABS_EPS * (1 + ||b||).
+# A least-norm solve is consistent when its residual is at most ABS_EPS * (1 + ||a x0 - b||).
 ABS_EPS = 1e-10
 
 # Entries below this magnitude never count as the anchor for the phase fix;
@@ -30,7 +40,7 @@ _PHASE_ANCHOR_EPS = 1e-12
 
 
 def as_cmatrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex array, rejecting NaN/Inf entries."""
+    """Coerce input to a complex array of at least 2-D, rejecting NaN/Inf entries."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -47,17 +57,18 @@ def vec(m) -> np.ndarray:
     return as_cmatrix(m).reshape(-1, 1, order="F")
 
 
-def _sv_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
+def _kept(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """How many of the descending singular values s lie above the relative cutoff."""
     if s.size == 0:
-        return 0.0
-    return REL_EPS * s[0] * max(shape)
+        return 0
+    return int(np.count_nonzero(s > REL_EPS * s[0] * max(shape)))
 
 
 def rank(a) -> int:
     """Number of singular values above the relative cutoff."""
     m = as_cmatrix(a)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _sv_cutoff(s, m.shape)))
+    return _kept(s, m.shape)
 
 
 def null_space(a) -> np.ndarray:
@@ -69,7 +80,7 @@ def null_space(a) -> np.ndarray:
     """
     m = as_cmatrix(a)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(s > _sv_cutoff(s, m.shape)))
+    r = _kept(s, m.shape)
     basis = vh[r:][::-1].conj().T  # smallest singular direction first
     for j in range(basis.shape[1]):
         col = basis[:, j]
@@ -78,35 +89,70 @@ def null_space(a) -> np.ndarray:
     return basis
 
 
-def solve_least_norm(a, b) -> np.ndarray:
-    """Minimum-norm x with a @ x = b, checked post-hoc by residual.
+def solve_least_norm(a, b, x0=None) -> np.ndarray:
+    """The x with a @ x = b nearest to x0 (minimum norm when x0 is omitted), per system.
 
-    Raises InconsistentSystem when no solution exists within
-    ABS_EPS * (1 + ||b||); that signals infeasible precoder constraints.
-    The result matches the dimensionality of b (vector in, vector out).
+    a is (..., r, n) and b (..., r): one system per leading index, all solved from one
+    batched complete QR a^H = [Q1 N] R as x = N N^H x0 + Q1 R^-H b. The R^-H solve is
+    skipped where b is zero, so a homogeneous system returns the projection of x0 onto a
+    null space even when a is rank deficient. With r > n only the leading n equations are
+    solved. Each system is then judged by its residual, ||a x - b|| <= ABS_EPS *
+    (1 + ||a x0 - b||); the first system (in C order) that fails it, is singular or comes
+    out non-finite raises InconsistentSystem with its index. That signals infeasible
+    precoder constraints, and it is the only check: QR does not reveal rank.
     """
     m = as_cmatrix(a)
-    rhs = np.asarray(b, dtype=complex)
-    rhs_col = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
-    x, *_ = np.linalg.lstsq(m, rhs_col, rcond=None)
-    resid = np.linalg.norm(m @ x - rhs_col)
-    if resid > ABS_EPS * (1.0 + np.linalg.norm(rhs_col)):
-        raise InconsistentSystem(f"residual {resid:.3e} exceeds tolerance")
-    return x.reshape(-1) if rhs.ndim == 1 else x
+    batch, (r, n) = m.shape[:-2], m.shape[-2:]
+    size = math.prod(batch)
+    m = m.reshape(size, r, n)
+    rhs = np.asarray(b, dtype=complex).reshape(size, r)
+    lead = min(r, n)
+    q, rr = np.linalg.qr(m[:, :lead].conj().transpose(0, 2, 1), mode="complete")
+    if x0 is None:
+        x, base = np.zeros((size, n), dtype=complex), rhs
+    else:
+        start = np.broadcast_to(np.asarray(x0, dtype=complex), (size, n))
+        null = q[:, :, lead:]
+        x = (null @ (null.conj().transpose(0, 2, 1) @ start[:, :, None]))[:, :, 0]
+        base = (m @ start[:, :, None])[:, :, 0] - rhs
+    active = np.flatnonzero(rhs.any(axis=1))
+    if active.size:
+        lower = rr[active, :lead].conj().transpose(0, 2, 1)  # R1^H, lower triangular
+        try:
+            y = np.linalg.solve(lower, rhs[active, :lead, None])
+        except np.linalg.LinAlgError:  # find the singular members; the gate names the first
+            y = np.full((active.size, lead, 1), np.nan, dtype=complex)
+            for j, one in enumerate(lower):
+                try:
+                    y[j] = np.linalg.solve(one, rhs[active[j], :lead, None])
+                except np.linalg.LinAlgError:
+                    pass
+        x[active] += (q[active, :, :lead] @ y)[:, :, 0]
+    resid = np.linalg.norm((m @ x[:, :, None])[:, :, 0] - rhs, axis=1)
+    ok = resid <= ABS_EPS * (1.0 + np.linalg.norm(base, axis=1))  # False on NaN
+    if not ok.all():
+        first = int(np.flatnonzero(~ok)[0])
+        index = tuple(int(i) for i in np.unravel_index(first, batch))
+        raise InconsistentSystem(
+            f"system {index}: residual {resid[first]:.3e} exceeds tolerance", index
+        )
+    return x.reshape(batch + (n,))
 
 
 def zf_solve(h, y) -> np.ndarray:
     """Zero-forcing decode: least-squares solution of h @ s = y.
 
     Requires h to have full column rank; raises RankDeficient otherwise,
-    which signals an undecodable configuration.
+    which signals an undecodable configuration. One SVD gives both the rank
+    check and the solution.
     """
     m = as_cmatrix(h)
-    if rank(m) < m.shape[1]:
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    if _kept(s, m.shape) < m.shape[1]:
         raise RankDeficient(
             f"matrix rank below column count {m.shape[1]}; cannot zero-force"
         )
     rhs = np.asarray(y, dtype=complex)
     rhs_col = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
-    s, *_ = np.linalg.lstsq(m, rhs_col, rcond=None)
-    return s.reshape(-1) if rhs.ndim == 1 else s
+    sol = vh.conj().T @ ((u.conj().T @ rhs_col) / s[:, None])
+    return sol.reshape(-1) if rhs.ndim == 1 else sol

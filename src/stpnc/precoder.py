@@ -85,11 +85,12 @@ def _targets(ch: ChannelSet, k: int, rows: tuple, rx: np.ndarray, tx: np.ndarray
 def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     """Block precoders meeting every constraint the schedule's D/SI/OI/N rule derives.
 
-    One rule per (phase-2 slot, phase-1 slot) pair, from one least-norm solve: with A the
-    pair's rows, b their targets and g the stacked vec(I) blocks (amplify-and-forward),
-    f = g - A^+ (A g - b), the constrained point nearest to g, whatever basis the solver
-    uses; a pair without targets is then scaled to unit norm. A schedule that fixes its
-    relay set (``Schedule.relays``) rejects any other before that.
+    One rule per (phase-2 slot, phase-1 slot) pair: with A the pair's rows, b their targets
+    and g the stacked vec(I) blocks (amplify-and-forward), f is the point of {A f = b}
+    nearest to g, whatever basis the solver uses; a pair without targets is then scaled to
+    unit norm. The pairs whose phase-1 slots have the same row count are solved as one
+    stack, one ``solve_least_norm`` call; every built-in schedule has a single row count.
+    A schedule that fixes its relay set (``Schedule.relays``) rejects any other before that.
     """
     if sched.relays not in (None, ch.config.relay_antennas):
         (m,) = sched.relays  # the built-in fixed sets are one relay
@@ -110,21 +111,27 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     owner = np.repeat(np.arange(len(cfg.relay_antennas)), cfg.relay_antennas)  # antenna -> relay
     up_col, dn_col = np.nonzero(owner[:, None] == owner)
     g = (up_col == dn_col).astype(complex)  # vec(I) per relay: amplify-and-forward
-    # a row's uplink half and its target depend on the phase-1 slot alone
-    up = {k: ch.up[k - 1][np.ix_(tx, up_col)] for k, (_, _, tx) in view.items()}
-    targets = {k: _targets(ch, k, *rows) for k, rows in view.items()}
-    for tp, t in enumerate(sched.phase2_slots):
-        dn = ch.dn[t - 1][:, dn_col]
-        for k, (_, rx, _) in view.items():
-            a = up[k] * dn[rx]
-            b = targets[k]
-            try:
-                f = g - solve_least_norm(a, a @ g - b)
-            except InconsistentSystem as exc:
-                raise AntennaDeficit(
-                    f"alignment constraints for slot pair ({t},{k}) are infeasible"
-                ) from exc
-            bank[tp, k - 1, dn_col, up_col] = f if b.any() else f / np.linalg.norm(f)
+    dn = ch.dn[sched.phase1_len:sched.n_slots][:, :, dn_col]  # (phase-2 slot, user, unknown)
+    failed = []
+    for count in dict.fromkeys(len(rows) for rows, _, _ in view.values()):
+        ks = [k for k, (rows, _, _) in view.items() if len(rows) == count]
+        # (phase-2 slot, phase-1 slot, row, unknown): a row's uplink half and its target
+        # depend on the phase-1 slot alone
+        up = np.stack([ch.up[k - 1][np.ix_(view[k][2], up_col)] for k in ks])
+        a = up * dn[:, np.stack([view[k][1] for k in ks])]
+        b = np.stack([_targets(ch, k, *view[k]) for k in ks])
+        try:
+            f = solve_least_norm(a, np.broadcast_to(b, a.shape[:-1]), g)
+        except InconsistentSystem as exc:
+            tp, kp = exc.index
+            failed.append(((sched.phase2_slots[tp], ks[kp]), exc))
+            continue
+        free = ~b.any(axis=1)
+        f[:, free] /= np.linalg.norm(f[:, free], axis=-1, keepdims=True)
+        bank[:, np.asarray(ks)[:, None] - 1, dn_col, up_col] = f
+    if failed:
+        (t, k), exc = min(failed, key=lambda item: item[0])
+        raise AntennaDeficit(f"alignment constraints for slot pair ({t},{k}) are infeasible") from exc
     p = PrecoderSet(sched.name, bank, cfg.relay_columns)
     p.residual = verify_constraints(p, ch, sched)
     return p

@@ -121,6 +121,55 @@ def test_solve_least_norm_rejects_inconsistent():
         solve_least_norm(a, np.array([1.0, 2.0]))
 
 
+def test_solve_least_norm_stack_matches_lstsq_per_system():
+    # full-row-rank stacks, wide, square and one-row, against each member's SVD-based lstsq
+    rng = np.random.default_rng(9)
+    for r, n in ((3, 5), (4, 4), (1, 6)):
+        a, b = crandn(rng, 2, 3, r, n), crandn(rng, 2, 3, r)
+        x = solve_least_norm(a, b)
+        assert x.shape == (2, 3, n)
+        for idx in np.ndindex(2, 3):
+            want = np.linalg.lstsq(a[idx], b[idx], rcond=None)[0]
+            assert np.linalg.norm(x[idx] - want) <= 1e-12
+
+
+def test_solve_least_norm_nearest_to_x0_matches_null_space_oracle():
+    # the solution nearest to x0 is the least-norm solution plus x0's null-space component
+    rng = np.random.default_rng(10)
+    a, b, x0 = crandn(rng, 4, 3, 6), crandn(rng, 4, 3), crandn(rng, 6)
+    b[1] = 0  # a homogeneous member: the projection of x0 alone
+    x = solve_least_norm(a, b, x0)
+    for i in range(4):
+        n = null_space(a[i])
+        want = n @ (n.conj().T @ x0) + np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+        assert np.linalg.norm(x[i] - want) <= 1e-12
+
+
+def test_solve_least_norm_names_the_first_inconsistent_system():
+    rng = np.random.default_rng(11)
+    a, b = crandn(rng, 2, 3, 2, 3), crandn(rng, 2, 3, 2)
+    a[1, 0, 1] = a[1, 0, 0]  # equal rows, unequal targets: no solution
+    a[1, 2] = 0  # and a singular member after it
+    with pytest.raises(InconsistentSystem, match=r"^system \(1, 0\): ") as exc:
+        solve_least_norm(a, b)
+    assert exc.value.index == (1, 0)
+    with pytest.raises(InconsistentSystem) as exc:  # the singular one alone
+        solve_least_norm(a[1, 1:], b[1, 1:])
+    assert exc.value.index == (1,)
+
+
+def test_solve_least_norm_rank_deficient_homogeneous_member_is_a_null_vector():
+    # QR does not reveal rank, but a zero right-hand side never inverts R, even a singular one
+    rng = np.random.default_rng(12)
+    a, x0 = crandn(rng, 3, 3, 5), crandn(rng, 5)
+    a[1, 1] = 0  # member 1 has rank 2 and an exactly singular R
+    a[2, 2] = a[2, 0] + 2j * a[2, 1]  # member 2 has rank 2
+    x = solve_least_norm(a, np.zeros((3, 3)), x0)
+    for i in range(3):
+        assert np.linalg.norm(a[i] @ x[i]) <= 1e-12
+        assert np.linalg.norm(x[i]) >= 0.1
+
+
 def test_zf_solve_identity():
     s = np.array([0.3 + 1j, -2.0])
     assert np.allclose(zf_solve(np.eye(2), s), s)
@@ -151,6 +200,9 @@ def test_operations_bitwise_deterministic():
     assert np.array_equal(null_space(a), null_space(a.copy()))
     assert np.array_equal(solve_least_norm(a, b), solve_least_norm(a.copy(), b.copy()))
     assert rank(a) == rank(a.copy())
+    stack, rhs, x0 = crandn(rng, 2, 4, 3, 5), crandn(rng, 2, 4, 3), crandn(rng, 5)
+    assert np.array_equal(solve_least_norm(stack, rhs, x0),
+                          solve_least_norm(stack.copy(), rhs.copy(), x0.copy()))
 
 
 def test_rejects_nonfinite_entries():

@@ -51,17 +51,33 @@ def block_mask(cfg):
 
 
 def solver_inputs(sched, ch, monkeypatch):
-    """(t, k) -> the constraint matrix design hands that slot pair's solver, and the precoders."""
-    seen = []
-    for name in ("null_space", "solve_least_norm"):
-        def record(a, *rest, real=getattr(precoder, name)):
-            seen.append(a)
-            return real(a, *rest)
-        monkeypatch.setattr(precoder, name, record)
+    """(t, k) -> the constraint matrix design hands that slot pair's solver, and the precoders.
+
+    design hands the solver one (phase-2 slot, phase-1 slot, row, unknown) stack per row
+    count, over the phase-1 slots with that many rows in ascending order; each pair is
+    unstacked from it, and no pair is seen twice or missed.
+    """
+    seen = {}
+    real = precoder.solve_least_norm
+
+    def record(a, *rest):
+        ks = [k for k in sched.phase1_slots if len(sched.constraint_rows[k][0]) == a.shape[-2]]
+        assert a.shape[:2] == (sched.phase2_len, len(ks))
+        for tp, t in enumerate(sched.phase2_slots):
+            for p, k in enumerate(ks):
+                assert (t, k) not in seen
+                seen[(t, k)] = a[tp, p]
+        return real(a, *rest)
+
+    def unreached(*args):
+        raise AssertionError("design reached null_space")
+
+    monkeypatch.setattr(precoder, "solve_least_norm", record)
+    monkeypatch.setattr(precoder, "null_space", unreached)
     p = design(sched, ch)
     pairs = [(t, k) for t in sched.phase2_slots for k in sched.phase1_slots]
-    assert len(seen) == len(pairs)
-    return dict(zip(pairs, seen)), p
+    assert sorted(seen) == pairs
+    return {pair: seen[pair] for pair in pairs}, p
 
 
 def test_twic_zero_constraints():
@@ -182,6 +198,34 @@ def test_stacked_constraints_degenerate_two_users(monkeypatch):
     matrices, p = solver_inputs(sched, ch, monkeypatch)
     assert [a.shape for a in matrices.values()] == [(0, 4), (0, 4)]
     assert p.residual == 0.0
+
+
+def test_each_row_count_is_one_stacked_solve(monkeypatch):
+    # phase-1 slots with 2, 1 and 2 rows: design stacks slots 1 and 3 in one solve and
+    # slot 2 in another, and still names the first infeasible pair in (t, k) order
+    sched = Schedule("mixed", (1, 2, 3), (
+        SlotPlan(frozenset({2}), {1: SymbolId(2, 1), 3: SymbolId(2, 3)}),
+        SlotPlan(frozenset({1}), {2: SymbolId(1, 2)}),
+        SlotPlan(frozenset({3}), {2: SymbolId(3, 2), 1: SymbolId(3, 1)}),
+        SlotPlan(frozenset({1, 2, 3})),
+    ), phase1_len=3, phase2_len=1)
+    assert [len(rows) for rows, _, _ in sched.constraint_rows.values()] == [2, 1, 2]
+    ch = draw_channels(NetworkConfig(3, (2,)), 4, 5)
+    matrices, p = solver_inputs(sched, ch, monkeypatch)
+    assert p.residual < 1e-12
+    g = np.eye(2).reshape(-1)
+    for (t, k), a in matrices.items():
+        n = linalg.null_space(a)
+        want = n @ (n.conj().T @ g)
+        assert np.linalg.norm(p.bank[0, k - 1].reshape(-1, order="F") - want / np.linalg.norm(want)) <= 1e-9
+
+    def last_pair_fails(a, b, x0=None):
+        raise linalg.InconsistentSystem("stub", (0, a.shape[1] - 1))
+
+    # the 2-row stack fails at (4,3), the 1-row stack after it at (4,2)
+    monkeypatch.setattr(precoder, "solve_least_norm", last_pair_fails)
+    with pytest.raises(AntennaDeficit, match=r"^alignment constraints for slot pair \(4,2\) are infeasible$"):
+        design(sched, ch)
 
 
 def test_broadcast_rows_match_kron_across_relays(monkeypatch):

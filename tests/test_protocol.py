@@ -460,10 +460,10 @@ def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
     real = precoder.solve_least_norm
     state = {"done": False}
 
-    def faulty(a, b):
-        x = real(a, b)
+    def faulty(a, b, x0=None):
+        x = real(a, b, x0)
         if not state["done"]:
-            x[0] += 1e-6  # one entry of one relay block
+            x[0, 0, 0] += 1e-6  # one entry of one relay block of the first slot pair
             state["done"] = True
         return x
 
