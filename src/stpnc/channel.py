@@ -82,25 +82,30 @@ class ChannelSet:
     gain[t-1, k-1, i-1]   scalar from user i to user k in slot t (0 on the diagonal)
     up[t-1, i-1, c]       relay l's uplink vector from user i, c = config.relay_columns[l-1]
     dn[t-1, k-1, c]       relay l's downlink row to user k
+
+    A batch of realizations adds a leading seed axis to every stack: gain (S, slots, K, K).
     """
 
     config: NetworkConfig
-    gain: np.ndarray = field(repr=False)  # (slots, K, K)
-    up: np.ndarray = field(repr=False)    # (slots, K, sum M_l)
-    dn: np.ndarray = field(repr=False)    # (slots, K, sum M_l)
+    gain: np.ndarray = field(repr=False)  # (..., slots, K, K)
+    up: np.ndarray = field(repr=False)    # (..., slots, K, sum M_l)
+    dn: np.ndarray = field(repr=False)    # (..., slots, K, sum M_l)
 
     # read-only keyed views, kept only for perfbench/oracles.py; stpnc itself slices the stacks
     @property
     def user_user(self):
-        return _KeyedView(lambda k, i, t: self.gain[t - 1, k - 1, i - 1])
+        return _KeyedView(lambda k, i, t: self.gain[..., t - 1, k - 1, i - 1])
 
     @property
     def user_relay(self):
-        return _KeyedView(lambda ell, i, t: self.up[t - 1, i - 1, self.config.relay_columns[ell - 1]])
+        return _KeyedView(lambda ell, i, t: self.up[..., t - 1, i - 1, self.config.relay_columns[ell - 1]])
 
     @property
     def relay_user(self):
-        return _KeyedView(lambda k, ell, t: self.dn[t - 1, k - 1, self.config.relay_columns[ell - 1]])
+        return _KeyedView(lambda k, ell, t: self.dn[..., t - 1, k - 1, self.config.relay_columns[ell - 1]])
+
+
+_SCALE = 1.0 / np.sqrt(2.0)  # z * _SCALE has the bits of z / np.sqrt(2.0)
 
 
 def _complex_pool(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -130,19 +135,36 @@ def draw_layout(cfg: NetworkConfig) -> tuple:
     return pairs + 2 * K * width, gain, up, dn
 
 
-def draw_pools(cfg: NetworkConfig, slots: int, seed: int) -> np.ndarray:
-    """The (slots, pool size) stack of per-slot IID CN(0,1) draws that draw_channels places."""
-    rng, size = np.random.default_rng(seed), draw_layout(cfg)[0]
-    return np.array([_complex_pool(rng, size) for _ in range(slots)])
+def draw_pools(cfg: NetworkConfig, slots: int, seed) -> np.ndarray:
+    """The (slots, pool size) stack of per-slot IID CN(0,1) draws that draw_channels places.
+
+    One standard_normal((slots, 2, pool size)) call per seed: the stream of one
+    _complex_pool call per slot (real parts, then imaginary ones) whenever no draw is an
+    exact zero; a seed whose block holds one takes that per-slot path with its redraws. A
+    sequence of seeds gives one stack per seed, (seeds, slots, pool size).
+    """
+    seeds, size = ([seed] if np.ndim(seed) == 0 else seed), draw_layout(cfg)[0]
+    normals = np.empty((len(seeds), slots, 2, size))
+    for row, s in zip(normals, seeds):
+        np.random.default_rng(s).standard_normal(out=row)
+    # each slot's real and imaginary parts side by side, scaled as _complex_pool scales them
+    pools = np.ascontiguousarray(normals.swapaxes(-1, -2)).view(complex)[..., 0] * _SCALE
+    if np.count_nonzero(pools) < pools.size:
+        for i in np.flatnonzero((pools == 0).any(axis=(1, 2))):
+            rng = np.random.default_rng(seeds[i])
+            pools[i] = [_complex_pool(rng, size) for _ in range(slots)]
+    return pools if np.ndim(seed) else pools[0]
 
 
-def draw_channels(cfg: NetworkConfig, slots: int, seed: int) -> ChannelSet:
+def draw_channels(cfg: NetworkConfig, slots: int, seed) -> ChannelSet:
     """Draw every coefficient for the given number of slots, deterministically.
 
     Coefficients are IID CN(0,1) across links and slots; each stack indexes the slot pools
-    in draw_layout's fixed order, so identical (cfg, slots, seed) give identical bits.
+    in draw_layout's fixed order, so identical (cfg, slots, seed) give identical bits. A
+    sequence of seeds draws each seed as alone and stacks them on a leading seed axis.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
-    pools = np.hstack([draw_pools(cfg, slots, seed), np.zeros((slots, 1))])  # the diagonal's 0
-    return ChannelSet(cfg, *(pools[:, index] for index in draw_layout(cfg)[1:]))
+    pools = draw_pools(cfg, slots, seed)
+    pools = np.concatenate([pools, np.zeros(pools.shape[:-1] + (1,))], axis=-1)  # the diagonal's 0
+    return ChannelSet(cfg, *(pools[..., index] for index in draw_layout(cfg)[1:]))

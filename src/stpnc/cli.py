@@ -22,10 +22,10 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import dof, rate
-from .channel import NetworkConfig, derive_trial_seed
+from .channel import NetworkConfig
 from .linalg import RankDeficient
 from .precoder import AntennaDeficit
-from .protocol import SCENARIOS, run_end_to_end, scenario_schedule, verify_scenario
+from .protocol import SCENARIOS, scenario_schedule, simulate, verify_scenario
 from .scheduler import InvalidUserCount
 
 EXIT_OK = 0
@@ -211,8 +211,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     seed = _resolve_seed(ns)
     cfg = _network_config(ns, noise_var=ns.noise_var)
     mode = ns.relay_mode or SCENARIOS[ns.scenario].relay_mode
-    reports = [run_end_to_end(ns.scenario, cfg, derive_trial_seed(seed, i), mode)
-               for i in range(ns.trials)]
+    reports = simulate(ns.scenario, cfg, seed, ns.trials, mode)
     with _out_stream(ns) as f:
         if ns.format == "json":
             doc = {

@@ -1,10 +1,13 @@
 """Dense complex linear-algebra kernels used by the precoder, protocol and rate code.
 
-Everything operates on complex numpy arrays, deterministically; ``solve_least_norm``
-also takes a stack of systems of one shape, (..., r, n), and solves them all from one
-batched QR. The precoders use only ``solve_least_norm``; decoding uses ``zf_solve``,
-one SVD per system. ``null_space`` (ascending singular values, each column's first
-significant entry real positive) stays as a test oracle and a benchmark binding.
+Everything operates on complex numpy arrays, deterministically. ``solve_least_norm``
+and ``zf_solve`` take a stack of systems of one shape, (..., r, n), and solve them all
+from one batched decomposition whose result per system is bitwise that of the system
+alone, so a batch of seeds decodes exactly as each seed would by itself; a failure names
+the first failing system by its ``index`` in the stack. The precoders use only
+``solve_least_norm`` (one batched QR); decoding uses ``zf_solve`` (one batched SVD).
+``null_space`` (ascending singular values, each column's first significant entry real
+positive) stays as a test oracle and a benchmark binding.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ class InconsistentSystem(Exception):
 
 
 class RankDeficient(Exception):
-    """The coefficient matrix does not have full column rank."""
+    """The coefficient matrix does not have full column rank.
+
+    ``index`` is the failing matrix's position in the stack (``()`` for a single matrix).
+    """
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 # Singular values at or below REL_EPS * s_max * max(shape) count as zero.
@@ -57,18 +67,17 @@ def vec(m) -> np.ndarray:
     return as_cmatrix(m).reshape(-1, 1, order="F")
 
 
-def _kept(s: np.ndarray, shape: tuple[int, int]) -> int:
-    """How many of the descending singular values s lie above the relative cutoff."""
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > REL_EPS * s[0] * max(shape)))
+def _kept(s: np.ndarray, shape: tuple[int, int]):
+    """How many of the descending singular values s (..., k) of each (rows, cols) matrix
+    lie above the relative cutoff."""
+    return (s > REL_EPS * s[..., :1] * max(shape)).sum(axis=-1)
 
 
 def rank(a) -> int:
     """Number of singular values above the relative cutoff."""
     m = as_cmatrix(a)
     s = np.linalg.svd(m, compute_uv=False)
-    return _kept(s, m.shape)
+    return int(_kept(s, m.shape))
 
 
 def null_space(a) -> np.ndarray:
@@ -80,7 +89,7 @@ def null_space(a) -> np.ndarray:
     """
     m = as_cmatrix(a)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = _kept(s, m.shape)
+    r = int(_kept(s, m.shape))
     basis = vh[r:][::-1].conj().T  # smallest singular direction first
     for j in range(basis.shape[1]):
         col = basis[:, j]
@@ -140,19 +149,25 @@ def solve_least_norm(a, b, x0=None) -> np.ndarray:
 
 
 def zf_solve(h, y) -> np.ndarray:
-    """Zero-forcing decode: least-squares solution of h @ s = y.
+    """Zero-forcing decode: least-squares solution of h @ s = y, per system of a stack.
 
-    Requires h to have full column rank; raises RankDeficient otherwise,
-    which signals an undecodable configuration. One SVD gives both the rank
-    check and the solution.
+    h is (..., r, c) and y either (..., r), one right-hand side per system, or (..., r, m).
+    Every h must have full column rank; the first (in C order) that does not raises
+    RankDeficient with its index, which signals an undecodable configuration. One batched
+    SVD gives both the rank check and the solutions.
     """
     m = as_cmatrix(h)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if _kept(s, m.shape) < m.shape[1]:
+    short = _kept(s, m.shape[-2:]) < m.shape[-1]
+    if short.any():
+        index = np.unravel_index(int(np.flatnonzero(short)[0]), short.shape)
         raise RankDeficient(
-            f"matrix rank below column count {m.shape[1]}; cannot zero-force"
+            f"matrix rank below column count {m.shape[-1]}; cannot zero-force",
+            tuple(int(i) for i in index),
         )
     rhs = np.asarray(y, dtype=complex)
-    rhs_col = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
-    sol = vh.conj().T @ ((u.conj().T @ rhs_col) / s[:, None])
-    return sol.reshape(-1) if rhs.ndim == 1 else sol
+    vector = rhs.ndim == m.ndim - 1
+    if vector:
+        rhs = rhs[..., None]
+    sol = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / s[..., None])
+    return sol[..., 0] if vector else sol

@@ -56,13 +56,14 @@ class PrecoderSet:
     block-diagonal by ``columns`` (the config's relay_columns), relay l's block on
     columns[l-1] x columns[l-1]. Each pair's operator is the constrained point nearest to
     amplify-and-forward (see ``design``), scaled to unit norm where no target pins the scale.
+    A batch of seeds puts its seed axis first, in bank and residual alike.
     """
 
     scenario: str
     bank: np.ndarray = field(repr=False)
     columns: tuple
     mode: str = "per_block"
-    residual: float = 0.0
+    residual: float | np.ndarray = 0.0  # one value per seed of a batch
 
     # read-only keyed view block[(l, t, k)], kept only for perfbench/oracles.py (with mode);
     # stpnc itself reads the bank
@@ -72,14 +73,14 @@ class PrecoderSet:
 
     def _block(self, ell: int, t: int, k: int) -> np.ndarray:
         c = self.columns[ell - 1]
-        block = self.bank[t - self.bank.shape[1] - 1, k - 1, c, c]
+        block = self.bank[..., t - self.bank.shape[-3] - 1, k - 1, c, c]
         block.flags.writeable = False
         return block
 
 
-def _targets(ch: ChannelSet, k: int, rows: tuple, rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+def _targets(ch: ChannelSet, k, aligned, rx, tx) -> np.ndarray:
     """Each constraint row's required coefficient: h(j, i, k) where it aligns, else 0."""
-    return np.where([aligned for *_, aligned in rows], ch.gain[k - 1][rx, tx], 0)
+    return np.where(aligned, ch.gain[..., k - 1, rx, tx], 0)
 
 
 def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
@@ -90,7 +91,9 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     nearest to g, whatever basis the solver uses; a pair without targets is then scaled to
     unit norm. The pairs whose phase-1 slots have the same row count are solved as one
     stack, one ``solve_least_norm`` call; every built-in schedule has a single row count.
-    A schedule that fixes its relay set (``Schedule.relays``) rejects any other before that.
+    Leading axes of the channel stacks (a batch of seeds) lead every array here too, and
+    the bank and residual keep them. A schedule that fixes its relay set
+    (``Schedule.relays``) rejects any other before that.
     """
     if sched.relays not in (None, ch.config.relay_antennas):
         (m,) = sched.relays  # the built-in fixed sets are one relay
@@ -104,33 +107,36 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
         raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {have}")
     cfg = ch.config
     width = sum(cfg.relay_antennas)
-    bank = np.zeros((sched.phase2_len, sched.phase1_len, width, width), dtype=complex)
+    batch = ch.gain.shape[:-3]
+    bank = np.zeros(batch + (sched.phase2_len, sched.phase1_len, width, width), dtype=complex)
     # row (j, i) is kron(h_up(l, i, k), h_dn(j, l, t)) for each relay l in turn: its entries
     # pair every uplink antenna a of relay l with every downlink antenna b (stack columns),
     # and the entry for (a, b) is the bank's [b, a]: one assignment places a pair's blocks
     owner = np.repeat(np.arange(len(cfg.relay_antennas)), cfg.relay_antennas)  # antenna -> relay
     up_col, dn_col = np.nonzero(owner[:, None] == owner)
     g = (up_col == dn_col).astype(complex)  # vec(I) per relay: amplify-and-forward
-    dn = ch.dn[sched.phase1_len:sched.n_slots][:, :, dn_col]  # (phase-2 slot, user, unknown)
+    dn = ch.dn[..., sched.phase1_len:sched.n_slots, :, dn_col]  # (phase-2 slot, user, unknown)
     failed = []
     for count in dict.fromkeys(len(rows) for rows, _, _ in view.values()):
-        ks = [k for k, (rows, _, _) in view.items() if len(rows) == count]
+        ks = np.array([k for k, (rows, _, _) in view.items() if len(rows) == count])
+        rx, tx = (np.stack([view[k][i] for k in ks]) for i in (1, 2))
+        aligned = np.array([[a for *_, a in view[k][0]] for k in ks], dtype=bool)
         # (phase-2 slot, phase-1 slot, row, unknown): a row's uplink half and its target
         # depend on the phase-1 slot alone
-        up = np.stack([ch.up[k - 1][np.ix_(view[k][2], up_col)] for k in ks])
-        a = up * dn[:, np.stack([view[k][1] for k in ks])]
-        b = np.stack([_targets(ch, k, *view[k]) for k in ks])
+        up = ch.up[..., ks[:, None, None] - 1, tx[..., None], up_col]
+        a = up[..., None, :, :, :] * dn[..., :, rx, :]
+        b = _targets(ch, ks[:, None], aligned, rx, tx)
         try:
-            f = solve_least_norm(a, np.broadcast_to(b, a.shape[:-1]), g)
+            f = solve_least_norm(a, np.broadcast_to(b[..., None, :, :], a.shape[:-1]), g)
         except InconsistentSystem as exc:
-            tp, kp = exc.index
-            failed.append(((sched.phase2_slots[tp], ks[kp]), exc))
+            *seed, tp, kp = exc.index
+            failed.append(((tuple(seed), sched.phase2_slots[tp], int(ks[kp])), exc))
             continue
-        free = ~b.any(axis=1)
-        f[:, free] /= np.linalg.norm(f[:, free], axis=-1, keepdims=True)
-        bank[:, np.asarray(ks)[:, None] - 1, dn_col, up_col] = f
-    if failed:
-        (t, k), exc = min(failed, key=lambda item: item[0])
+        free = np.broadcast_to(~b.any(axis=-1)[..., None, :], f.shape[:-1])
+        f[free] /= np.linalg.norm(f[free], axis=-1, keepdims=True)
+        bank[..., :, ks[:, None] - 1, dn_col, up_col] = f
+    if failed:  # the first seed's first pair in (t, k) order
+        (_, t, k), exc = min(failed, key=lambda item: item[0])
         raise AntennaDeficit(f"alignment constraints for slot pair ({t},{k}) are infeasible") from exc
     p = PrecoderSet(sched.name, bank, cfg.relay_columns)
     p.residual = verify_constraints(p, ch, sched)
@@ -157,17 +163,20 @@ def design_case2(ch: ChannelSet, k2: int) -> PrecoderSet:
     return design(schedule_case2(k2), ch)
 
 
-def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule) -> float:
+def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule):
     """Max absolute violation over the schedule's constraint rows, recomputed from raw channels.
 
     Independent of the Kronecker rows synthesis stacks: per slot pair, one direct
     product DN(t) @ B_(t,k) @ UP(k)^T of the downlink stack, the block-diagonal bank and
     the uplink stack gives every (receiver, transmitter) coefficient, read at the rows'
     positions. Equal to the per-relay sum while the bank is zero off its relay blocks.
+    One value per leading index (seed) of the stacks.
     """
     n1 = sched.phase1_len
-    # (phase-2 slot, phase-1 slot, receiver, transmitter)
-    coeff = ch.dn[n1:sched.n_slots, None] @ p.bank @ ch.up[:n1].transpose(0, 2, 1)
-    gaps = [coeff[:, k - 1][:, rx, tx] - _targets(ch, k, rows, rx, tx)
-            for k, (rows, rx, tx) in sched.constraint_rows.items()]
-    return float(np.abs(np.concatenate(gaps, axis=None)).max(initial=0.0))
+    # (..., phase-2 slot, phase-1 slot, receiver, transmitter)
+    coeff = ch.dn[..., n1:sched.n_slots, None, :, :] @ p.bank @ ch.up[..., None, :n1, :, :].swapaxes(-1, -2)
+    gaps = []
+    for k, (rows, rx, tx) in sched.constraint_rows.items():
+        target = _targets(ch, k, [aligned for *_, aligned in rows], rx, tx)
+        gaps.append(coeff[..., :, k - 1, rx, tx] - target[..., None, :])
+    return np.abs(np.concatenate(gaps, axis=-1)).max(axis=(-2, -1), initial=0.0)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels, draw_layout, draw_pools
+from stpnc import channel
+from stpnc.channel import (
+    NetworkConfig,
+    _complex_pool,
+    derive_trial_seed,
+    draw_channels,
+    draw_layout,
+    draw_pools,
+)
 
 
 def test_config_validation():
@@ -32,6 +40,82 @@ def test_draws_are_bitwise_deterministic():
     c = draw_channels(cfg, 3, 43)
     for name in STACKS:
         assert not np.array_equal(getattr(a, name), getattr(c, name))
+
+
+def per_slot_pools(cfg, slots, seed, rng_of=np.random.default_rng):
+    """The seeding contract spelled out: one _complex_pool call per slot on one generator."""
+    rng, size = rng_of(seed), draw_layout(cfg)[0]
+    return np.array([_complex_pool(rng, size) for _ in range(slots)])
+
+
+@pytest.mark.parametrize("cfg,slots", [
+    (NetworkConfig(4, (2,)), 3),        # twic
+    (NetworkConfig(4, (2,)), 5),        # twxc
+    (NetworkConfig(6, (1,) * 21), 10),  # case1 K=6 on 21 one-antenna relays
+], ids=["twic", "twxc", "21x1"])
+def test_one_normal_call_per_seed_is_the_per_slot_stream(cfg, slots):
+    seeds = [derive_trial_seed(5, i) for i in range(2000)]
+    batch = draw_pools(cfg, slots, seeds)
+    for seed, pools in zip(seeds, batch):
+        expect = per_slot_pools(cfg, slots, seed)
+        assert np.array_equal(draw_pools(cfg, slots, seed).view(np.uint64), expect.view(np.uint64))
+        assert np.array_equal(pools.view(np.uint64), expect.view(np.uint64))
+
+
+REAL_RNG = np.random.default_rng
+
+
+class ZeroingGenerator:
+    """A default_rng(seed) whose normal stream holds exact zeros at the given positions."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros, self.drawn = REAL_RNG(seed), zeros, 0
+
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size if out is None else out.shape)
+        flat = x.reshape(-1)
+        for p in self.zeros:
+            if self.drawn <= p < self.drawn + flat.size:
+                flat[p - self.drawn] = 0.0
+        self.drawn += flat.size
+        if out is None:
+            return x
+        out[...] = x
+        return out
+
+
+def test_an_exact_zero_takes_the_per_slot_redraw_path(monkeypatch):
+    cfg, slots = NetworkConfig(4, (2,)), 3
+    size = draw_layout(cfg)[0]
+    # seed 8's first slot draws an exact zero at pool entry 5: its real part at stream
+    # position 5 and its imaginary part at size + 5
+    zeros = {8: (5, size + 5)}
+
+    def stub(seed):
+        return ZeroingGenerator(seed, zeros.get(seed, ()))
+
+    monkeypatch.setattr(channel.np.random, "default_rng", stub)
+    expect = per_slot_pools(cfg, slots, 8, stub)
+    assert np.count_nonzero(expect) == expect.size  # _complex_pool redrew the zero
+    block = ZeroingGenerator(8, zeros[8]).standard_normal((slots, 2, size))
+    assert block[0, 0, 5] == block[0, 1, 5] == 0.0  # the one-call block holds the zero
+    assert np.array_equal(draw_pools(cfg, slots, 8), expect)
+    batch = draw_pools(cfg, slots, [7, 8, 9])
+    assert np.array_equal(batch[1], expect)
+    for i, seed in ((0, 7), (2, 9)):
+        assert np.array_equal(batch[i], per_slot_pools(cfg, slots, seed, stub))
+
+
+def test_a_batch_of_seeds_is_each_seed_drawn_alone():
+    cfg = NetworkConfig(5, (2, 1, 3))
+    seeds = [derive_trial_seed(11, i) for i in range(4)]
+    batch = draw_channels(cfg, 7, seeds)
+    assert batch.gain.shape == (4, 7, 5, 5) and batch.up.shape == batch.dn.shape == (4, 7, 5, 6)
+    for i, seed in enumerate(seeds):
+        one = draw_channels(cfg, 7, seed)
+        for name in STACKS:
+            assert np.array_equal(getattr(batch, name)[i], getattr(one, name))
+        assert batch.user_relay[(3, 2, 4)][i].tolist() == one.user_relay[(3, 2, 4)].tolist()
 
 
 def _slot_coeffs(ch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from stpnc import cli
+from stpnc import cli, protocol
 from stpnc.channel import NetworkConfig
 from stpnc.protocol import SCENARIOS, run_end_to_end, verify_scenario
 
@@ -438,3 +438,27 @@ def test_closed_output_pipe_exits_one_without_traceback(tmp_path):
     assert proc.returncode == cli.EXIT_OUTPUT_CLOSED == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "twic"],
+    ["--scenario", "twxc", "--seed", "3"],
+    ["--scenario", "case2", "--k2", "5", "--relays", "2,2,1"],
+    ["--scenario", "case1", "--k1", "6", "--relays", ",".join(["1"] * 21)],
+], ids=["twic", "twxc", "case2", "case1-21x1"])
+def test_verify_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, flags):
+    # a byte budget of one byte runs one seed per chunk; a huge one runs all nine as one
+    real, batches, outputs = protocol._run, [], []
+
+    def counted(scenario, cfg, seeds, relay_mode):
+        batches.append(len(seeds))
+        return real(scenario, cfg, seeds, relay_mode)
+
+    monkeypatch.setattr(protocol, "_run", counted)
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(protocol, "CHUNK_BYTES", budget)
+        out = tmp_path / f"v{budget}.json"
+        assert run(["verify", *flags, "--seeds", "9", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert batches == [1] * 9 + [9]
+    assert outputs[0] == outputs[1]

@@ -193,6 +193,33 @@ def test_zf_solve_requires_full_column_rank():
         zf_solve(h, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 3), (9, 4)])
+def test_zf_solve_stack_is_each_system_alone(shape):
+    # one batched SVD, bitwise the solution of each system solved by itself, for one
+    # right-hand side per system and for a matrix of them
+    rng = np.random.default_rng(9)
+    h = crandn(rng, 6, *shape)
+    y, ys = crandn(rng, 6, shape[0]), crandn(rng, 6, shape[0], 2)
+    assert zf_solve(h, y).shape == (6, shape[1])
+    assert np.array_equal(zf_solve(h, y), np.array([zf_solve(m, v) for m, v in zip(h, y)]))
+    assert np.array_equal(zf_solve(h, ys), np.array([zf_solve(m, v) for m, v in zip(h, ys)]))
+    assert np.array_equal(zf_solve(h[2:3], y[2:3])[0], zf_solve(h[2], y[2]))
+    assert np.linalg.norm(zf_solve(h, np.einsum("sij,sj->si", h, y[:, :shape[1]])) - y[:, :shape[1]]) < 1e-9
+
+
+def test_zf_solve_names_the_first_rank_deficient_member():
+    rng = np.random.default_rng(10)
+    h = crandn(rng, 2, 3, 4, 2)
+    h[1, 0, :, 1] = 2.0 * h[1, 0, :, 0]  # rank 1
+    h[1, 2] = 0.0                        # rank 0, later in C order
+    with pytest.raises(RankDeficient, match="^matrix rank below column count 2; cannot zero-force$") as exc:
+        zf_solve(h, crandn(rng, 2, 3, 4))
+    assert exc.value.index == (1, 0)
+    with pytest.raises(RankDeficient) as exc:
+        zf_solve(h[1, 2], crandn(rng, 4))
+    assert exc.value.index == ()
+
+
 def test_operations_bitwise_deterministic():
     rng = np.random.default_rng(8)
     a = crandn(rng, 3, 5)

@@ -37,11 +37,13 @@ def test_spans_instrument_and_restore(perfbench, tmp_path):
     with spans.instrument(tracer):
         assert stpnc.protocol.run_phase1 is not before
         out = tmp_path / "v.json"
-        assert cli.main(["verify", "--scenario", "twxc", "--seeds", "1", "--output", str(out)]) == 0
+        assert cli.main(["verify", "--scenario", "twxc", "--seeds", "3", "--output", str(out)]) == 0
     assert stpnc.protocol.run_phase1 is before
+    # the three seeds run as one chunk: one pass of every stage, one decode per user
     assert tracer.calls["precoder.design"] == 1
     assert tracer.calls["protocol.decode_user"] == 4
-    # twxc stores 8 phase-1 user equations, 4 relay vector equations and 4 relay-slot ones
+    # twxc stores 8 phase-1 user equations, 4 relay vector equations and 4 relay-slot ones,
+    # each holding all three seeds
     assert tracer.counters["protocol.equations_stored"] == 16
 
 
@@ -57,10 +59,11 @@ def test_spans_see_every_registry_route(perfbench, tmp_path, monkeypatch, flags,
     # through stpnc.precoder's globals
     _, spans = perfbench
     real = stpnc.precoder.solve_least_norm
-    stacked_rows = []
+    stacked_rows, seeds = [], []
 
     def record(a, *rest):  # inside the span: sees the stack design hands the solver
         stacked_rows.append(math.prod(a.shape[:-1]))
+        seeds.append(a.shape[0])
         return real(a, *rest)
 
     monkeypatch.setattr(stpnc.precoder, "solve_least_norm", record)
@@ -68,13 +71,17 @@ def test_spans_see_every_registry_route(perfbench, tmp_path, monkeypatch, flags,
     with spans.instrument(tracer):
         out = tmp_path / "v.json"
         assert cli.main(["verify", *flags, "--seeds", "2", "--output", str(out)]) == 0
-    assert tracer.calls["precoder.design"] == 2
-    assert tracer.calls["protocol.decode_user"] == 2 * users
-    assert tracer.calls["precoder.verify_constraints"] == 2
-    # one stacked least-norm solve per design and seed, fed every (phase-2 slot,
-    # phase-1 slot) pair's constraint rows, and no null-space decomposition
+    # both seeds run as one chunk, so every stage fires once per chunk, not per seed
+    assert tracer.calls["precoder.design"] == 1
+    assert tracer.calls["protocol.decode_user"] == users
+    assert tracer.calls["precoder.verify_constraints"] == 1
+    # one stacked least-norm solve per chunk, its leading axis the two seeds, fed every
+    # (phase-2 slot, phase-1 slot) pair's constraint rows of each seed, and no
+    # null-space decomposition
     assert tracer.calls["linalg.null_space"] == 0
-    assert tracer.calls["linalg.solve_least_norm"] == len(stacked_rows) == 2
+    assert tracer.calls["linalg.solve_least_norm"] == len(stacked_rows) == 1
+    assert seeds == [2]
+    # rows counts both seeds' rows: what the two per-seed solves summed to
     assert sum(stacked_rows) == rows
 
 

@@ -6,7 +6,7 @@ import pytest
 from stpnc import precoder, protocol
 from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
 from stpnc.linalg import RankDeficient
-from stpnc.precoder import design_twic, design_twxc
+from stpnc.precoder import AntennaDeficit, design_twic, design_twxc
 from stpnc.protocol import (
     alignment_error,
     decode_user,
@@ -463,7 +463,7 @@ def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
     def faulty(a, b, x0=None):
         x = real(a, b, x0)
         if not state["done"]:
-            x[0, 0, 0] += 1e-6  # one entry of one relay block of the first slot pair
+            x[0, 0, 0, 0] += 1e-6  # seed 0: one entry of one relay block of the first slot pair
             state["done"] = True
         return x
 
@@ -478,9 +478,9 @@ def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
 
     def faulty(ledger, p, sched, *args, **kwargs):
         plan = real(ledger, p, sched, *args, **kwargs)
-        # after the relays used it: only the stored equation is now wrong
+        # after the relays used it: only the stored equation is now wrong, on every seed
         eq = ledger.relays[1]  # row 0: relay 1's first antenna
-        eq.coeffs[0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
+        eq.coeffs[..., 0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
         return plan
 
     monkeypatch.setattr(protocol, "relay_process", faulty)
@@ -497,7 +497,7 @@ def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
         ledger = real(plan, sched, *args, **kwargs)
         eq = next(e for e in ledger.users[1] if e.slot > sched.phase1_len)
         sym = next(s for s in sched.symbols if sched.slot_of(s) in sched.pure_slots(1))
-        eq.coeffs[sched.column[sym]] += 1e-6  # the stray gate sees it too: decoding leaves it uncancelled
+        eq.coeffs[..., sched.column[sym]] += 1e-6  # every seed; the stray gate sees it too: decoding leaves it uncancelled
         return ledger
 
     monkeypatch.setattr(protocol, "run_phase2", faulty)
@@ -513,7 +513,7 @@ def test_verify_fails_on_stray_coefficient(monkeypatch):
     def faulty(k, *args, **kwargs):
         res = real(k, *args, **kwargs)
         if k == 2:
-            res.stray_coeff = 1e-6
+            res.stray_coeff = np.full_like(res.stray_coeff, 1e-6)  # every seed
         return res
 
     monkeypatch.setattr(protocol, "decode_user", faulty)
@@ -551,3 +551,153 @@ def test_achieved_dof_counts_recovered_symbols(monkeypatch):
     assert summary["passed"] is False
     assert summary["expected_dof"] == "3/2"
     assert summary["achieved_dof"] == "mismatch"
+
+
+# seeds as a batch axis: a chunk of seeds is one pass of every stage, and each seed comes
+# out as it would alone
+
+def fold(reports, sched):
+    """verify_scenario's summary fields, folded from one SimReport per seed."""
+    expected_dof = Fraction(len(sched.symbols), sched.n_slots)
+    expected_rank = {k: len(sched.unknowns(k)) for k in sched.users}
+    failures = [i for i, rep in enumerate(reports)
+                if rep.effective_ranks != expected_rank or rep.achieved_dof != expected_dof
+                or rep.max_symbol_error >= protocol.SYMBOL_ERROR_TOL
+                or max(rep.constraint_residual, rep.alignment_error, rep.linearity_error,
+                       rep.max_stray_coeff) >= protocol.RESIDUAL_TOL]
+    return {
+        "achieved_dof": str(expected_dof) if all(r.achieved_dof == expected_dof for r in reports)
+        else "mismatch",
+        "rank_ok": all(r.effective_ranks == expected_rank for r in reports),
+        "failures": failures,
+        "passed": not failures,
+        "max_symbol_error": max(r.max_symbol_error for r in reports),
+        "max_constraint_residual": max(r.constraint_residual for r in reports),
+        "max_alignment_error": max(r.alignment_error for r in reports),
+        "max_linearity_error": max(r.linearity_error for r in reports),
+    }
+
+
+@pytest.mark.parametrize("scenario,cfg", [
+    ("twic", NetworkConfig(4, (2,))),
+    ("twxc", NetworkConfig(4, (2,))),
+    ("case1", NetworkConfig(4, (1, 1, 1, 2))),
+    ("case2", NetworkConfig(5, (2, 2, 1))),
+    ("case1", NetworkConfig(6, (1,) * 21)),
+    ("case2", NetworkConfig(4, (2,))),
+], ids=["twic", "twxc", "case1-1112", "case2-221", "case1-21x1", "case2-2"])
+def test_verify_over_one_chunk_is_the_fold_of_single_seed_reports(scenario, cfg):
+    sched = scenario_schedule(scenario, cfg.K)
+    assert protocol.chunk_seeds(sched, cfg) >= 7  # the seven seeds run as one batch
+    summary = verify_scenario(scenario, cfg, n_seeds=7, base_seed=4)
+    expect = fold([run_end_to_end(scenario, cfg, derive_trial_seed(4, i)) for i in range(7)], sched)
+    for key, value in expect.items():
+        if isinstance(value, float):
+            assert abs(summary[key] - value) <= 1e-12, key
+        else:
+            assert summary[key] == value, key
+
+
+def test_a_failing_chunk_raises_its_first_failing_seed_as_alone(monkeypatch):
+    # in one chunk of four twxc seeds, seed 2 loses its uplinks, so design cannot meet the
+    # alignment targets, and seed 1's user 1 hears nothing in slot 3, so its decode system
+    # is rank deficient; the chunk fails in design, on seed 2, and its replay raises seed 1's
+    cfg = NetworkConfig(4, (2,))
+    seeds = [derive_trial_seed(0, i) for i in range(4)]
+    no_uplink, deaf = derive_trial_seed(seeds[2], 0), derive_trial_seed(seeds[1], 0)
+    real = protocol.draw_channels
+
+    def faulty(cfg, slots, seed):
+        ch = real(cfg, slots, seed)
+        for i, s in enumerate(seed):  # the pipeline draws batches, even of one seed
+            if s == no_uplink:
+                ch.up[i] = 0.0
+            if s == deaf:
+                ch.gain[i, 2, 0] = 0.0
+        return ch
+
+    monkeypatch.setattr(protocol, "draw_channels", faulty)
+    assert protocol.chunk_seeds(scenario_schedule("twxc"), cfg) >= 4
+    with pytest.raises(AntennaDeficit, match=r"^alignment constraints for slot pair \(5,1\) are infeasible$"):
+        protocol._run("twxc", cfg, seeds, None)
+    with pytest.raises(AntennaDeficit, match=r"^alignment constraints for slot pair \(5,1\) are infeasible$"):
+        run_end_to_end("twxc", cfg, seeds[2])
+    message = r"^user 1: effective rank 1 < 2 unknowns$"
+    with pytest.raises(RankDeficient, match=message):
+        run_end_to_end("twxc", cfg, seeds[1])
+    with pytest.raises(RankDeficient, match=message) as exc:
+        verify_scenario("twxc", cfg, n_seeds=4)
+    assert exc.value.index == (0,)  # raised by seed 1 run alone, a batch of one
+    assert run_end_to_end("twxc", cfg, seeds[0]).achieved_dof == Fraction(8, 5)
+
+
+@pytest.mark.parametrize("scenario,cfg,seeds", [
+    ("case1", NetworkConfig(10, (9,)), 40),       # about 16 MB of stacks per seed: chunks of one
+    ("case2", NetworkConfig(6, (1,) * 16), 40),   # several chunks, the last one short
+], ids=["case1-10-on-9", "case2-16x1"])
+def test_verify_chunks_stay_within_the_byte_budget(monkeypatch, scenario, cfg, seeds):
+    chunk = protocol.chunk_seeds(scenario_schedule(scenario, cfg.K), cfg)
+    real, leading = precoder.solve_least_norm, []
+
+    def record(a, b, x0=None):
+        leading.append(a.shape[0])
+        return real(a, b, x0)
+
+    monkeypatch.setattr(precoder, "solve_least_norm", record)
+    assert verify_scenario(scenario, cfg, n_seeds=seeds)["passed"]
+    assert sum(leading) == seeds
+    assert max(leading) <= chunk
+    assert len(leading) == -(-seeds // chunk)
+    assert chunk == 1 if cfg.K == 10 else 1 < chunk < seeds
+
+
+def test_noiseless_phases_build_no_generator(monkeypatch):
+    cfg, sched, ch, syms = twic_setup(3)
+    real, built = np.random.default_rng, []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocol.np.random, "default_rng", counting)
+    ledger = run_phase1(sched, ch, syms, 0.0, seed=5)
+    plan = relay_process(ledger, design_twic(ch), sched, "decode_forward")
+    run_phase2(plan, sched, ch, 0.0, seed=6, ledger=ledger)
+    assert built == []
+    run_phase1(sched, ch, syms, 1e-3, seed=5)
+    run_phase2(plan, sched, ch, 1e-3, seed=6)
+    assert built == [(5,), (6,)]
+    built.clear()
+    verify_scenario("twic", cfg, n_seeds=5)
+    assert len(built) == 10  # per seed: the channels and the symbols, nothing else
+
+
+def test_noisy_batch_keeps_each_seeds_noise_stream():
+    # a batch's noise is each seed's own stream, user after user, then relay after relay
+    cfg = NetworkConfig(5, (2, 3, 1), noise_var=1e-3)
+    seeds = [derive_trial_seed(2, i) for i in range(3)]
+    batch = protocol._execute("case2", cfg, seeds, None)[4]
+    for i, seed in enumerate(seeds):
+        alone = protocol._execute("case2", cfg, seed, None)[4]
+        for k, eqs in alone.users.items():
+            for got, want in zip(batch.users[k], eqs):
+                assert np.array_equal(got.coeffs[i], want.coeffs)
+                assert got.value[i] == want.value
+        for t, eq in alone.relays.items():
+            assert np.array_equal(batch.relays[t].value[i], eq.value)
+
+
+@pytest.mark.parametrize("scenario,cfg", [
+    ("twic", NetworkConfig(4, (2,))),
+    ("case2", NetworkConfig(5, (2, 2, 1))),
+], ids=["twic", "case2-221"])
+def test_symbol_errors_are_pythons_abs_of_the_recovered_symbols(scenario, cfg):
+    # the batched errors keep the bits of abs(est - s) / abs(s) on Python complex numbers
+    # (libm's hypot), which np.abs does not reproduce
+    sched = scenario_schedule(scenario, cfg.K)
+    for i in range(20):
+        seed = derive_trial_seed(6, i)
+        rep = run_end_to_end(scenario, cfg, seed)
+        syms = draw_symbols(sched, derive_trial_seed(seed, 1))
+        assert rep.max_symbol_error == max(abs(est - syms[sym]) / abs(syms[sym])
+                                           for sym, est in rep.recovered.items())
