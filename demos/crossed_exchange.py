@@ -26,13 +26,13 @@ ledger = run_phase2(plan, sched, ch, ledger=ledger)
 
 print("per-user view of the relay slot:")
 for k in sched.users:
-    eq = [e for e in ledger.users[k] if e.slot == 5][0]
+    row = ledger.rows[5 - 1, k - 1]  # user k's equation in the relay slot 5
     (ref_slot,) = sched.pure_slots(k)  # the overheard slot without desired symbols
-    ref = [e for e in ledger.users[k] if e.slot == ref_slot][0]
-    oi_value = sum(eq.coeffs[c] * syms[sym] for sym, c in sched.column.items()
-                   if sched.role(k, sym) == "OI")
+    # the symbols k overheard in that slot (AOI), rebuilt from the relay slot's coefficients
+    oi_value = sum(row[c] * syms[sym] for sym, c in sched.column.items()
+                   if sched.classes[k][c] == "AOI")
     print(f"  user {k}: overheard-interference part equals its stored slot-{ref_slot} "
-          f"equation to {abs(oi_value - ref.value):.2e}")
+          f"equation to {abs(oi_value - ledger.values[ref_slot - 1, k - 1]):.2e}")
 
 print("\ndecoding (subtract self-interference, subtract the replayed equation, solve 2x2):")
 worst = 0.0

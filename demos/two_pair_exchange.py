@@ -28,10 +28,11 @@ for t in sched.phase1_slots:
     plan = sched.slot(t)
     print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
           f"users {sorted(plan.destinations)} and the relay listen")
-for slot, eq in ledger.relays.items():
+for slot in ledger.relays:
+    coeffs = ledger.relay[slot - 1]  # one row per relay antenna
     heard = sorted(sched.slot(slot).sends.values())
-    for m in range(eq.value.shape[0]):
-        terms = " + ".join(f"({eq.coeffs[m, sched.column[s]]:.2f})s[{s.dest}<-{s.src}]" for s in heard)
+    for m in range(coeffs.shape[0]):
+        terms = " + ".join(f"({coeffs[m, sched.column[s]]:.2f})s[{s.dest}<-{s.src}]" for s in heard)
         print(f"  relay antenna eq, slot {slot}: y = {terms}")
 
 # The relay decodes all four symbols and forwards each phase-1 slot's
@@ -43,12 +44,12 @@ print(f"\nprecoder residual (worst neutralization violation): {p.residual:.2e}")
 plan = relay_process(ledger, p, sched, mode="decode_forward")
 ledger = run_phase2(plan, sched, ch, ledger=ledger)
 
-eq = [e for e in ledger.users[1] if e.slot == 3][0]
+row = ledger.rows[3 - 1, 1 - 1]  # user 1's equation in the relay slot 3
 print("\nuser 1, relay slot coefficient split:")
 for part in ("D", "SI", "OI", "N"):
     for sym, c in sched.column.items():
-        if sched.role(1, sym) == part:
-            print(f"  {part:>2}: s[{sym.dest}<-{sym.src}] coefficient {abs(eq.coeffs[c]):.2e}")
+        if sched.classes[1][c] == part:
+            print(f"  {part:>2}: s[{sym.dest}<-{sym.src}] coefficient {abs(row[c]):.2e}")
 print("  (N is the neutralized symbol user 1 never overheard)")
 
 # Decoding: subtract self-interference, then solve the little 2x2 system

@@ -57,16 +57,6 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: entry ((i*rows_b+p),(j*cols_b+q)) = a[i,j] * b[p,q]."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def vec(m) -> np.ndarray:
-    """Stack the columns of m into a single column vector."""
-    return as_cmatrix(m).reshape(-1, 1, order="F")
-
-
 def _kept(s: np.ndarray, shape: tuple[int, int]):
     """How many of the descending singular values s (..., k) of each (rows, cols) matrix
     lie above the relative cutoff."""

@@ -8,6 +8,12 @@ the precoders replay that shape, and zero-forcing the remaining stacked
 system. In noiseless mode every desired symbol is recovered exactly and the
 report carries the achieved symbols-per-slot ratio as an exact fraction.
 
+The side information is stored on the schedule's (slot, user) grid: the
+``EquationLedger`` holds one coefficient row and value per cell, zero where the
+user does not listen (``Schedule.listens``), and the relay bank's rows per
+phase-1 slot. Each phase writes its slots with whole-array products; decoding
+and both ledger checks index the grid through the schedule's cached index arrays.
+
 Seeds are a leading batch axis. Every stage takes the arrays of one seed or
 of a batch of seeds, (S, ...) (one seed axis: splits along the other axes
 swap it to the front), so one pass draws, designs, runs both phases
@@ -21,8 +27,7 @@ seed raises exactly as it would alone.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -54,26 +59,32 @@ CHUNK_BYTES = 4 << 20
 
 
 @dataclass
-class Equation:
-    """One stored linear observation: value = coeffs @ symbols (+ noise).
+class EquationLedger:
+    """Everything heard, as linear observations value = row @ symbols (+ noise) whose rows
+    run over ``Schedule.symbols`` (column ``sched.column[sym]``), on the schedule's grid.
 
-    coeffs runs over ``Schedule.symbols`` (column ``sched.column[sym]``): a
-    length-n row for a user, a sum M_l x n matrix for the relay bank (relay l's
-    rows are its antenna columns ``relay_columns[l-1]``), whose value is then a
-    length-sum M_l vector. A batch of seeds leads coeffs and value with its seed axis.
+    rows[t-1, k-1] and values[t-1, k-1] are user k's equation in slot t, exactly zero where
+    ``listens`` (the schedule's table) is False. relay[t-1] and relay_values[t-1] are the
+    relay bank's equations in phase-1 slot t, relay l's rows at ``relay_columns[l-1]``. A
+    batch of seeds leads every array but ``listens`` with its seed axis.
     """
 
-    slot: int
-    coeffs: np.ndarray
-    value: complex | np.ndarray
+    rows: np.ndarray          # (..., slots, users, n)
+    values: np.ndarray        # (..., slots, users)
+    relay: np.ndarray         # (..., phase-1 slots, sum M_l, n)
+    relay_values: np.ndarray  # (..., phase-1 slots, sum M_l)
+    listens: np.ndarray       # (slots, users) bool
 
+    # read-only views kept only for perfbench/spans.py, which counts the equations stored
+    @property
+    def users(self) -> dict:
+        """User k -> the slots it heard, one equation each."""
+        return {k: tuple(np.flatnonzero(heard) + 1) for k, heard in enumerate(self.listens.T, start=1)}
 
-@dataclass
-class EquationLedger:
-    """Per-node storage of everything heard: scalar equations for users, vectors for the relays."""
-
-    users: dict = field(default_factory=lambda: defaultdict(list))  # user -> [Equation]
-    relays: dict = field(default_factory=dict)  # phase-1 slot -> the relay bank's Equation
+    @property
+    def relays(self) -> range:
+        """The phase-1 slots, one equation of the relay bank each."""
+        return range(1, self.relay.shape[-3] + 1)
 
 
 def _batch(seed) -> list:
@@ -128,57 +139,49 @@ def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
     """Execute the learning phase: every listening user stores its equation, and the relay
     bank one sum M_l x n equation per slot (relay l's rows at its antenna columns).
 
-    Noisy runs draw each slot's noise user after user, then relay after relay, from
-    default_rng of the seed (one per seed of a batch); noiseless runs build no generator.
+    One gather of every column's sender gains writes the users' rows, a second the bank's
+    uplinks. Noisy runs draw each slot's noise user after user, then relay after relay,
+    from default_rng of the seed (one per seed of a batch); noiseless runs build no generator.
     """
     s = _symbol_vector(sched, syms)
-    antennas = ch.config.relay_antennas
-    plans = [(t, np.array(sorted(sched.slot(t).destinations)) - 1) for t in sched.phase1_slots]
-    if noise_var:
-        noise = _noise(seed, [m for _, rx in plans for m in (1,) * len(rx) + antennas], noise_var)
-    ledger, at = EquationLedger(), 0
-    for t, rx in plans:
-        src = [sym.src - 1 for sym in sched.slot(t).sends.values()]  # a user's row in the stacks is user - 1
-        cols = sched.slot_columns[t]
-        rows = np.zeros(s.shape[:-1] + (len(rx), s.shape[-1]), dtype=complex)
-        rows[..., cols] = ch.gain[..., t - 1, rx[:, None], src]
-        values = np.matvec(rows, s)
-        if noise_var:
-            values += noise[..., at:at + len(rx)]
-        at += len(rx)
-        for k, row, value in zip(rx + 1, rows.swapaxes(0, -2), values.swapaxes(0, -1)):
-            ledger.users[int(k)].append(Equation(t, row, value))
-        a = np.zeros(s.shape[:-1] + (ch.up.shape[-1], s.shape[-1]), dtype=complex)
-        a[..., cols] = ch.up[..., t - 1, src, :].swapaxes(-1, -2)
-        value = np.matvec(a, s)
-        if noise_var:
-            value += noise[..., at:at + a.shape[-2]]
-        at += a.shape[-2]
-        ledger.relays[t] = Equation(t, a, value)
-    return ledger
+    n1, (src, carries) = sched.phase1_len, sched.senders
+    heard = sched.listens[:n1]
+    rows = np.zeros(s.shape[:-1] + sched.listens.shape + s.shape[-1:], dtype=complex)
+    rows[..., :n1, :, :] = np.where(heard[:, :, None] & carries[:, None, :], ch.gain[..., :n1, :, src], 0)
+    values = np.matvec(rows, s[..., None, :])
+    # row-major like the user rows: NumPy picks its product kernel from the strides
+    relay = np.ascontiguousarray(np.where(carries[:, None, :], ch.up[..., :n1, src, :].swapaxes(-1, -2), 0))
+    relay_values = np.matvec(relay, s[..., None, :])
+    if noise_var:  # the stream runs per slot: its listening users, then the bank's antennas
+        noise = _noise(seed, [m for row in heard for m in (1,) * row.sum() + ch.config.relay_antennas],
+                       noise_var)
+        users = np.concatenate([[True] * row.sum() + [False] * relay.shape[-2] for row in heard])
+        values[..., :n1, :][..., heard] += noise[..., users]
+        relay_values += noise[..., ~users].reshape(relay_values.shape)
+    return EquationLedger(rows, values, relay, relay_values, sched.listens)
 
 
 @dataclass
 class RelayTransmitPlan:
-    """Per phase-2 slot: the relay bank's realized transmit vector plus its design expansion.
+    """The relay bank's phase-2 transmissions, per phase-2 slot t (at t - phase1_len - 1).
 
-    coeffs[t] is the sum M_l x n matrix sum_k B(t,k) @ A(k) that the bank applies
-    to the symbol vector by design, A(k) being the coefficients it stored in
-    phase-1 slot k; signals[t] is the transmit vector actually formed from the
-    stored receptions (they coincide in noiseless runs). Relay l's entries are
-    the rows ``relay_columns[l-1]``; a batch of seeds leads both with its seed axis.
+    coeffs (..., phase-2 slots, sum M_l, n) is sum_k B(t,k) @ A(k), what the bank applies
+    to the symbol vector by design, A(k) being the coefficients it stored in phase-1 slot
+    k; signals (..., phase-2 slots, sum M_l) is the transmit vector actually formed from
+    the stored receptions (they coincide in noiseless runs). Relay l's entries are the
+    rows ``relay_columns[l-1]``; a batch of seeds leads both with its seed axis.
     """
 
-    coeffs: dict = field(default_factory=dict)
-    signals: dict = field(default_factory=dict)
+    coeffs: np.ndarray
+    signals: np.ndarray
 
 
 def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> np.ndarray:
     """Zero-force the whole symbol vector from relay ell's own rows of the bank equations."""
-    eqs = [ledger.relays[k] for k in sorted(ledger.relays)]
-    h = np.concatenate([eq.coeffs[..., rows, :] for eq in eqs], axis=-2)
+    h = ledger.relay[..., rows, :]
+    h = h.reshape(h.shape[:-3] + (-1, h.shape[-1]))  # slot after slot
     try:  # as in decode_user, the rank is recomputed only to report it
-        return zf_solve(h, np.concatenate([eq.value[..., rows] for eq in eqs], axis=-1))
+        return zf_solve(h, ledger.relay_values[..., rows].reshape(h.shape[:-1]))
     except RankDeficient as exc:
         h = h[exc.index]
         raise RankDeficient(f"relay {ell}: effective rank {rank(h)} < {h.shape[1]} symbols",
@@ -197,45 +200,32 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
     """
     if mode not in ("decode_forward", "linear_forward"):
         raise ValueError(f"unknown relay mode {mode!r}")
-    eqs = [ledger.relays[k] for k in sched.phase1_slots]
-    # (..., phase-2 slots, sum M_l, n)
-    coeffs = (p.bank @ _stack([eq.coeffs for eq in eqs], -3)[..., None, :, :, :]).sum(axis=-3)
+    coeffs = (p.bank @ ledger.relay[..., None, :, :, :]).sum(axis=-3)
     if mode == "decode_forward":
         signals = np.empty(coeffs.shape[:-1], dtype=complex)
         for ell, c in enumerate(p.columns, start=1):
             signals[..., c] = np.matvec(coeffs[..., c, :], relay_decode(ledger, ell, c)[..., None, :])
     else:
-        received = _stack([eq.value for eq in eqs], -2)[..., None]  # (..., phase-1 slots, sum M_l, 1)
-        signals = (p.bank @ received[..., None, :, :, :]).sum(axis=-3)[..., 0]
-    slots = sched.phase2_slots
-    return RelayTransmitPlan(dict(zip(slots, coeffs.swapaxes(0, -3))),
-                             dict(zip(slots, signals.swapaxes(0, -2))))
+        signals = (p.bank @ ledger.relay_values[..., None, :, :, None]).sum(axis=-3)[..., 0]
+    return RelayTransmitPlan(coeffs, signals)
 
 
 def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
-               noise_var: float = 0.0, seed=0,
-               ledger: EquationLedger | None = None) -> EquationLedger:
-    """Relay slots: every user stores one equation over every symbol the relays forward.
+               noise_var: float = 0.0, seed=0, *, ledger: EquationLedger) -> EquationLedger:
+    """Relay slots: every listening user stores one equation over every symbol the relays
+    forward, into the ledger's phase-2 rows.
 
     Noisy runs draw the noise per slot, user after user, from default_rng of the seed (one
     per seed of a batch); noiseless runs build no generator.
     """
-    if ledger is None:
-        ledger = EquationLedger()
-    plans = [(t, np.array(sorted(sched.slot(t).destinations)) - 1) for t in sched.phase2_slots]
+    n1, heard = sched.phase1_len, sched.listens[sched.phase1_len:]
+    # (..., phase-2 slots, users, sum M_l), row-major: the drawn stacks keep NumPy's gather layout
+    dn = np.ascontiguousarray(ch.dn[..., n1:, :, :])
+    ledger.rows[..., n1:, :, :] = np.where(heard[:, :, None], dn @ plan.coeffs, 0)
+    values = np.where(heard, np.matvec(dn, plan.signals), 0)
     if noise_var:
-        noise = _noise(seed, [1] * sum(len(rx) for _, rx in plans), noise_var)
-    at = 0
-    for t, rx in plans:
-        # (..., users, sum M_l), one row per destination; row-major like a seed's own gather,
-        # so that every seed's products take the same BLAS path
-        dn = np.ascontiguousarray(ch.dn[..., t - 1, rx, :])
-        rows, values = dn @ plan.coeffs[t], np.matvec(dn, plan.signals[t])
-        if noise_var:
-            values += noise[..., at:at + len(rx)]
-        at += len(rx)
-        for j, row, value in zip(rx + 1, rows.swapaxes(0, -2), values.swapaxes(0, -1)):
-            ledger.users[int(j)].append(Equation(t, row, value))
+        values[..., heard] += _noise(seed, [1] * np.count_nonzero(heard), noise_var)
+    ledger.values[..., n1:, :] = values
     return ledger
 
 
@@ -252,24 +242,20 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict)
 
     Phase-2 rows are cleaned of SI (the known own symbols subtracted) and of
     AOI (the stored pure-slot equations subtracted), stacked under the other
-    heard phase-1 rows and zero-forced over the D and OI columns; what the
-    cleaned rows keep on the AOI and N columns is the stray coefficient. A batch
-    of seeds is one stacked zero-forcing solve.
+    heard phase-1 rows in slot order (``Schedule.decode_slots``) and zero-forced over
+    the D and OI columns; what the cleaned rows keep on the AOI and N columns is the
+    stray coefficient. A batch of seeds is one stacked zero-forcing solve.
     """
     unknowns, own, rest = sched.decode_columns[k]
-    pure = sched.pure_slots(k)
-    eqs = ledger.users[k]
-    p1 = [eq for eq in eqs if eq.slot <= sched.phase1_len and eq.slot not in pure]
-    p2 = [eq for eq in eqs if eq.slot > sched.phase1_len]
-    refs = [eq for eq in eqs if eq.slot in pure]
-    a = _stack([eq.coeffs for eq in p1 + p2], -2)
-    y = _stack([eq.value for eq in p1 + p2], -1)
+    kept, split, pure = sched.decode_slots[k]
+    rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
+    a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
     if own.size:  # k sends nothing in a slot it listens to, so its own columns are zero on the phase-1 rows
         sent = _stack([own_syms[sym] for sym in sched.own_symbols(k)], -1)
         y -= np.matvec(a.take(own, axis=-1), sent)
-    if refs:
-        a[..., len(p1):, :] -= sum(ref.coeffs for ref in refs)[..., None, :]
-        y[..., len(p1):] -= sum(ref.value for ref in refs)[..., None]
+    if pure.size:
+        a[..., split:, :] -= rows.take(pure, axis=-2).sum(axis=-2)[..., None, :]
+        y[..., split:] -= values.take(pure, axis=-1).sum(axis=-1)[..., None]
     stray = np.abs(a.take(rest, axis=-1)).max(axis=(-2, -1), initial=0.0)
     h = a.take(unknowns, axis=-1)
     try:  # zf_solve makes the one rank check; the rank is recomputed only to report it
@@ -337,7 +323,7 @@ def _execute(scenario: str, cfg: NetworkConfig, seed, relay_mode: str | None):
     precoders = SCENARIOS[scenario].design(ch, cfg.K)
     ledger = run_phase1(sched, ch, syms, cfg.noise_var, _derived(seed, 2))
     plan = relay_process(ledger, precoders, sched, relay_mode or SCENARIOS[scenario].relay_mode)
-    ledger = run_phase2(plan, sched, ch, cfg.noise_var, _derived(seed, 3), ledger)
+    ledger = run_phase2(plan, sched, ch, cfg.noise_var, _derived(seed, 3), ledger=ledger)
     return sched, ch, syms, precoders, ledger
 
 
@@ -440,43 +426,28 @@ def ledger_linearity_error(ledger: EquationLedger, sched: Schedule, syms: dict):
     Independent of the decoding path; equals the noise magnitude in noisy
     runs and vanishes (to numerical precision) in noiseless ones.
     """
-    users = [eq for user_eqs in ledger.users.values() for eq in user_eqs]
-    relays = list(ledger.relays.values())
-    a = np.concatenate([eq.coeffs[..., None, :] for eq in users] + [eq.coeffs for eq in relays], axis=-2)
-    y = np.concatenate([eq.value[..., None] for eq in users] + [eq.value for eq in relays],
-                       axis=-1)
-    return np.abs(y - np.matvec(a, _symbol_vector(sched, syms))).max(axis=-1)
+    s = _symbol_vector(sched, syms)[..., None, :]
+    users = np.abs(ledger.values - np.matvec(ledger.rows, s)).max(axis=(-2, -1))
+    return np.maximum(users, np.abs(ledger.relay_values - np.matvec(ledger.relay, s)).max(axis=(-2, -1)))
 
 
 def alignment_error(ledger: EquationLedger, sched: Schedule, syms: dict):
     """Worst mismatch between relayed interference and the stored equations it replays, per seed.
 
-    For every phase-2 equation of every user and every pure slot of that user,
-    checks the coefficients of the slot's symbols and the value they rebuild
-    against the stored phase-1 equation: one gather of every user's equations, then
-    one product per shape of (phase-2 equations, slot symbols), one shape for every
-    built-in schedule. Zero (to numerical precision) when the scenario designs no alignment.
+    For every replay identity of the schedule (``Schedule.replays``: a user's phase-2
+    equation and one of its pure slots), checks the coefficients of the slot's symbols and
+    the value they rebuild against the stored phase-1 equation: one gather and one product
+    per group of identities, one group for every built-in schedule. Zero (to numerical
+    precision) when the scenario designs no alignment.
     """
     s = _symbol_vector(sched, syms)
-    eqs, groups = [], defaultdict(list)  # shape -> [(phase-2 equations, stored equation, columns)]
-    for k, user_eqs in ledger.users.items():
-        p2 = [len(eqs) + i for i, eq in enumerate(user_eqs) if eq.slot > sched.phase1_len]
-        for i, ref in enumerate(user_eqs):
-            if ref.slot in sched.pure_slots(k):
-                cols = sched.slot_columns[ref.slot]
-                groups[len(p2), len(cols)].append((p2, len(eqs) + i, cols))
-        eqs += user_eqs
     worst = np.zeros(s.shape[:-1])
-    if not groups:
-        return worst
-    coeffs = _stack([eq.coeffs for eq in eqs], -2)
-    values = _stack([eq.value for eq in eqs], -1)
-    for members in groups.values():
-        p2, ref, cols = (np.array(x, dtype=np.intp) for x in zip(*members))
-        got = np.ascontiguousarray(coeffs[..., p2[:, :, None], cols[:, None, :]])  # (..., pair, row, column)
-        gap = np.abs(got - coeffs[..., ref[:, None], cols][..., None, :]).max(axis=(-3, -2, -1), initial=0.0)
-        value = np.matvec(got, np.ascontiguousarray(s[..., cols])) - values[..., ref, None]
-        worst = np.maximum(worst, np.maximum(gap, np.abs(value).max(axis=(-2, -1), initial=0.0)))
+    for t, r, k, cols in sched.replays:
+        # (..., pair, phase-2 row, column): row-major, so every seed takes one BLAS path
+        got = np.ascontiguousarray(ledger.rows[..., t[:, :, None], k[:, None, None], cols[:, None, :]])
+        gap = np.abs(got - ledger.rows[..., r[:, None], k[:, None], cols][..., None, :]).max(axis=(-3, -2, -1))
+        value = np.matvec(got, np.ascontiguousarray(s[..., cols])) - ledger.values[..., r, k][..., None]
+        worst = np.maximum(worst, np.maximum(gap, np.abs(value).max(axis=(-2, -1))))
     return worst
 
 

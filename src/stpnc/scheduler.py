@@ -78,8 +78,16 @@ class Schedule:
     def own_symbols(self, k: int) -> tuple:
         return tuple(self.symbols[c] for c in self.decode_columns[k][1])
 
+    @cached_property
+    def listens(self) -> np.ndarray:
+        """(slots, users) bool: True at [t-1, k-1] when user k listens in slot t, read from
+        the slots' destinations; the side-information ledger holds an equation exactly there."""
+        table = np.array([[k in plan.destinations for k in self.users] for plan in self.slots])
+        table.flags.writeable = False
+        return table
+
     def listened_phase1(self, k: int) -> tuple:
-        return tuple(t for t in self.phase1_slots if k in self.slot(t).destinations)
+        return tuple(t for t in self.phase1_slots if self.listens[t - 1, k - 1])
 
     @cached_property
     def classes(self) -> dict:
@@ -101,11 +109,6 @@ class Schedule:
                 for sym in self.symbols
             )
         return table
-
-    def role(self, j: int, sym: SymbolId) -> str:
-        """How user j may receive symbol sym in phase 2: D, SI, OI or N (AOI reads as OI)."""
-        c = self.classes[j][self.column[sym]]
-        return "OI" if c == "AOI" else c
 
     def pure_slots(self, j: int) -> frozenset:
         """Phase-1 slots user j overheard that carry none of its desired symbols."""
@@ -145,6 +148,14 @@ class Schedule:
         return {t: np.array([self.column[sym] for sym in self.slot(t).sends.values()], dtype=np.intp)
                 for t in self.phase1_slots}
 
+    @cached_property
+    def senders(self) -> tuple:
+        """Each column's transmitter as a position in ``users`` (src - 1), and the (phase-1
+        slots, symbols) bool table that is True at [t-1, c] when slot t carries column c."""
+        src = np.array([sym.src - 1 for sym in self.symbols], dtype=np.intp)
+        carries = np.arange(1, self.phase1_len + 1)[:, None] == [self._slot_index[sym] for sym in self.symbols]
+        return src, carries
+
     def unknowns(self, k: int) -> np.ndarray:
         """Columns user k zero-forces, ascending: its D and OI symbols."""
         return self.decode_columns[k][0]
@@ -157,6 +168,31 @@ class Schedule:
         return {k: tuple(np.array([c for c, x in enumerate(self.classes[k]) if x in g], dtype=np.intp)
                          for g in groups)
                 for k in self.users}
+
+    @cached_property
+    def decode_slots(self) -> dict:
+        """User k -> the slots whose equations it stacks (heard, not pure) as positions t-1,
+        ascending; how many of them are phase-1 slots; and its pure slots' positions."""
+        view = {}
+        for k in self.users:
+            pure = np.array(sorted(self.pure_slots(k)), dtype=np.intp) - 1
+            kept = np.setdiff1d(np.flatnonzero(self.listens[:, k - 1]), pure)
+            view[k] = (kept, int(np.searchsorted(kept, self.phase1_len)), pure)
+        return view
+
+    @cached_property
+    def replays(self) -> tuple:
+        """The replay identities of alignment: for each pure slot r of each user k, k's
+        equations in the phase-2 slots it hears must carry r's symbols with the coefficients
+        k stored in slot r. Grouped by (phase-2 slots heard, symbols in r), each group holds
+        the arrays of those slots' positions t-1 (pairs, slots), r-1, k-1 and r's columns."""
+        groups = {}
+        for k in self.users:
+            late = [t - 1 for t in self.phase2_slots if self.listens[t - 1, k - 1]]
+            for r in sorted(self.pure_slots(k)) if late else ():  # nothing replays to a deaf user
+                cols = self.slot_columns[r]
+                groups.setdefault((len(late), len(cols)), []).append((late, r - 1, k - 1, cols))
+        return tuple(tuple(np.array(x, dtype=np.intp) for x in zip(*g)) for g in groups.values())
 
 
 @cache

@@ -91,7 +91,7 @@ def test_twic_zero_constraints():
     pairs = [(2, SymbolId(3, 1)), (4, SymbolId(1, 3)), (3, SymbolId(2, 4)), (1, SymbolId(4, 2))]
     for victim, sym in pairs:
         k = sched.slot_of(sym)
-        assert sched.role(victim, sym) == "N"
+        assert sched.classes[victim][sched.column[sym]] == "N"
         assert abs(coefficient(ch, p, victim, sym.src, t, k)) < 1e-10
         # null-space precoders are unit norm per slot pair
         assert abs(np.linalg.norm(p.per_block[(1, t, k)]) - 1.0) < 1e-12

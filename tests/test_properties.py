@@ -8,7 +8,7 @@ on the first violation; acceptance criterion 8 runs them at full strength,
 import numpy as np
 
 from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
-from stpnc.linalg import kron, null_space, rank, vec, zf_solve
+from stpnc.linalg import null_space, rank, zf_solve
 from stpnc.precoder import AntennaDeficit, design_case1, design_case2, design_twic
 from stpnc.protocol import (
     decode_user,
@@ -25,7 +25,8 @@ def check_vec_kron_identity(cases):
     rng = np.random.default_rng(100)
     for _ in range(cases):
         a, x, b = crandn(rng, 2, 2), crandn(rng, 2, 2), crandn(rng, 2, 2)
-        err = np.linalg.norm(vec(a @ x @ b) - kron(b.T, a) @ vec(x))
+        # vec stacks the columns: reshape in column-major order
+        err = np.linalg.norm((a @ x @ b).reshape(-1, order="F") - np.kron(b.T, a) @ x.reshape(-1, order="F"))
         assert err < 1e-10
 
 

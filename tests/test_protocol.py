@@ -48,33 +48,38 @@ def twxc_setup(seed):
     return cfg, sched, ch, syms
 
 
+def cls(sched, j, sym):
+    """The receive class of symbol sym at user j."""
+    return sched.classes[j][sched.column[sym]]
+
+
 def test_phase1_user_equation_coefficients():
     _, sched, ch, syms = twic_setup(0)
     ledger = run_phase1(sched, ch, syms)
-    eq = ledger.users[3][0]
-    assert eq.slot == 1
-    assert eq.coeffs.shape == (len(sched.symbols),)
-    assert eq.coeffs[sched.column[SymbolId(3, 1)]] == ch.gain[0, 2, 0]
-    assert eq.coeffs[sched.column[SymbolId(4, 2)]] == ch.gain[0, 2, 1]
-    assert np.count_nonzero(eq.coeffs) == 2  # only the slot's two symbols
+    assert ledger.users[3][0] == 1  # user 3's first equation is slot 1's
+    row, value = ledger.rows[0, 2], ledger.values[0, 2]
+    assert ledger.rows.shape == (sched.n_slots, len(sched.users), len(sched.symbols))
+    assert row[sched.column[SymbolId(3, 1)]] == ch.gain[0, 2, 0]
+    assert row[sched.column[SymbolId(4, 2)]] == ch.gain[0, 2, 1]
+    assert np.count_nonzero(row) == 2  # only the slot's two symbols
     expect = ch.gain[0, 2, 0] * syms[SymbolId(3, 1)] + ch.gain[0, 2, 1] * syms[SymbolId(4, 2)]
-    assert eq.value == expect
+    assert value == expect
 
 
 def test_phase1_relay_gets_four_scalar_equations():
     _, sched, ch, syms = twic_setup(1)
     ledger = run_phase1(sched, ch, syms)
-    eqs = list(ledger.relays.values())  # the one relay's equations
-    # two slots, one scalar equation per antenna in each
-    assert sum(eq.value.shape[0] for eq in eqs) == 4
+    # two slots, one scalar equation per antenna in each (the one relay's equations)
+    assert ledger.relay_values.shape == (2, 2)
     covered = set()
-    for eq in eqs:
-        heard = {sym for sym, c in sched.column.items() if eq.coeffs[:, c].any()}
-        assert heard == set(sched.slot(eq.slot).sends.values())
+    for t in ledger.relays:
+        coeffs, value = ledger.relay[t - 1], ledger.relay_values[t - 1]
+        heard = {sym for sym, c in sched.column.items() if coeffs[:, c].any()}
+        assert heard == set(sched.slot(t).sends.values())
         covered.update(heard)
-        for m in range(eq.value.shape[0]):
-            pred = sum(eq.coeffs[m, c] * syms[sym] for sym, c in sched.column.items())
-            assert abs(eq.value[m] - pred) < 1e-12
+        for m in range(value.shape[0]):
+            pred = sum(coeffs[m, c] * syms[sym] for sym, c in sched.column.items())
+            assert abs(value[m] - pred) < 1e-12
     assert covered == set(sched.symbols)
 
 
@@ -107,13 +112,16 @@ def test_linear_forward_matches_brute_force():
         p = precoder.design(sched, ch)
         ledger = run_phase1(sched, ch, syms)
         plan = relay_process(ledger, p, sched, "linear_forward")
+        width = sum(cfg.relay_antennas)
+        assert plan.coeffs.shape == (sched.phase2_len, width, len(sched.symbols))
+        assert plan.signals.shape == (sched.phase2_len, width)
         for ell, c in enumerate(cfg.relay_columns, start=1):
             for t in sched.phase2_slots:
-                blocks = [(p.per_block[(ell, t, k)], ledger.relays[k]) for k in sched.phase1_slots]
-                expect = sum(v @ eq.value[c] for v, eq in blocks)
-                assert np.linalg.norm(plan.signals[t][c] - expect) < 1e-12
-                expect = sum(v @ eq.coeffs[c] for v, eq in blocks)
-                assert np.abs(plan.coeffs[t][c] - expect).max() < 1e-12
+                blocks = [(p.per_block[(ell, t, k)], k - 1) for k in sched.phase1_slots]
+                expect = sum(v @ ledger.relay_values[k][c] for v, k in blocks)
+                assert np.linalg.norm(plan.signals[t - sched.phase1_len - 1][c] - expect) < 1e-12
+                expect = sum(v @ ledger.relay[k][c] for v, k in blocks)
+                assert np.abs(plan.coeffs[t - sched.phase1_len - 1][c] - expect).max() < 1e-12
 
 
 def test_zero_symbols_give_zero_transmit_plan():
@@ -122,7 +130,8 @@ def test_zero_symbols_give_zero_transmit_plan():
     ledger = run_phase1(sched, ch, zeros)
     p = design_twic(ch)
     plan = relay_process(ledger, p, sched, "decode_forward")
-    for sig in plan.signals.values():
+    assert plan.signals.shape == (sched.phase2_len, 2)
+    for sig in plan.signals:
         assert np.linalg.norm(sig) < 1e-12
 
 
@@ -132,10 +141,10 @@ def test_phase2_neutralized_coefficient_is_tiny():
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    eq = [e for e in ledger.users[1] if e.slot == 3][0]
-    assert abs(eq.coeffs[sched.column[SymbolId(4, 2)]]) < 1e-10
-    assert eq.coeffs.shape == (len(sched.symbols),)
-    roles = {sym: sched.role(1, sym) for sym in sched.column}
+    row = ledger.rows[2, 0]  # user 1 in slot 3
+    assert abs(row[sched.column[SymbolId(4, 2)]]) < 1e-10
+    assert row.shape == (len(sched.symbols),)
+    roles = {sym: cls(sched, 1, sym) for sym in sched.column}
     assert roles == {SymbolId(4, 2): "N", SymbolId(1, 3): "D",
                      SymbolId(3, 1): "SI", SymbolId(2, 4): "OI"}
     assert not sched.pure_slots(1)  # jointly decoded, not aligned
@@ -147,13 +156,15 @@ def test_twxc_overheard_part_replays_stored_equation():
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    eq5 = [e for e in ledger.users[1] if e.slot == 5][0]
+    row5 = ledger.rows[4, 0]  # user 1's equations in slots 5 and 4
     assert sched.pure_slots(1) == {4}
-    y4 = [e for e in ledger.users[1] if e.slot == 4][0]
-    oi = {sym: eq5.coeffs[c] for sym, c in sched.column.items() if sched.role(1, sym) == "OI"}
-    assert set(oi) == {sym for sym, c in sched.column.items() if y4.coeffs[c] != 0}
+    row4, value4 = ledger.rows[3, 0], ledger.values[3, 0]
+    # user 1's OI symbols are all overheard in its pure slot: AOI
+    assert {cls(sched, 1, sym) for sym in sched.symbols} == {"D", "SI", "AOI", "N"}
+    oi = {sym: row5[c] for sym, c in sched.column.items() if cls(sched, 1, sym) == "AOI"}
+    assert set(oi) == {sym for sym, c in sched.column.items() if row4[c] != 0}
     oi_value = sum(c * syms[sym] for sym, c in oi.items())
-    assert abs(oi_value - y4.value) < 1e-9
+    assert abs(oi_value - value4) < 1e-9
     assert alignment_error(ledger, sched, syms) < 1e-9
 
 
@@ -164,6 +175,13 @@ def two_pure_schedule():
         SlotPlan(frozenset({1, 2}), {3: SymbolId(2, 3)}),
         SlotPlan(frozenset({1, 2, 3})),
     ), phase1_len=2, phase2_len=1)
+
+
+def deaf_schedule():
+    # two_pure_schedule with user 1 deaf in the relay slot: its pure slots have nothing to replay
+    plan = two_pure_schedule().slots
+    return Schedule("deaf", (1, 2, 3), plan[:2] + (SlotPlan(frozenset({2, 3})),),
+                    phase1_len=2, phase2_len=1)
 
 
 def desired(sched, k):
@@ -184,8 +202,8 @@ def test_unknowns_match_the_stored_equations(sched):
     ledger = run_phase1(sched, ch, draw_symbols(sched, 24))
     assert [sched.symbols[c] for c in sched.column.values()] == list(sched.symbols)
     for k in sched.users:
-        stored = {sym for eq in ledger.users[k] if eq.slot not in sched.pure_slots(k)
-                  for sym, c in sched.column.items() if eq.coeffs[c] != 0}
+        stored = {sym for t in sched.phase1_slots if t not in sched.pure_slots(k)
+                  for sym, c in sched.column.items() if ledger.rows[t - 1, k - 1, c] != 0}
         unknowns = [sched.symbols[c] for c in sched.unknowns(k)]
         assert unknowns == sorted(set(desired(sched, k)) | stored)
         _, own, rest = sched.decode_columns[k]
@@ -193,7 +211,7 @@ def test_unknowns_match_the_stored_equations(sched):
         assert sorted([*sched.unknowns(k), *own, *rest]) == list(range(len(sched.symbols)))
         for c in rest:  # what must cancel or arrive neutralized
             sym = sched.symbols[c]
-            assert sched.role(k, sym) == "N" or sched.slot_of(sym) in sched.pure_slots(k)
+            assert cls(sched, k, sym) == "N" or sched.slot_of(sym) in sched.pure_slots(k)
 
 
 def brute_force_class(sched, j, sym):
@@ -221,11 +239,14 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
         def cols(*classes):
             return [c for c, x in enumerate(table[j]) if x in classes]
 
-        for sym, x in zip(sched.symbols, table[j]):
-            assert sched.role(j, sym) == ("OI" if x == "AOI" else x)
         pure = {t for t in sched.phase1_slots if j in sched.slot(t).destinations
                 and all(s.dest != j for s in sched.slot(t).sends.values())}
         assert sched.pure_slots(j) == pure
+        heard = [t for t in range(1, sched.n_slots + 1) if j in sched.slot(t).destinations]
+        kept, split, pure_pos = sched.decode_slots[j]
+        assert (kept + 1).tolist() == [t for t in heard if t not in pure]
+        assert split == sum(t <= sched.phase1_len for t in kept + 1)
+        assert (pure_pos + 1).tolist() == sorted(pure)
         assert [list(c) for c in sched.decode_columns[j]] == [
             cols("D", "OI"), cols("SI"), cols("AOI", "N")]
         assert list(sched.unknowns(j)) == cols("D", "OI")
@@ -240,6 +261,14 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
         assert view == tuple(rows)
         assert rx.tolist() == [sched.users.index(j) for j, _, _ in rows]
         assert tx.tolist() == [sched.users.index(i) for _, i, _ in rows]
+    identities = []  # (user, pure slot, phase-2 slot, column) of every replay alignment checks
+    for t, r, k, cols in sched.replays:
+        assert t.shape == (len(r), t.shape[1]) and cols.shape == (len(r), cols.shape[1])
+        identities += [(int(kk) + 1, int(rr) + 1, int(tt) + 1, int(c))
+                       for tr, rr, kk, cr in zip(t, r, k, cols) for tt in tr for c in cr]
+    assert sorted(identities) == sorted(
+        (j, r, t, int(c)) for j in sched.users for r in sched.pure_slots(j)
+        for t in sched.phase2_slots if j in sched.slot(t).destinations for c in sched.slot_columns[r])
 
 
 def test_alignment_error_checks_every_pure_slot():
@@ -259,8 +288,7 @@ def test_alignment_error_checks_every_pure_slot():
         for sym, est in res.recovered.items():
             assert abs(est - syms[sym]) < 1e-9
     assert alignment_error(ledger, sched, syms) < 1e-9
-    eq = next(e for e in ledger.users[1] if e.slot == 3)
-    eq.coeffs[sched.column[SymbolId(2, 3)]] += 1e-6  # a symbol of user 1's second pure slot
+    ledger.rows[2, 0, sched.column[SymbolId(2, 3)]] += 1e-6  # user 1, slot 3: a symbol of its second pure slot
     assert alignment_error(ledger, sched, syms) > 1e-9
 
 
@@ -272,8 +300,7 @@ def test_zero_precoders_give_zero_received_values():
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in sched.users:
-        eq = [e for e in ledger.users[k] if e.slot == 3][0]
-        assert abs(eq.value) < 1e-12
+        assert abs(ledger.values[2, k - 1]) < 1e-12
 
 
 def test_decode_user_twic_effective_system():
@@ -299,11 +326,11 @@ def test_self_interference_fully_removed():
     ledger = run_phase1(sched, ch, syms)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    eq = [e for e in ledger.users[2] if e.slot == 3][0]
-    roles = {sym: sched.role(2, sym) for sym in sched.column}
+    row, value = ledger.rows[2, 1], ledger.values[2, 1]  # user 2 in slot 3
+    roles = {sym: cls(sched, 2, sym) for sym in sched.column}
     assert sorted(roles.values()) == ["D", "N", "OI", "SI"]
-    terms = {sym: eq.coeffs[c] * syms[sym] for sym, c in sched.column.items()}
-    cleaned = eq.value - sum(x for sym, x in terms.items() if roles[sym] == "SI")
+    terms = {sym: row[c] * syms[sym] for sym, c in sched.column.items()}
+    cleaned = value - sum(x for sym, x in terms.items() if roles[sym] == "SI")
     rebuilt = sum(x for sym, x in terms.items() if roles[sym] != "SI")
     assert abs(cleaned - rebuilt) < 1e-10
 
@@ -386,12 +413,14 @@ def test_ledger_linearity_reflects_noise_level():
 def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
     # phase 1 draws, per slot, one _noise(rng, 1) call per listening user in user order,
     # then one _noise(rng, M_l) call per relay l = 1..L (M_l real parts, then M_l
-    # imaginary ones); the relay bank's noise vector must keep that stream bit for bit
+    # imaginary ones); every user's and the relay bank's noise must keep that stream bit for bit
     cfg = NetworkConfig(5, (2, 3, 1), noise_var=1e-3)
     sched = schedule_case2(5)
     ch = draw_channels(cfg, sched.n_slots, 31)
     syms = draw_symbols(sched, 32)
     ledger = run_phase1(sched, ch, syms, cfg.noise_var, seed=33)
+    clean = run_phase1(sched, ch, syms)
+    assert np.array_equal(ledger.rows, clean.rows) and np.array_equal(ledger.relay, clean.relay)
     s = np.array([syms[sym] for sym in sched.symbols])
     rng = np.random.default_rng(33)
     scale = np.sqrt(cfg.noise_var / 2.0)
@@ -401,12 +430,14 @@ def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
 
     for t in sched.phase1_slots:
         for k in sorted(sched.slot(t).destinations):
-            eq = next(e for e in ledger.users[k] if e.slot == t)
-            assert abs(eq.value - (eq.coeffs @ s + noise(1)[0])) < 1e-14
-        eq = ledger.relays[t]
+            drawn, value = noise(1)[0], ledger.values[t - 1, k - 1]
+            assert value == clean.values[t - 1, k - 1] + drawn
+            assert abs(value - (ledger.rows[t - 1, k - 1] @ s + drawn)) < 1e-14
         expect = np.concatenate([noise(m) for m in cfg.relay_antennas])
-        assert np.array_equal(eq.value, eq.coeffs @ s + expect)
+        assert np.array_equal(ledger.relay_values[t - 1], clean.relay_values[t - 1] + expect)
+        assert np.array_equal(ledger.relay_values[t - 1], ledger.relay[t - 1] @ s + expect)
         assert np.abs(expect).min() > 0
+    assert not ledger.values[~sched.listens].any()  # no noise where nobody listens
 
 
 def test_verify_scenario_summary():
@@ -478,9 +509,9 @@ def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
 
     def faulty(ledger, p, sched, *args, **kwargs):
         plan = real(ledger, p, sched, *args, **kwargs)
-        # after the relays used it: only the stored equation is now wrong, on every seed
-        eq = ledger.relays[1]  # row 0: relay 1's first antenna
-        eq.coeffs[..., 0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
+        # after the relays used it: only the stored equation is now wrong, on every seed;
+        # slot 1's row 0, relay 1's first antenna
+        ledger.relay[..., 0, 0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
         return plan
 
     monkeypatch.setattr(protocol, "relay_process", faulty)
@@ -495,9 +526,9 @@ def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
 
     def faulty(plan, sched, *args, **kwargs):
         ledger = real(plan, sched, *args, **kwargs)
-        eq = next(e for e in ledger.users[1] if e.slot > sched.phase1_len)
+        t = next(t for t in sched.phase2_slots if sched.listens[t - 1, 0])  # user 1's first phase-2 equation
         sym = next(s for s in sched.symbols if sched.slot_of(s) in sched.pure_slots(1))
-        eq.coeffs[..., sched.column[sym]] += 1e-6  # every seed; the stray gate sees it too: decoding leaves it uncancelled
+        ledger.rows[..., t - 1, 0, sched.column[sym]] += 1e-6  # every seed; the stray gate sees it too: decoding leaves it uncancelled
         return ledger
 
     monkeypatch.setattr(protocol, "run_phase2", faulty)
@@ -664,8 +695,8 @@ def test_noiseless_phases_build_no_generator(monkeypatch):
     plan = relay_process(ledger, design_twic(ch), sched, "decode_forward")
     run_phase2(plan, sched, ch, 0.0, seed=6, ledger=ledger)
     assert built == []
-    run_phase1(sched, ch, syms, 1e-3, seed=5)
-    run_phase2(plan, sched, ch, 1e-3, seed=6)
+    ledger = run_phase1(sched, ch, syms, 1e-3, seed=5)
+    run_phase2(plan, sched, ch, 1e-3, seed=6, ledger=ledger)
     assert built == [(5,), (6,)]
     built.clear()
     verify_scenario("twic", cfg, n_seeds=5)
@@ -679,12 +710,8 @@ def test_noisy_batch_keeps_each_seeds_noise_stream():
     batch = protocol._execute("case2", cfg, seeds, None)[4]
     for i, seed in enumerate(seeds):
         alone = protocol._execute("case2", cfg, seed, None)[4]
-        for k, eqs in alone.users.items():
-            for got, want in zip(batch.users[k], eqs):
-                assert np.array_equal(got.coeffs[i], want.coeffs)
-                assert got.value[i] == want.value
-        for t, eq in alone.relays.items():
-            assert np.array_equal(batch.relays[t].value[i], eq.value)
+        for name in ("rows", "values", "relay", "relay_values"):
+            assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), name
 
 
 @pytest.mark.parametrize("scenario,cfg", [
@@ -701,3 +728,70 @@ def test_symbol_errors_are_pythons_abs_of_the_recovered_symbols(scenario, cfg):
         syms = draw_symbols(sched, derive_trial_seed(seed, 1))
         assert rep.max_symbol_error == max(abs(est - syms[sym]) / abs(syms[sym])
                                            for sym, est in rep.recovered.items())
+
+
+# the ledger is the schedule's (slot, user) grid: rows, values, relay and relay_values
+
+@pytest.mark.parametrize("scenario,cfg", [
+    ("twic", NetworkConfig(4, (2,))),
+    ("twxc", NetworkConfig(4, (2,))),
+    ("case1", NetworkConfig(4, (1, 1, 1, 2))),
+    ("case2", NetworkConfig(5, (2, 2, 1))),
+    ("case1", NetworkConfig(6, (1,) * 21)),
+], ids=["twic", "twxc", "case1-1112", "case2-221", "case1-21x1"])
+def test_a_batched_ledger_is_each_seeds_own_ledger_bitwise(scenario, cfg):
+    seeds = [derive_trial_seed(8, i) for i in range(4)]
+    batch = protocol._execute(scenario, cfg, seeds, None)[4]
+    for i, seed in enumerate(seeds):
+        alone = protocol._execute(scenario, cfg, seed, None)[4]
+        for name in ("rows", "values", "relay", "relay_values"):
+            got, want = getattr(batch, name)[i], getattr(alone, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def grid_ledger(sched, antennas, seeds):
+    """Both phases of sched on a batch of seeds, linear-forward."""
+    ch = draw_channels(NetworkConfig(len(sched.users), antennas), sched.n_slots, seeds)
+    syms = draw_symbols(sched, [s + 100 for s in seeds])
+    ledger = run_phase1(sched, ch, syms)
+    plan = relay_process(ledger, precoder.design(sched, ch), sched, "linear_forward")
+    return run_phase2(plan, sched, ch, ledger=ledger), syms
+
+
+@pytest.mark.parametrize("sched,antennas", [
+    (schedule_case2(5), (2, 2, 1)), (two_pure_schedule(), (2,)), (deaf_schedule(), (2,)),
+], ids=["case2-5", "two_pure", "deaf"])
+def test_b_rows_and_values_are_zero_wherever_nobody_listens(sched, antennas):
+    ledger, syms = grid_ledger(sched, antennas, [41, 42])
+    n1, deaf = sched.phase1_len, ~sched.listens
+    assert ledger.rows.shape == (2, sched.n_slots, len(sched.users), len(sched.symbols))
+    assert deaf[:n1].any()
+    assert not ledger.rows[:, deaf].any() and not ledger.values[:, deaf].any()
+    # every heard cell holds its equation: the slot's symbols in phase 1, a relay row after
+    carried = np.zeros((n1, len(sched.symbols)), dtype=bool)
+    for t in sched.phase1_slots:
+        carried[t - 1, sched.slot_columns[t]] = True
+    for t, k in zip(*np.nonzero(sched.listens)):
+        if t < n1:
+            assert np.array_equal(ledger.rows[:, t, k] != 0, np.broadcast_to(carried[t], (2, carried.shape[1])))
+        else:
+            assert np.all(ledger.values[:, t, k] != 0)
+    assert np.all(ledger_linearity_error(ledger, sched, syms) < 1e-12)
+    assert np.all(alignment_error(ledger, sched, syms) < 1e-9)
+
+
+@pytest.mark.parametrize("sched,antennas", [
+    (schedule_twxc(), (2,)), (schedule_case2(5), (2, 2, 1)), (two_pure_schedule(), (2,)),
+], ids=["twxc", "case2-5", "two_pure"])
+def test_c_decode_system_is_the_heard_non_pure_rows_in_slot_order(sched, antennas):
+    ledger, syms = grid_ledger(sched, antennas, [51, 52, 53])
+    for k in sched.users:
+        if not sched.unknowns(k).size:
+            continue
+        res = decode_user(k, ledger, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
+        slots = [t for t in range(1, sched.n_slots + 1)
+                 if k in sched.slot(t).destinations and t not in sched.pure_slots(k)]
+        want = ledger.rows[:, np.array(slots) - 1, k - 1][..., sched.unknowns(k)]
+        assert res.matrix.shape == want.shape and np.array_equal(res.matrix, want)
+        for sym, est in res.recovered.items():
+            assert np.abs(est - syms[sym]).max() < 1e-9

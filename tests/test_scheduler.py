@@ -106,14 +106,27 @@ def test_every_relay_stores_every_phase1_slot(build):
     ch = draw_channels(cfg, s.n_slots, 3)
     ledger = run_phase1(s, ch, draw_symbols(s, 4))
     # one equation of the whole relay bank per slot: relay l's rows are its antenna columns
-    assert set(ledger.relays) == set(s.phase1_slots)
-    for t, eq in ledger.relays.items():
-        assert eq.slot == t and eq.coeffs.shape == (3, len(s.symbols))
+    assert ledger.relays == s.phase1_slots
+    assert ledger.relay.shape == (s.phase1_len, 3, len(s.symbols))
+    assert ledger.relay_values.shape == (s.phase1_len, 3)
+    for t in s.phase1_slots:
+        coeffs = ledger.relay[t - 1]
         src = [sym.src - 1 for sym in s.slot(t).sends.values()]
         for c in cfg.relay_columns:
-            assert np.array_equal(eq.coeffs[c][:, s.slot_columns[t]], ch.up[t - 1][src, c].T)
+            assert np.array_equal(coeffs[c][:, s.slot_columns[t]], ch.up[t - 1][src, c].T)
         others = np.setdiff1d(np.arange(len(s.symbols)), s.slot_columns[t])
-        assert not eq.coeffs[:, others].any()
+        assert not coeffs[:, others].any()
+
+
+@pytest.mark.parametrize("build", ALL_BUILDERS)
+def test_listens_is_the_slots_destinations(build):
+    s = build()
+    assert s.listens.shape == (s.n_slots, len(s.users)) and s.listens.dtype == bool
+    assert not s.listens.flags.writeable  # cached and shared
+    for t in range(1, s.n_slots + 1):
+        assert [k for k in s.users if s.listens[t - 1, k - 1]] == sorted(s.slot(t).destinations)
+    for k in s.users:
+        assert s.listened_phase1(k) == tuple(t for t in s.phase1_slots if k in s.slot(t).destinations)
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -150,10 +163,11 @@ def test_case2_each_user_listens_twice():
 
 def test_twic_roles_for_user_one():
     s = schedule_twic()
-    assert s.role(1, SymbolId(1, 3)) == "D"
-    assert s.role(1, SymbolId(3, 1)) == "SI"
-    assert s.role(1, SymbolId(2, 4)) == "OI"  # overheard in slot 2, decoded jointly
-    assert s.role(1, SymbolId(4, 2)) == "N"
+    roles = dict(zip(s.symbols, s.classes[1]))
+    assert roles[SymbolId(1, 3)] == "D"
+    assert roles[SymbolId(3, 1)] == "SI"
+    assert roles[SymbolId(2, 4)] == "OI"  # overheard in slot 2, decoded jointly
+    assert roles[SymbolId(4, 2)] == "N"
     assert all(s.pure_slots(u) == frozenset() for u in s.users)
 
 
@@ -164,23 +178,23 @@ def test_twxc_pure_slots_are_the_other_pairs_slots():
     assert s.pure_slots(3) == {2}
     assert s.pure_slots(1) == {4}
     assert s.pure_slots(2) == {3}
-    assert s.role(4, SymbolId(3, 1)) == "OI"
+    assert s.classes[4][s.column[SymbolId(3, 1)]] == "AOI"  # overheard in a pure slot
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
 def test_roles_partition_every_symbol(build):
     s = build()
     for u in s.users:
-        roles = {sym: s.role(u, sym) for sym in s.symbols}
+        roles = dict(zip(s.symbols, s.classes[u]))
         desired = {sym for sym in s.symbols if sym.dest == u}
         assert {sym for sym, r in roles.items() if r == "D"} == desired
         assert {sym for sym, r in roles.items() if r == "SI"} == set(s.own_symbols(u))
         overheard = {sym for t in s.listened_phase1(u) for sym in s.slot(t).sends.values()}
-        assert {sym for sym, r in roles.items() if r == "OI"} == overheard - desired
+        assert {sym for sym, r in roles.items() if r in ("OI", "AOI")} == overheard - desired
         # pure slots are overheard slots without a desired symbol
         assert s.pure_slots(u) <= set(s.listened_phase1(u))
         for t in s.pure_slots(u):
-            assert all(roles[sym] == "OI" for sym in s.slot(t).sends.values())
+            assert all(roles[sym] == "AOI" for sym in s.slot(t).sends.values())
 
 
 def test_case2_next_user_overhears_one_pure_slot():
