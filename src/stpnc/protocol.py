@@ -79,7 +79,7 @@ class EquationLedger:
     @property
     def users(self) -> dict:
         """User k -> the slots it heard, one equation each."""
-        return {k: tuple(np.flatnonzero(heard) + 1) for k, heard in enumerate(self.listens.T, start=1)}
+        return {k: tuple(int(t) + 1 for t in np.flatnonzero(heard)) for k, heard in enumerate(self.listens.T, start=1)}
 
     @property
     def relays(self) -> range:
@@ -110,16 +110,16 @@ def draw_symbols(sched: Schedule, seed) -> dict:
     return dict(zip(sched.symbols, z.T))
 
 
-def _stack(parts, axis: int) -> np.ndarray:
-    """np.stack(parts, axis) for a negative axis and parts of one seed or of a seed axis
-    (S, ...), row-major like a seed's own arrays, so every seed's products take one BLAS
-    path; np.array and one swap cost a third of np.stack."""
-    return np.ascontiguousarray(np.array(parts, dtype=complex).swapaxes(0, axis))
+def _stack(parts) -> np.ndarray:
+    """np.stack(parts, -1) for scalar parts of one seed or parts over a batch's seeds, (S,),
+    row-major like a seed's own arrays, so every seed's products take one BLAS path;
+    np.array and one transpose cost a third of np.stack."""
+    return np.ascontiguousarray(np.array(parts, dtype=complex).T)
 
 
 def _symbol_vector(sched: Schedule, syms: dict) -> np.ndarray:
     """The payload in column order: (n,) for one seed, (seeds, n) for a batch."""
-    return _stack([syms[sym] for sym in sched.symbols], -1)
+    return _stack([syms[sym] for sym in sched.symbols])
 
 
 def _noise(seed, sizes, noise_var: float) -> np.ndarray:
@@ -251,7 +251,7 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict)
     rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
     a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
     if own.size:  # k sends nothing in a slot it listens to, so its own columns are zero on the phase-1 rows
-        sent = _stack([own_syms[sym] for sym in sched.own_symbols(k)], -1)
+        sent = _stack([own_syms[sym] for sym in sched.own_symbols(k)])
         y -= np.matvec(a.take(own, axis=-1), sent)
     if pure.size:
         a[..., split:, :] -= rows.take(pure, axis=-2).sum(axis=-2)[..., None, :]
@@ -346,8 +346,8 @@ def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None)
     results = {k: decode_user(k, ledger, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
                for k in sched.users}
     recovered = {sym: x for res in results.values() for sym, x in res.recovered.items()}
-    want = _stack([syms[sym] for sym in recovered], -1)
-    miss = _stack(list(recovered.values()), -1) - want
+    want = _stack([syms[sym] for sym in recovered])
+    miss = _stack(list(recovered.values())) - want
     # np.hypot is Python's abs of a complex; np.abs rounds differently
     errors = np.hypot(miss.real, miss.imag) / np.hypot(want.real, want.imag)
     return _Outcome(sched, recovered, errors, {k: res.effective_rank for k, res in results.items()},
