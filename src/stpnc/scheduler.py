@@ -175,9 +175,10 @@ class Schedule:
         ascending; how many of them are phase-1 slots; and its pure slots' positions."""
         view = {}
         for k in self.users:
-            pure = np.array(sorted(self.pure_slots(k)), dtype=np.intp) - 1
-            kept = np.setdiff1d(np.flatnonzero(self.listens[:, k - 1]), pure)
-            view[k] = (kept, int(np.searchsorted(kept, self.phase1_len)), pure)
+            pure = sorted(t - 1 for t in self.pure_slots(k))
+            kept = [t for t in range(self.n_slots) if self.listens[t, k - 1] and t not in pure]
+            view[k] = (np.array(kept, dtype=np.intp), sum(t < self.phase1_len for t in kept),
+                       np.array(pure, dtype=np.intp))
         return view
 
     @cached_property

@@ -117,10 +117,10 @@ def test_linear_forward_matches_brute_force():
         assert plan.signals.shape == (sched.phase2_len, width)
         for ell, c in enumerate(cfg.relay_columns, start=1):
             for t in sched.phase2_slots:
-                blocks = [(p.per_block[(ell, t, k)], k - 1) for k in sched.phase1_slots]
-                expect = sum(v @ ledger.relay_values[k][c] for v, k in blocks)
+                blocks = [(p.per_block[(ell, t, k)], k) for k in sched.phase1_slots]
+                expect = sum(v @ ledger.relay_values[k - 1][c] for v, k in blocks)
                 assert np.linalg.norm(plan.signals[t - sched.phase1_len - 1][c] - expect) < 1e-12
-                expect = sum(v @ ledger.relay[k][c] for v, k in blocks)
+                expect = sum(v @ ledger.relay[k - 1][c] for v, k in blocks)
                 assert np.abs(plan.coeffs[t - sched.phase1_len - 1][c] - expect).max() < 1e-12
 
 
