@@ -8,11 +8,9 @@ the precoders replay that shape, and zero-forcing the remaining stacked
 system. In noiseless mode every desired symbol is recovered exactly and the
 report carries the achieved symbols-per-slot ratio as an exact fraction.
 
-The side information is stored on the schedule's (slot, user) grid: the
-``EquationLedger`` holds one coefficient row and value per cell, zero where the
-user does not listen (``Schedule.listens``), and the relay bank's rows per
-phase-1 slot. Each phase writes its slots with whole-array products; decoding
-and both ledger checks index the grid through the schedule's cached index arrays.
+The side information is stored on the schedule's (slot, user) grid (see
+``EquationLedger``): each phase writes its slots with whole-array products, and
+decoding and both checks index the grid through the schedule's cached arrays.
 
 Seeds are a leading batch axis. Every stage takes the arrays of one seed or
 of a batch of seeds, (S, ...) (one seed axis: splits along the other axes
@@ -79,7 +77,8 @@ class EquationLedger:
     @property
     def users(self) -> dict:
         """User k -> the slots it heard, one equation each."""
-        return {k: tuple(int(t) + 1 for t in np.flatnonzero(heard)) for k, heard in enumerate(self.listens.T, start=1)}
+        return {k: tuple(int(t) + 1 for t in np.flatnonzero(heard))
+                for k, heard in enumerate(self.listens.T, start=1)}
 
     @property
     def relays(self) -> range:

@@ -6,8 +6,9 @@ the remaining users and all relays listen and store linear equations
 Slots and users are 1-indexed; a symbol id (dest, src) names the unit-power
 data symbol user `src` sends for user `dest`. Schedules are immutable and
 their builders cached, so what a schedule derives (its symbols, the slot of
-a symbol, the columns of a coefficient row, the receive class of every
-symbol at every user, and its constraint rows) is computed once per process.
+a symbol, who listens in each slot, the columns of a coefficient row, the
+receive class of every symbol at every user, its constraint rows and the index
+arrays the protocol reads its ledger through) is computed once per process.
 """
 
 from __future__ import annotations

@@ -528,7 +528,8 @@ def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
         ledger = real(plan, sched, *args, **kwargs)
         t = next(t for t in sched.phase2_slots if sched.listens[t - 1, 0])  # user 1's first phase-2 equation
         sym = next(s for s in sched.symbols if sched.slot_of(s) in sched.pure_slots(1))
-        ledger.rows[..., t - 1, 0, sched.column[sym]] += 1e-6  # every seed; the stray gate sees it too: decoding leaves it uncancelled
+        # every seed; the stray gate sees it too: decoding leaves it uncancelled
+        ledger.rows[..., t - 1, 0, sched.column[sym]] += 1e-6
         return ledger
 
     monkeypatch.setattr(protocol, "run_phase2", faulty)
