@@ -64,8 +64,10 @@ def _parse_snr_grid(text) -> tuple:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise UsageError("--snr needs step > 0 and stop >= start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + k * step for k in range(count))
+    count = (stop - start) / step + 1e-9
+    if not math.isfinite(count):
+        raise UsageError(f"--snr grid {text!r} has no finite point count")
+    return tuple(start + k * step for k in range(int(np.floor(count)) + 1))
 
 
 @functools.cache

@@ -10,10 +10,10 @@ of 2.5 sigma^2 / P). The network is symmetric, so the sum rate is 4/3 times
 the per-flow ergodic rate: four symbols cross in three channel uses. The
 TDMA baseline sends one symbol per slot over the direct link.
 
-Trial i draws fresh channels from derive_trial_seed(seed, i), so results
-are deterministic and trials can be computed in independent blocks. Both
-relay vectors are 1x2 null directions, so the hop gains are closed-form
-2x2 determinants, evaluated for a whole block of trials at once.
+Trial i draws its channels from its own generator, seeded derive_trial_seed(seed, i),
+even when a batch is drawn in one call, so results are deterministic and trials can
+be computed in independent blocks. Both relay vectors are 1x2 null directions, so the
+hop gains are closed-form 2x2 determinants, evaluated for a whole block at once.
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from .scheduler import schedule_twic
 
 _TWIC = schedule_twic()  # by symmetry, flow 3 -> 1 stands for all four
 _TWIC_CFG = NetworkConfig(len(_TWIC.users), _TWIC.relays)
-_SNR_BLOCK = 8  # SNR points per broadcast in snr_sweep, so temporaries stay O(trials)
+_DRAW_BATCH = 256  # seeds per draw_pools call in trial_gains: about 1 MB of temporaries
+_SNR_ELEMENTS = 8 * 2048  # (points x trials) elements per snr_sweep pass; at least one point
 
 
 @dataclass(frozen=True)
@@ -97,31 +98,33 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     """Per-trial flow_gains rows (uplink, downlink, direct) for trials start..start+count-1.
 
     Trial i keeps the nine coefficients of draw_channels(.., derive_trial_seed(seed, i))
-    that the gains read, and one kernel call gives the block's gains. SNR-independent,
-    so a sweep reuses one block for every SNR point; disjoint blocks concatenate.
+    that the gains read: one draw_pools call per _DRAW_BATCH trials and one gather, then
+    one kernel call gives the block's gains. SNR-independent, so a sweep reuses one block
+    for every SNR point; disjoint blocks concatenate.
     """
     coeffs = np.empty((count, _FLOW_INDEX.size), dtype=complex)
-    for i in range(count):
-        coeffs[i] = draw_pools(_TWIC_CFG, 3, derive_trial_seed(seed, start + i)).take(_FLOW_INDEX)
+    for b in range(0, count, _DRAW_BATCH):
+        seeds = [derive_trial_seed(seed, start + i) for i in range(b, min(b + _DRAW_BATCH, count))]
+        coeffs[b:b + len(seeds)] = draw_pools(_TWIC_CFG, 3, seeds).reshape(len(seeds), -1)[:, _FLOW_INDEX]
     return _gains(coeffs)
 
 
 def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
     """Both curves over the SNR grid, from common per-trial channel draws.
 
-    Per trial, the relayed exchange delivers 4/3 times the decode-and-forward
-    rate of the flow (the smaller of its two hop rates) and TDMA the
-    direct-link rate; each point is the mean over trials with its standard
-    error. The crossover is the linearly interpolated SNR where the relayed
-    exchange first overtakes the baseline; None when no upward crossing
-    falls inside the grid.
+    Per trial, the relayed exchange delivers 4/3 times the decode-and-forward rate of the
+    flow (the smaller of its two hop rates) and TDMA the direct-link rate; each point is the
+    mean over trials with its standard error, taken in passes of _SNR_ELEMENTS (points x
+    trials) elements whose row-wise statistics have the same bits for any pass size. The
+    crossover is the linearly interpolated SNR where the relayed exchange first overtakes
+    the baseline; None when no upward crossing falls inside the grid.
     """
     if gains is None:
         gains = trial_gains(cfg.seed, 0, cfg.trials)
     n = gains.shape[0]
-    points = []
-    for b in range(0, len(cfg.snr_db), _SNR_BLOCK):  # (points x trials) temporaries per block
-        grid = cfg.snr_db[b:b + _SNR_BLOCK]
+    points, width = [], max(1, _SNR_ELEMENTS // n)  # SNR points per pass
+    for b in range(0, len(cfg.snr_db), width):
+        grid = cfg.snr_db[b:b + width]
         rho = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
         up = np.log2(1.0 + rho * gains[:, 0])
         dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])

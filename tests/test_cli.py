@@ -264,6 +264,25 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# fixed bytes of two sweeps, which any change to the draws, the gather or the SNR passes
+# must keep: 4100 trials span 17 draw batches and three 2048-trial gain blocks, the last
+# of each partial
+RATE_GOLDEN = {
+    "rate_sweep_snr0-30-1_trials4100_seed3.csv": ["--snr", "0:30:1", "--trials", "4100", "--seed", "3"],
+    "rate_sweep_snr0-30-5_trials500.json": ["--snr", "0:30:5", "--trials", "500", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", RATE_GOLDEN)
+def test_rate_sweep_writes_the_golden_bytes(name, jobs, tmp_path, monkeypatch):
+    monkeypatch.delenv("STPNC_SEED", raising=False)  # the JSON file is seed 0's
+    out = tmp_path / name
+    assert run(["rate-sweep", *RATE_GOLDEN[name], "--jobs", jobs, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_worker_pool_is_capped_at_the_core_count(tmp_path, monkeypatch):
     # a fake pool records its size and maps in-process: no worker is started
     import multiprocessing
@@ -374,6 +393,8 @@ BAD_INPUTS = {  # name: (text of {tmp}/cfg.json or None, argv)
     "nan-snr-step": (None, ["rate-sweep", "--snr", "0:10:nan"]),
     "nan-snr": (None, ["rate-sweep", "--snr", "nan"]),
     "infinite-snr": (None, ["rate-sweep", "--snr", "inf"]),
+    "overflowing-snr-count": (None, ["rate-sweep", "--snr", "0:1e300:1e-300", "--trials", "4"]),
+    "overflowing-snr-span": (None, ["rate-sweep", "--snr=-1e308:1e308:1", "--trials", "4"]),
     "nan-noise": (None, ["simulate", "--scenario", "twic", "--noise-var", "nan"]),
     "infinite-noise": (None, ["simulate", "--scenario", "twic", "--noise-var", "inf"]),
     "zero-trials": (None, ["simulate", "--scenario", "twic", "--trials", "0"]),

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stpnc import linalg
-from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
+from stpnc import linalg, rate
+from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels, draw_pools
 from stpnc.precoder import design_twic
 from stpnc.rate import RateConfig, RatePoint, flow_gains, snr_sweep, trial_gains
 
@@ -120,6 +122,39 @@ def test_trial_gains_positive_finite_and_deterministic():
     assert np.array_equal(np.array(rows[200:]), trial_gains(0, 200, 300))
 
 
+def test_batched_draws_gather_the_per_trial_rows_bitwise(monkeypatch):
+    # two full draw batches and a partial one, at a nonzero start
+    seed, start, count = 11, 1000, 2 * rate._DRAW_BATCH + 37
+    cfg = NetworkConfig(4, (2,))
+    rows = np.array([draw_pools(cfg, 3, derive_trial_seed(seed, start + i)).take(rate._FLOW_INDEX)
+                     for i in range(count)])
+    calls = []
+
+    def recording(cfg, slots, seeds):
+        calls.append(list(seeds))
+        return draw_pools(cfg, slots, seeds)
+
+    monkeypatch.setattr(rate, "draw_pools", recording)
+    gains = trial_gains(seed, start, count)
+    assert [len(c) for c in calls] == [rate._DRAW_BATCH, rate._DRAW_BATCH, 37]
+    assert sum(calls, []) == [derive_trial_seed(seed, start + i) for i in range(count)]
+    assert np.array_equal(gains, rate._gains(rows))
+    monkeypatch.setattr(rate, "_gains", lambda c: c)  # trial_gains now returns the gathered rows
+    assert np.array_equal(trial_gains(seed, start, count), rows)
+
+
+def test_trial_gains_temporaries_stay_batch_sized():
+    trial_gains(0, 0, 10)  # module-level caches are built before tracing
+    tracemalloc.start()
+    try:
+        trial_gains(0, 0, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coeffs = 20_000 * 9 * 16  # the (trials, 9) complex coefficients the kernel reads
+    assert peak < 2 * coeffs  # one draw_pools call over all 20 000 seeds peaks near 30x coeffs
+
+
 def null_space_gains(ch):
     """The gains through SVD null-space vectors, as flow_gains computed them before the closed form."""
     u_row = linalg.null_space(ch.up[1, 3][None, :])[:, 0]  # nulls user 4's slot-2 uplink
@@ -159,12 +194,25 @@ def per_point_sweep(cfg, gains):
     return points, crossover
 
 
-@pytest.mark.parametrize("trials", [1, 2, 64, 3000])
-def test_blocked_sweep_is_the_per_point_loop_bitwise(trials):
-    # 31 points span several SNR blocks; the last block is a partial one
+# points per snr_sweep pass over 31 points: 3000 trials take 16384 // 3000 = 5 points a
+# pass, so six full passes and a partial last one
+PASS_WIDTHS = {1: [31], 2: [31], 64: [31], 3000: [5] * 6 + [1]}
+
+
+@pytest.mark.parametrize("trials", PASS_WIDTHS)
+def test_blocked_sweep_is_the_per_point_loop_bitwise(trials, monkeypatch):
     cfg = RateConfig(tuple(float(s) for s in range(31)), trials=trials, seed=trials)
     gains = trial_gains(trials, 0, trials)
+    passes, column_stack = [], np.column_stack
+
+    def recording(arrays):  # snr_sweep closes each pass with one column_stack of its stats
+        passes.append(len(arrays[0]))
+        return column_stack(arrays)
+
+    monkeypatch.setattr(np, "column_stack", recording)
     got = snr_sweep(cfg, gains)
+    monkeypatch.undo()
+    assert passes == PASS_WIDTHS[trials]
     points, crossover = per_point_sweep(cfg, gains)
     assert got.points == tuple(points)
     assert got.crossover_db == crossover
