@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 
@@ -131,6 +132,10 @@ def _parse_args(argv: list) -> argparse.Namespace:
     Argparse keeps the last value of a flag, so explicit flags win. Keys that
     name no flag of the subcommand are ignored. Errors exit through argparse.
     """
+    argv = list(argv)  # argparse reads a negative grid ('-10:30:10') as a flag; bind it with '='
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--snr" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--snr={argv[i]}"]
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.config is None:

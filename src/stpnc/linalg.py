@@ -3,11 +3,13 @@
 Everything operates on complex numpy arrays, deterministically. ``solve_least_norm``
 and ``zf_solve`` take a stack of systems of one shape, (..., r, n), and solve them all
 from one batched decomposition whose result per system is bitwise that of the system
-alone, so a batch of seeds decodes exactly as each seed would by itself; a failure names
-the first failing system by its ``index`` in the stack. The precoders use only
-``solve_least_norm`` (one batched QR); decoding uses ``zf_solve`` (one batched SVD).
-``null_space`` (ascending singular values, each column's first significant entry real
-positive) stays as a test oracle and a benchmark binding.
+alone, so a batch of seeds decodes exactly as each seed would by itself. Neither raises
+for a bad system: each reports a per-system status next to its solutions (the residual
+gate's verdict, the kept singular-value count), and the caller decides what a failure
+means. The precoders use only ``solve_least_norm`` (one batched QR); decoding uses
+``zf_solve`` (one batched SVD). ``null_space`` (ascending singular values, each column's
+first significant entry real positive) and ``rank`` stay as test oracles and benchmark
+bindings.
 """
 
 from __future__ import annotations
@@ -20,23 +22,13 @@ import numpy as np
 class InconsistentSystem(Exception):
     """The linear constraints admit no solution within tolerance.
 
-    ``index`` is the failing system's position in the stack (``()`` for a single system).
+    Nothing raises it: ``solve_least_norm`` returns a verdict per system, and ``design``
+    reports an infeasible slot pair as AntennaDeficit. perfbench/oracles.py imports it.
     """
-
-    def __init__(self, message: str, index: tuple = ()):
-        super().__init__(message)
-        self.index = index
 
 
 class RankDeficient(Exception):
-    """The coefficient matrix does not have full column rank.
-
-    ``index`` is the failing matrix's position in the stack (``()`` for a single matrix).
-    """
-
-    def __init__(self, message: str, index: tuple = ()):
-        super().__init__(message)
-        self.index = index
+    """The coefficient matrix does not have full column rank."""
 
 
 # Singular values at or below REL_EPS * s_max * max(shape) count as zero.
@@ -88,17 +80,18 @@ def null_space(a) -> np.ndarray:
     return basis
 
 
-def solve_least_norm(a, b, x0=None) -> np.ndarray:
-    """The x with a @ x = b nearest to x0 (minimum norm when x0 is omitted), per system.
+def solve_least_norm(a, b, x0=None) -> tuple[np.ndarray, np.ndarray]:
+    """The x with a @ x = b nearest to x0 (minimum norm when x0 is omitted), per system,
+    and each system's verdict.
 
     a is (..., r, n) and b (..., r): one system per leading index, all solved from one
     batched complete QR a^H = [Q1 N] R as x = N N^H x0 + Q1 R^-H b. The R^-H solve is
     skipped where b is zero, so a homogeneous system returns the projection of x0 onto a
     null space even when a is rank deficient. With r > n only the leading n equations are
-    solved. Each system is then judged by its residual, ||a x - b|| <= ABS_EPS *
-    (1 + ||a x0 - b||); the first system (in C order) that fails it, is singular or comes
-    out non-finite raises InconsistentSystem with its index. That signals infeasible
-    precoder constraints, and it is the only check: QR does not reveal rank.
+    solved. The verdict (...,) is the residual gate, ||a x - b|| <= ABS_EPS *
+    (1 + ||a x0 - b||): False where the system is inconsistent, singular or comes out
+    non-finite (its x may then hold NaN). That signals infeasible precoder constraints,
+    and it is the only check: QR does not reveal rank.
     """
     m = as_cmatrix(a)
     batch, (r, n) = m.shape[:-2], m.shape[-2:]
@@ -119,7 +112,7 @@ def solve_least_norm(a, b, x0=None) -> np.ndarray:
         lower = rr[active, :lead].conj().transpose(0, 2, 1)  # R1^H, lower triangular
         try:
             y = np.linalg.solve(lower, rhs[active, :lead, None])
-        except np.linalg.LinAlgError:  # find the singular members; the gate names the first
+        except np.linalg.LinAlgError:  # solve the members one by one; the gate fails the singular ones
             y = np.full((active.size, lead, 1), np.nan, dtype=complex)
             for j, one in enumerate(lower):
                 try:
@@ -129,35 +122,25 @@ def solve_least_norm(a, b, x0=None) -> np.ndarray:
         x[active] += (q[active, :, :lead] @ y)[:, :, 0]
     resid = np.linalg.norm((m @ x[:, :, None])[:, :, 0] - rhs, axis=1)
     ok = resid <= ABS_EPS * (1.0 + np.linalg.norm(base, axis=1))  # False on NaN
-    if not ok.all():
-        first = int(np.flatnonzero(~ok)[0])
-        index = tuple(int(i) for i in np.unravel_index(first, batch))
-        raise InconsistentSystem(
-            f"system {index}: residual {resid[first]:.3e} exceeds tolerance", index
-        )
-    return x.reshape(batch + (n,))
+    return x.reshape(batch + (n,)), ok.reshape(batch)
 
 
-def zf_solve(h, y) -> np.ndarray:
-    """Zero-forcing decode: least-squares solution of h @ s = y, per system of a stack.
+def zf_solve(h, y) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing decode: least-squares solution of h @ s = y, per system of a stack,
+    and each system's kept singular-value count.
 
     h is (..., r, c) and y either (..., r), one right-hand side per system, or (..., r, m).
-    Every h must have full column rank; the first (in C order) that does not raises
-    RankDeficient with its index, which signals an undecodable configuration. One batched
-    SVD gives both the rank check and the solutions.
+    The count (...,) is the rank at the relative cutoff, as ``rank`` gives it; a system
+    decodes when it equals c, and one short of c (an undecodable configuration) solves to
+    zeros instead of dividing by a zero singular value. One batched SVD gives both.
     """
     m = as_cmatrix(h)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    short = _kept(s, m.shape[-2:]) < m.shape[-1]
-    if short.any():
-        index = np.unravel_index(int(np.flatnonzero(short)[0]), short.shape)
-        raise RankDeficient(
-            f"matrix rank below column count {m.shape[-1]}; cannot zero-force",
-            tuple(int(i) for i in index),
-        )
+    kept = _kept(s, m.shape[-2:])
+    s[kept < m.shape[-1]] = np.inf
     rhs = np.asarray(y, dtype=complex)
     vector = rhs.ndim == m.ndim - 1
     if vector:
         rhs = rhs[..., None]
     sol = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / s[..., None])
-    return sol[..., 0] if vector else sol
+    return (sol[..., 0] if vector else sol), kept

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, _KeyedView
-from .linalg import InconsistentSystem, solve_least_norm
+from .linalg import solve_least_norm
 from .linalg import null_space  # noqa: F401  (unused; perfbench/spans.py wraps precoder.null_space)
 from .scheduler import (
     Schedule,
@@ -56,7 +56,8 @@ class PrecoderSet:
     block-diagonal by ``columns`` (the config's relay_columns), relay l's block on
     columns[l-1] x columns[l-1]. Each pair's operator is the constrained point nearest to
     amplify-and-forward (see ``design``), scaled to unit norm where no target pins the scale.
-    A batch of seeds puts its seed axis first, in bank and residual alike.
+    A batch of seeds puts its seed axis first, in bank and residual alike. failures names
+    each seed's first infeasible pair in (t, k) order, whose operator is left zero.
     """
 
     scenario: str
@@ -64,6 +65,7 @@ class PrecoderSet:
     columns: tuple
     mode: str = "per_block"
     residual: float | np.ndarray = 0.0  # one value per seed of a batch
+    failures: dict = field(default_factory=dict)
 
     # read-only keyed view block[(l, t, k)], kept only for perfbench/oracles.py (with mode);
     # stpnc itself reads the bank
@@ -92,8 +94,8 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     unit norm. The pairs whose phase-1 slots have the same row count are solved as one
     stack, one ``solve_least_norm`` call; every built-in schedule has a single row count.
     Leading axes of the channel stacks (a batch of seeds) lead every array here too, and
-    the bank and residual keep them. A schedule that fixes its relay set
-    (``Schedule.relays``) rejects any other before that.
+    the bank and residual keep them; an infeasible pair goes to ``failures``. A schedule
+    that fixes its relay set (``Schedule.relays``) rejects any other before that.
     """
     if sched.relays not in (None, ch.config.relay_antennas):
         (m,) = sched.relays  # the built-in fixed sets are one relay
@@ -116,7 +118,7 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
     up_col, dn_col = np.nonzero(owner[:, None] == owner)
     g = (up_col == dn_col).astype(complex)  # vec(I) per relay: amplify-and-forward
     dn = ch.dn[..., sched.phase1_len:sched.n_slots, :, dn_col]  # (phase-2 slot, user, unknown)
-    failed = []
+    infeasible = np.zeros(bank.shape[:-2], dtype=bool)  # (..., phase-2 slot, phase-1 slot)
     for count in dict.fromkeys(len(rows) for rows, _, _ in view.values()):
         ks = np.array([k for k, (rows, _, _) in view.items() if len(rows) == count])
         rx, tx = (np.stack([view[k][i] for k in ks]) for i in (1, 2))
@@ -126,19 +128,19 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
         up = ch.up[..., ks[:, None, None] - 1, tx[..., None], up_col]
         a = up[..., None, :, :, :] * dn[..., :, rx, :]
         b = _targets(ch, ks[:, None], aligned, rx, tx)
-        try:
-            f = solve_least_norm(a, np.broadcast_to(b[..., None, :, :], a.shape[:-1]), g)
-        except InconsistentSystem as exc:
-            *seed, tp, kp = exc.index
-            failed.append(((tuple(seed), sched.phase2_slots[tp], int(ks[kp])), exc))
-            continue
-        free = np.broadcast_to(~b.any(axis=-1)[..., None, :], f.shape[:-1])
+        f, ok = solve_least_norm(a, np.broadcast_to(b[..., None, :, :], a.shape[:-1]), g)
+        # zeroed, not left NaN: a non-finite member would fail every later batched solve
+        f[~ok] = 0.0
+        infeasible[..., ks - 1] = ~ok
+        free = ~b.any(axis=-1)[..., None, :] & ok
         f[free] /= np.linalg.norm(f[free], axis=-1, keepdims=True)
         bank[..., :, ks[:, None] - 1, dn_col, up_col] = f
-    if failed:  # the first seed's first pair in (t, k) order
-        (_, t, k), exc = min(failed, key=lambda item: item[0])
-        raise AntennaDeficit(f"alignment constraints for slot pair ({t},{k}) are infeasible") from exc
-    p = PrecoderSet(sched.name, bank, cfg.relay_columns)
+    pairs, failures = infeasible.reshape(-1, sched.phase2_len * sched.phase1_len), {}
+    for i in np.flatnonzero(pairs.any(axis=-1)):  # a failing seed's first pair in (t, k) order
+        tp, kp = divmod(int(pairs[i].argmax()), sched.phase1_len)
+        failures[int(i)] = AntennaDeficit(
+            f"alignment constraints for slot pair ({sched.phase2_slots[tp]},{kp + 1}) are infeasible")
+    p = PrecoderSet(sched.name, bank, cfg.relay_columns, failures=failures)
     p.residual = verify_constraints(p, ch, sched)
     return p
 

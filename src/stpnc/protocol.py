@@ -19,8 +19,9 @@ and the relays, decodes and checks a whole batch, and each seed gets the bits
 it would get alone. ``run_end_to_end`` is that pass on a batch of one.
 ``verify_scenario`` and ``simulate`` run their seeds in chunks of
 ``chunk_seeds`` seeds, sized by CHUNK_BYTES, so memory stays flat for any seed
-count; a chunk that raises is replayed seed by seed, so the first failing
-seed raises exactly as it would alone.
+count. A stage that can fail for some seeds returns a failure record, {seed position:
+exception}, and leaves those seeds' arrays finite; ``_run`` merges the records in
+pipeline order, and the first failing seed raises once, exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import ChannelSet, NetworkConfig, derive_trial_seed, draw_channels
-from .linalg import RankDeficient, rank, zf_solve
+from .linalg import RankDeficient, zf_solve
+from .linalg import rank  # noqa: F401  (unused; perfbench/spans.py wraps protocol.rank)
 from .precoder import (
     PrecoderSet,
     design_case1,
@@ -168,23 +170,27 @@ class RelayTransmitPlan:
     to the symbol vector by design, A(k) being the coefficients it stored in phase-1 slot
     k; signals (..., phase-2 slots, sum M_l) is the transmit vector actually formed from
     the stored receptions (they coincide in noiseless runs). Relay l's entries are the
-    rows ``relay_columns[l-1]``; a batch of seeds leads both with its seed axis.
+    rows ``relay_columns[l-1]``; a batch of seeds leads both with its seed axis. failures
+    holds each seed's first relay that cannot decode.
     """
 
     coeffs: np.ndarray
     signals: np.ndarray
+    failures: dict
 
 
-def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> np.ndarray:
+def _short(kept, need: int, who: str, what: str) -> dict:
+    """RankDeficient for each seed whose system keeps fewer than need singular values."""
+    return {int(i): RankDeficient(f"{who}: effective rank {kept.flat[i]} < {need} {what}")
+            for i in np.flatnonzero(kept < need)}
+
+
+def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> tuple[np.ndarray, dict]:
     """Zero-force the whole symbol vector from relay ell's own rows of the bank equations."""
     h = ledger.relay[..., rows, :]
     h = h.reshape(h.shape[:-3] + (-1, h.shape[-1]))  # slot after slot
-    try:  # as in decode_user, the rank is recomputed only to report it
-        return zf_solve(h, ledger.relay_values[..., rows].reshape(h.shape[:-1]))
-    except RankDeficient as exc:
-        h = h[exc.index]
-        raise RankDeficient(f"relay {ell}: effective rank {rank(h)} < {h.shape[1]} symbols",
-                            exc.index) from None
+    sol, kept = zf_solve(h, ledger.relay_values[..., rows].reshape(h.shape[:-1]))
+    return sol, _short(kept, h.shape[-1], f"relay {ell}", "symbols")
 
 
 def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
@@ -200,13 +206,16 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
     if mode not in ("decode_forward", "linear_forward"):
         raise ValueError(f"unknown relay mode {mode!r}")
     coeffs = (p.bank @ ledger.relay[..., None, :, :, :]).sum(axis=-3)
+    failures = {}
     if mode == "decode_forward":
         signals = np.empty(coeffs.shape[:-1], dtype=complex)
         for ell, c in enumerate(p.columns, start=1):
-            signals[..., c] = np.matvec(coeffs[..., c, :], relay_decode(ledger, ell, c)[..., None, :])
+            decoded, short = relay_decode(ledger, ell, c)
+            signals[..., c] = np.matvec(coeffs[..., c, :], decoded[..., None, :])
+            failures = short | failures  # an earlier relay's failure stands
     else:
         signals = (p.bank @ ledger.relay_values[..., None, :, :, None]).sum(axis=-3)[..., 0]
-    return RelayTransmitPlan(coeffs, signals)
+    return RelayTransmitPlan(coeffs, signals, failures)
 
 
 def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
@@ -234,6 +243,7 @@ class DecodeResult:
     effective_rank: int
     matrix: np.ndarray        # the stacked system that was zero-forced
     stray_coeff: float | np.ndarray  # worst coefficient left on symbols outside the system
+    failures: dict            # the record of the seeds whose system is rank deficient
 
 
 def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict) -> DecodeResult:
@@ -257,15 +267,10 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict)
         y[..., split:] -= values.take(pure, axis=-1).sum(axis=-1)[..., None]
     stray = np.abs(a.take(rest, axis=-1)).max(axis=(-2, -1), initial=0.0)
     h = a.take(unknowns, axis=-1)
-    try:  # zf_solve makes the one rank check; the rank is recomputed only to report it
-        sol = zf_solve(h, y)
-    except RankDeficient as exc:
-        h = h[exc.index]
-        raise RankDeficient(f"user {k}: effective rank {rank(h)} < {h.shape[1]} unknowns",
-                            exc.index) from None
+    sol, kept = zf_solve(h, y)
     recovered = {sched.symbols[c]: x for c, x in zip(unknowns, sol.swapaxes(0, -1))
                  if sched.classes[k][c] == "D"}
-    return DecodeResult(recovered, h.shape[-1], h, stray)
+    return DecodeResult(recovered, h.shape[-1], h, stray, _short(kept, h.shape[-1], f"user {k}", "unknowns"))
 
 
 @dataclass
@@ -315,7 +320,8 @@ def scenario_schedule(scenario: str, K: int | None = None) -> Schedule:
 
 
 def _execute(scenario: str, cfg: NetworkConfig, seed, relay_mode: str | None):
-    """Draw, design, both phases and the relays for one seed or a batch of seeds."""
+    """Draw, design, both phases and the relays for one seed or a batch of seeds, plus
+    the failure record of design and then the relays."""
     sched = scenario_schedule(scenario, cfg.K)
     ch = draw_channels(cfg, sched.n_slots, _derived(seed, 0))
     syms = draw_symbols(sched, _derived(seed, 1))
@@ -323,7 +329,7 @@ def _execute(scenario: str, cfg: NetworkConfig, seed, relay_mode: str | None):
     ledger = run_phase1(sched, ch, syms, cfg.noise_var, _derived(seed, 2))
     plan = relay_process(ledger, precoders, sched, relay_mode or SCENARIOS[scenario].relay_mode)
     ledger = run_phase2(plan, sched, ch, cfg.noise_var, _derived(seed, 3), ledger=ledger)
-    return sched, ch, syms, precoders, ledger
+    return sched, ch, syms, precoders, ledger, plan.failures | precoders.failures
 
 
 class _Outcome(NamedTuple):
@@ -341,9 +347,13 @@ class _Outcome(NamedTuple):
 
 def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None) -> _Outcome:
     """One pass of the protocol over a batch of seeds: decode every user, take both checks."""
-    sched, _, syms, precoders, ledger = _execute(scenario, cfg, seeds, relay_mode)
+    sched, _, syms, precoders, ledger, failures = _execute(scenario, cfg, seeds, relay_mode)
     results = {k: decode_user(k, ledger, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
                for k in sched.users}
+    for res in results.values():
+        failures = res.failures | failures
+    if failures:
+        raise failures[min(failures)]
     recovered = {sym: x for res in results.values() for sym, x in res.recovered.items()}
     want = _stack([syms[sym] for sym in recovered])
     miss = _stack(list(recovered.values())) - want
@@ -366,21 +376,11 @@ def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
 
 def _chunks(scenario: str, cfg: NetworkConfig, base_seed: int, count: int,
             relay_mode: str | None = None):
-    """(seeds, outcome) for the derived seeds 0..count-1 in chunks of chunk_seeds, in order.
-
-    A chunk that raises is replayed seed by seed as batches of one, so the first failing
-    seed raises exactly as it would alone.
-    """
+    """(seeds, outcome) for the derived seeds 0..count-1 in chunks of chunk_seeds, in order."""
     size = chunk_seeds(scenario_schedule(scenario, cfg.K), cfg)
     for start in range(0, count, size):
         seeds = [derive_trial_seed(base_seed, i) for i in range(start, min(start + size, count))]
-        try:
-            batches = [(seeds, _run(scenario, cfg, seeds, relay_mode))]
-        except Exception:  # whatever a stage raised, the replay raises again, from its seed
-            if len(seeds) == 1:
-                raise
-            batches = (([seed], _run(scenario, cfg, [seed], relay_mode)) for seed in seeds)
-        yield from batches
+        yield seeds, _run(scenario, cfg, seeds, relay_mode)
 
 
 def _reports(scenario: str, seeds: list, out: _Outcome) -> list:

@@ -225,6 +225,17 @@ def test_rate_sweep_csv_and_json(tmp_path, capsys):
     assert len(doc["points"]) == 3
 
 
+@pytest.mark.parametrize("grid", ["-10:30:10", "-0.5:1:0.5", "-5"])
+def test_negative_snr_start_reads_as_the_grid(tmp_path, grid):
+    # '--snr -10:30:10' once exited 2 with "expected one argument"; both spellings agree
+    outs = [tmp_path / "spaced.csv", tmp_path / "bound.csv"]
+    for snr, out in zip((["--snr", grid], [f"--snr={grid}"]), outs):
+        assert run(["rate-sweep", *snr, "--trials", "4", "--jobs", "1", "--output", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    first = outs[0].read_text().splitlines()[1].split(",")[0]
+    assert float(first) == float(grid.split(":")[0])
+
+
 def test_snr_grid_parsing():
     assert cli._parse_snr_grid("0:30:1") == tuple(float(x) for x in range(31))
     assert cli._parse_snr_grid("5") == (5.0,)

@@ -220,12 +220,15 @@ def test_each_row_count_is_one_stacked_solve(monkeypatch):
         assert np.linalg.norm(p.bank[0, k - 1].reshape(-1, order="F") - want / np.linalg.norm(want)) <= 1e-9
 
     def last_pair_fails(a, b, x0=None):
-        raise linalg.InconsistentSystem("stub", (0, a.shape[1] - 1))
+        ok = np.ones(a.shape[:-2], dtype=bool)
+        ok[..., -1] = False
+        return np.ones(a.shape[:-2] + a.shape[-1:], dtype=complex), ok
 
     # the 2-row stack fails at (4,3), the 1-row stack after it at (4,2)
     monkeypatch.setattr(precoder, "solve_least_norm", last_pair_fails)
+    (failure,) = design(sched, ch).failures.values()
     with pytest.raises(AntennaDeficit, match=r"^alignment constraints for slot pair \(4,2\) are infeasible$"):
-        design(sched, ch)
+        raise failure
 
 
 def test_broadcast_rows_match_kron_across_relays(monkeypatch):

@@ -52,7 +52,8 @@ def check_zf_round_trip(cases):
         rows = int(rng.integers(cols, 9))
         h = crandn(rng, rows, cols)
         s = crandn(rng, cols)
-        assert np.linalg.norm(zf_solve(h, h @ s) - s) < 1e-9
+        x, kept = zf_solve(h, h @ s)
+        assert np.linalg.norm(x - s) < 1e-9 and kept == cols
 
 
 def check_pipeline_determinism(cases):
@@ -71,13 +72,14 @@ def check_ledger_and_recovery(cases):
     cfg = NetworkConfig(4, (2,))
     for i in range(cases):
         seed = derive_trial_seed(8, i)
-        sched, _, syms, precoders, ledger = _execute("twic", cfg, seed, None)
+        sched, _, syms, precoders, ledger, failures = _execute("twic", cfg, seed, None)
+        assert failures == {}
         assert ledger_linearity_error(ledger, sched, syms) < 1e-9
         assert precoders.residual < 1e-9
         for k in sched.users:
             own = {sym: syms[sym] for sym in sched.own_symbols(k)}
             res = decode_user(k, ledger, sched, own)
-            assert res.effective_rank == 2
+            assert res.effective_rank == 2 and res.failures == {}
             assert res.stray_coeff < 1e-9
             for sym, est in res.recovered.items():
                 assert abs(est - syms[sym]) / abs(syms[sym]) < 1e-8

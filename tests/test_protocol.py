@@ -86,8 +86,8 @@ def test_phase1_relay_gets_four_scalar_equations():
 def test_relay_decodes_all_symbols_noiselessly():
     _, sched, ch, syms = twic_setup(2)
     ledger = run_phase1(sched, ch, syms)
-    decoded = relay_decode(ledger, 1, ch.config.relay_columns[0])
-    assert decoded.shape == (len(sched.symbols),)
+    decoded, failures = relay_decode(ledger, 1, ch.config.relay_columns[0])
+    assert decoded.shape == (len(sched.symbols),) and failures == {}
     for sym in sched.symbols:
         assert abs(decoded[sched.column[sym]] - syms[sym]) < 1e-9
 
@@ -99,8 +99,10 @@ def test_relay_decode_rank_deficient_for_single_antenna_relay():
     syms = draw_symbols(sched, 4)
     ledger = run_phase1(sched, ch, syms)
     # one antenna over four slots gives four equations in twelve symbols
+    _, failures = relay_decode(ledger, 1, cfg.relay_columns[0])
+    assert list(failures) == [0]  # an unbatched draw is seed 0
     with pytest.raises(RankDeficient, match=r"^relay 1: effective rank 4 < 12 symbols$"):
-        relay_decode(ledger, 1, cfg.relay_columns[0])
+        raise failures[0]
 
 
 def test_linear_forward_matches_brute_force():
@@ -360,7 +362,8 @@ def test_general_constructions_decode_system_shapes():
     for scenario, cfg in [("case1", NetworkConfig(3, (2,))), ("case2", NetworkConfig(4, (2,)))]:
         from stpnc.protocol import _execute
 
-        sched, _, syms, _, ledger = _execute(scenario, cfg, 21, None)
+        sched, _, syms, _, ledger, failures = _execute(scenario, cfg, 21, None)
+        assert failures == {}
         for k in sched.users:
             own = {sym: syms[sym] for sym in sched.own_symbols(k)}
             res = decode_user(k, ledger, sched, own)
@@ -492,11 +495,11 @@ def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
     state = {"done": False}
 
     def faulty(a, b, x0=None):
-        x = real(a, b, x0)
+        x, ok = real(a, b, x0)
         if not state["done"]:
             x[0, 0, 0, 0] += 1e-6  # seed 0: one entry of one relay block of the first slot pair
             state["done"] = True
-        return x
+        return x, ok
 
     monkeypatch.setattr(precoder, "solve_least_norm", faulty)
     summary = verify_scenario("case1", NetworkConfig(4, (3,)), n_seeds=2)
@@ -630,10 +633,10 @@ def test_verify_over_one_chunk_is_the_fold_of_single_seed_reports(scenario, cfg)
             assert summary[key] == value, key
 
 
-def test_a_failing_chunk_raises_its_first_failing_seed_as_alone(monkeypatch):
-    # in one chunk of four twxc seeds, seed 2 loses its uplinks, so design cannot meet the
-    # alignment targets, and seed 1's user 1 hears nothing in slot 3, so its decode system
-    # is rank deficient; the chunk fails in design, on seed 2, and its replay raises seed 1's
+def faulty_twxc_chunk(monkeypatch):
+    """Four twxc seeds of one chunk, two of them broken: seed 2 loses its uplinks, so design
+    cannot meet the alignment targets, and seed 1's user 1 hears nothing in slot 3, so its
+    decode system is rank deficient. Returns the config and the seeds."""
     cfg = NetworkConfig(4, (2,))
     seeds = [derive_trial_seed(0, i) for i in range(4)]
     no_uplink, deaf = derive_trial_seed(seeds[2], 0), derive_trial_seed(seeds[1], 0)
@@ -650,17 +653,50 @@ def test_a_failing_chunk_raises_its_first_failing_seed_as_alone(monkeypatch):
 
     monkeypatch.setattr(protocol, "draw_channels", faulty)
     assert protocol.chunk_seeds(scenario_schedule("twxc"), cfg) >= 4
-    with pytest.raises(AntennaDeficit, match=r"^alignment constraints for slot pair \(5,1\) are infeasible$"):
-        protocol._run("twxc", cfg, seeds, None)
+    return cfg, seeds
+
+
+def test_a_failing_chunk_raises_its_first_failing_seed_as_alone(monkeypatch):
+    # one pass over the chunk, no replay, raises seed 1's failure exactly as seed 1 alone does
+    cfg, seeds = faulty_twxc_chunk(monkeypatch)
     with pytest.raises(AntennaDeficit, match=r"^alignment constraints for slot pair \(5,1\) are infeasible$"):
         run_end_to_end("twxc", cfg, seeds[2])
-    message = r"^user 1: effective rank 1 < 2 unknowns$"
-    with pytest.raises(RankDeficient, match=message):
+    with pytest.raises(RankDeficient, match=r"^user 1: effective rank 1 < 2 unknowns$") as alone:
         run_end_to_end("twxc", cfg, seeds[1])
-    with pytest.raises(RankDeficient, match=message) as exc:
+    # the chunk's design and relay record: seed 2, its design failure before its relay's
+    failures = protocol._execute("twxc", cfg, seeds, None)[5]
+    assert list(failures) == [2] and str(failures[2]) == \
+        "alignment constraints for slot pair (5,1) are infeasible"
+    real, passes = protocol._run, []
+
+    def counted(scenario, cfg, seeds, relay_mode):
+        passes.append(seeds)
+        return real(scenario, cfg, seeds, relay_mode)
+
+    monkeypatch.setattr(protocol, "_run", counted)
+    with pytest.raises(RankDeficient) as exc:
         verify_scenario("twxc", cfg, n_seeds=4)
-    assert exc.value.index == (0,)  # raised by seed 1 run alone, a batch of one
+    assert passes == [seeds]
+    assert str(exc.value) == str(alone.value)
     assert run_end_to_end("twxc", cfg, seeds[0]).achieved_dof == Fraction(8, 5)
+
+
+def test_a_failing_seed_stays_in_its_own_slot_of_the_batch(monkeypatch):
+    # seeds 0 and 3 of the faulty chunk get the ledger and the decode each gets alone: the
+    # failed design of seed 2 leaves finite arrays that cannot fail the batched solves
+    cfg, seeds = faulty_twxc_chunk(monkeypatch)
+    sched, _, syms, _, batch, _ = protocol._execute("twxc", cfg, seeds, None)
+    for i in (0, 3):
+        _, _, own_syms, _, alone, failures = protocol._execute("twxc", cfg, [seeds[i]], None)
+        assert failures == {}
+        for name in ("rows", "values", "relay", "relay_values"):
+            assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)[0]), name
+        for k in sched.users:
+            got = decode_user(k, batch, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
+            want = decode_user(k, alone, sched, {sym: own_syms[sym] for sym in sched.own_symbols(k)})
+            assert i not in got.failures and want.failures == {}
+            for sym, x in want.recovered.items():
+                assert x[0] == got.recovered[sym][i]
 
 
 @pytest.mark.parametrize("scenario,cfg,seeds", [
