@@ -10,20 +10,20 @@ Run: python demos/two_pair_exchange.py
 
 from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.precoder import design_twic
-from stpnc.protocol import decode_user, draw_symbols, relay_process, run_phase1, run_phase2
+from stpnc.protocol import decode_user, draw_payload, relay_process, run_phase1, run_phase2
 from stpnc.scheduler import schedule_twic
 
 cfg = NetworkConfig(K=4, relay_antennas=(2,))
 sched = schedule_twic()
 ch = draw_channels(cfg, sched.n_slots, seed=2024)
-syms = draw_symbols(sched, seed=1)
+s = draw_payload(sched, seed=1)  # one entry per symbol, in sched.symbols order
 
 print("symbols in flight (dest <- src):")
-for sym, val in syms.items():
+for sym, val in zip(sched.symbols, s):
     print(f"  s[{sym.dest}<-{sym.src}] = {val:.3f}")
 
 # Phase 1: users 1,2 transmit, then users 3,4; everyone else listens.
-ledger = run_phase1(sched, ch, syms)
+ledger = run_phase1(sched, ch, s)
 for t in sched.phase1_slots:
     plan = sched.slot(t)
     print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
@@ -56,10 +56,9 @@ print("  (N is the neutralized symbol user 1 never overheard)")
 # of the stored slot-2 equation and the cleaned relay equation.
 print("\ndecoding results:")
 for k in sched.users:
-    own = {sym: syms[sym] for sym in sched.own_symbols(k)}
-    res = decode_user(k, ledger, sched, own)
-    for sym, est in res.recovered.items():
-        err = abs(est - syms[sym])
+    res = decode_user(k, ledger, sched, s)  # it reads its own symbols' values from s
+    for c, est in zip(res.columns, res.recovered):
+        sym, err = sched.symbols[c], abs(est - s[c])
         print(f"  user {k} recovers s[{sym.dest}<-{sym.src}]: error {err:.2e} "
               f"(system rank {res.effective_rank})")
 

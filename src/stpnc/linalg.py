@@ -87,10 +87,11 @@ def solve_least_norm(a, b, x0=None) -> tuple[np.ndarray, np.ndarray]:
     a is (..., r, n) and b (..., r): one system per leading index, all solved from one
     batched complete QR a^H = [Q1 N] R as x = N N^H x0 + Q1 R^-H b. The R^-H solve is
     skipped where b is zero, so a homogeneous system returns the projection of x0 onto a
-    null space even when a is rank deficient. With r > n only the leading n equations are
-    solved. The verdict (...,) is the residual gate, ||a x - b|| <= ABS_EPS *
-    (1 + ||a x0 - b||): False where the system is inconsistent, singular or comes out
-    non-finite (its x may then hold NaN). That signals infeasible precoder constraints,
+    null space even when a is rank deficient; the other systems take one batched solve,
+    and those whose R has an exact zero on its diagonal are left NaN. With r > n only the
+    leading n equations are solved. The verdict (...,) is the residual gate, ||a x - b|| <=
+    ABS_EPS * (1 + ||a x0 - b||): False where the system is inconsistent, singular or comes
+    out non-finite (its x may then hold NaN). That signals infeasible precoder constraints,
     and it is the only check: QR does not reveal rank.
     """
     m = as_cmatrix(a)
@@ -107,19 +108,14 @@ def solve_least_norm(a, b, x0=None) -> tuple[np.ndarray, np.ndarray]:
         null = q[:, :, lead:]
         x = (null @ (null.conj().transpose(0, 2, 1) @ start[:, :, None]))[:, :, 0]
         base = (m @ start[:, :, None])[:, :, 0] - rhs
-    active = np.flatnonzero(rhs.any(axis=1))
-    if active.size:
-        lower = rr[active, :lead].conj().transpose(0, 2, 1)  # R1^H, lower triangular
-        try:
-            y = np.linalg.solve(lower, rhs[active, :lead, None])
-        except np.linalg.LinAlgError:  # solve the members one by one; the gate fails the singular ones
-            y = np.full((active.size, lead, 1), np.nan, dtype=complex)
-            for j, one in enumerate(lower):
-                try:
-                    y[j] = np.linalg.solve(one, rhs[active[j], :lead, None])
-                except np.linalg.LinAlgError:
-                    pass
-        x[active] += (q[active, :, :lead] @ y)[:, :, 0]
+    active = rhs.any(axis=1)
+    regular = np.diagonal(rr, axis1=1, axis2=2).all(axis=1)  # a zero on R's diagonal: singular
+    x[active & ~regular] = np.nan  # the gate fails them
+    solved = np.flatnonzero(active & regular)
+    if solved.size:
+        lower = rr[solved, :lead].conj().transpose(0, 2, 1)  # R1^H, lower triangular
+        y = np.linalg.solve(lower, rhs[solved, :lead, None])
+        x[solved] += (q[solved, :, :lead] @ y)[:, :, 0]
     resid = np.linalg.norm((m @ x[:, :, None])[:, :, 0] - rhs, axis=1)
     ok = resid <= ABS_EPS * (1.0 + np.linalg.norm(base, axis=1))  # False on NaN
     return x.reshape(batch + (n,)), ok.reshape(batch)

@@ -8,9 +8,14 @@ the precoders replay that shape, and zero-forcing the remaining stacked
 system. In noiseless mode every desired symbol is recovered exactly and the
 report carries the achieved symbols-per-slot ratio as an exact fraction.
 
-The side information is stored on the schedule's (slot, user) grid (see
-``EquationLedger``): each phase writes its slots with whole-array products, and
-decoding and both checks index the grid through the schedule's cached arrays.
+The payload is one complex array ``s`` in ``Schedule.symbols`` column order
+(``draw_payload``). Phase 1 applies the ledger's rows to it, each user reads its SI
+values as its own columns of it, both checks rebuild the stored values from it, and
+the users' estimates come back in the same columns; only ``SimReport.recovered``, for
+the CLI's report, keys them by symbol id. The side information is stored on the
+schedule's (slot, user) grid (see ``EquationLedger``): each phase writes its slots
+with whole-array products, and decoding and both checks index the grid through the
+schedule's cached arrays.
 
 Seeds are a leading batch axis. Every stage takes the arrays of one seed or
 of a batch of seeds, (S, ...) (one seed axis: splits along the other axes
@@ -98,29 +103,19 @@ def _derived(seed, i: int):
     return derive_trial_seed(seed, i) if np.ndim(seed) == 0 else [derive_trial_seed(s, i) for s in seed]
 
 
-def draw_symbols(sched: Schedule, seed) -> dict:
-    """Unit-power CN(0,1) payload for every symbol id of the schedule.
-
-    A sequence of seeds gives each symbol an array over the seeds, each seed drawn alone.
-    """
+def draw_payload(sched: Schedule, seed) -> np.ndarray:
+    """Unit-power CN(0,1) payload in ``Schedule.symbols`` column order: (n,) for one seed,
+    (seeds, n) for a sequence of seeds, each seed drawn alone."""
     n = len(sched.symbols)
     normals = np.array([np.random.default_rng(s).standard_normal((2, n)) for s in _batch(seed)])
     z = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
-    if np.ndim(seed) == 0:
-        return {sym: complex(x) for sym, x in zip(sched.symbols, z[0])}
-    return dict(zip(sched.symbols, z.T))
+    return z if np.ndim(seed) else z[0]
 
 
-def _stack(parts) -> np.ndarray:
-    """np.stack(parts, -1) for scalar parts of one seed or parts over a batch's seeds, (S,),
-    row-major like a seed's own arrays, so every seed's products take one BLAS path;
-    np.array and one transpose cost a third of np.stack."""
-    return np.ascontiguousarray(np.array(parts, dtype=complex).T)
-
-
-def _symbol_vector(sched: Schedule, syms: dict) -> np.ndarray:
-    """The payload in column order: (n,) for one seed, (seeds, n) for a batch."""
-    return _stack([syms[sym] for sym in sched.symbols])
+def draw_symbols(sched: Schedule, seed: int) -> dict:
+    """One seed's payload as Python complex numbers keyed by symbol id; only
+    perfbench/oracles.py reads it."""
+    return dict(zip(sched.symbols, draw_payload(sched, seed).tolist()))
 
 
 def _noise(seed, sizes, noise_var: float) -> np.ndarray:
@@ -135,7 +130,7 @@ def _noise(seed, sizes, noise_var: float) -> np.ndarray:
     return draws if np.ndim(seed) else draws[0]
 
 
-def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
+def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray,
                noise_var: float = 0.0, seed=0) -> EquationLedger:
     """Execute the learning phase: every listening user stores its equation, and the relay
     bank one sum M_l x n equation per slot (relay l's rows at its antenna columns).
@@ -144,7 +139,6 @@ def run_phase1(sched: Schedule, ch: ChannelSet, syms: dict,
     uplinks. Noisy runs draw each slot's noise user after user, then relay after relay,
     from default_rng of the seed (one per seed of a batch); noiseless runs build no generator.
     """
-    s = _symbol_vector(sched, syms)
     n1, (src, carries) = sched.phase1_len, sched.senders
     heard = sched.listens[:n1]
     rows = np.zeros(s.shape[:-1] + sched.listens.shape + s.shape[-1:], dtype=complex)
@@ -239,17 +233,18 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
 
 @dataclass
 class DecodeResult:
-    recovered: dict           # desired SymbolId -> estimate (an array over the seeds of a batch)
+    recovered: np.ndarray     # (..., desired) estimates of the user's D columns
+    columns: np.ndarray       # those columns, ascending
     effective_rank: int
     matrix: np.ndarray        # the stacked system that was zero-forced
     stray_coeff: float | np.ndarray  # worst coefficient left on symbols outside the system
     failures: dict            # the record of the seeds whose system is rank deficient
 
 
-def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict) -> DecodeResult:
+def decode_user(k: int, ledger: EquationLedger, sched: Schedule, s: np.ndarray) -> DecodeResult:
     """Recover user k's desired symbols from its stored equations.
 
-    Phase-2 rows are cleaned of SI (the known own symbols subtracted) and of
+    Phase-2 rows are cleaned of SI (its own symbols' payload values subtracted) and of
     AOI (the stored pure-slot equations subtracted), stacked under the other
     heard phase-1 rows in slot order (``Schedule.decode_slots``) and zero-forced over
     the D and OI columns; what the cleaned rows keep on the AOI and N columns is the
@@ -260,17 +255,16 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, own_syms: dict)
     rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
     a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
     if own.size:  # k sends nothing in a slot it listens to, so its own columns are zero on the phase-1 rows
-        sent = _stack([own_syms[sym] for sym in sched.own_symbols(k)])
-        y -= np.matvec(a.take(own, axis=-1), sent)
+        y -= np.matvec(a.take(own, axis=-1), s[..., own])
     if pure.size:
         a[..., split:, :] -= rows.take(pure, axis=-2).sum(axis=-2)[..., None, :]
         y[..., split:] -= values.take(pure, axis=-1).sum(axis=-1)[..., None]
     stray = np.abs(a.take(rest, axis=-1)).max(axis=(-2, -1), initial=0.0)
     h = a.take(unknowns, axis=-1)
     sol, kept = zf_solve(h, y)
-    recovered = {sched.symbols[c]: x for c, x in zip(unknowns, sol.swapaxes(0, -1))
-                 if sched.classes[k][c] == "D"}
-    return DecodeResult(recovered, h.shape[-1], h, stray, _short(kept, h.shape[-1], f"user {k}", "unknowns"))
+    desired = np.array([sched.classes[k][c] == "D" for c in unknowns], dtype=bool)
+    return DecodeResult(sol[..., desired], unknowns[desired], h.shape[-1], h, stray,
+                        _short(kept, h.shape[-1], f"user {k}", "unknowns"))
 
 
 @dataclass
@@ -324,20 +318,20 @@ def _execute(scenario: str, cfg: NetworkConfig, seed, relay_mode: str | None):
     the failure record of design and then the relays."""
     sched = scenario_schedule(scenario, cfg.K)
     ch = draw_channels(cfg, sched.n_slots, _derived(seed, 0))
-    syms = draw_symbols(sched, _derived(seed, 1))
+    s = draw_payload(sched, _derived(seed, 1))
     precoders = SCENARIOS[scenario].design(ch, cfg.K)
-    ledger = run_phase1(sched, ch, syms, cfg.noise_var, _derived(seed, 2))
+    ledger = run_phase1(sched, ch, s, cfg.noise_var, _derived(seed, 2))
     plan = relay_process(ledger, precoders, sched, relay_mode or SCENARIOS[scenario].relay_mode)
     ledger = run_phase2(plan, sched, ch, cfg.noise_var, _derived(seed, 3), ledger=ledger)
-    return sched, ch, syms, precoders, ledger, plan.failures | precoders.failures
+    return sched, ch, s, precoders, ledger, plan.failures | precoders.failures
 
 
 class _Outcome(NamedTuple):
     """Per-seed results of one batch of seeds: every array's leading axis is the seed."""
 
     sched: Schedule
-    recovered: dict          # desired SymbolId -> estimates
-    errors: np.ndarray       # (seeds, recovered symbols) relative errors, in recovered's order
+    recovered: np.ndarray    # (seeds, n) estimates, in Schedule.symbols column order
+    errors: np.ndarray       # (seeds, n) relative errors of those estimates
     ranks: dict              # user -> effective rank, one decode shape for every seed
     residual: np.ndarray
     stray: np.ndarray
@@ -347,21 +341,20 @@ class _Outcome(NamedTuple):
 
 def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None) -> _Outcome:
     """One pass of the protocol over a batch of seeds: decode every user, take both checks."""
-    sched, _, syms, precoders, ledger, failures = _execute(scenario, cfg, seeds, relay_mode)
-    results = {k: decode_user(k, ledger, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
-               for k in sched.users}
+    sched, _, s, precoders, ledger, failures = _execute(scenario, cfg, seeds, relay_mode)
+    results = {k: decode_user(k, ledger, sched, s) for k in sched.users}
+    recovered = np.full_like(s, np.nan)  # every column is its destination user's D: none stays NaN
     for res in results.values():
         failures = res.failures | failures
+        recovered[:, res.columns] = res.recovered
     if failures:
         raise failures[min(failures)]
-    recovered = {sym: x for res in results.values() for sym, x in res.recovered.items()}
-    want = _stack([syms[sym] for sym in recovered])
-    miss = _stack(list(recovered.values())) - want
+    miss = recovered - s
     # np.hypot is Python's abs of a complex; np.abs rounds differently
-    errors = np.hypot(miss.real, miss.imag) / np.hypot(want.real, want.imag)
+    errors = np.hypot(miss.real, miss.imag) / np.hypot(s.real, s.imag)
     return _Outcome(sched, recovered, errors, {k: res.effective_rank for k, res in results.items()},
                     precoders.residual, np.max([res.stray_coeff for res in results.values()], axis=0),
-                    alignment_error(ledger, sched, syms), ledger_linearity_error(ledger, sched, syms))
+                    alignment_error(ledger, sched, s), ledger_linearity_error(ledger, s))
 
 
 def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
@@ -392,7 +385,7 @@ def _reports(scenario: str, seeds: list, out: _Outcome) -> list:
     return [SimReport(
         scenario=scenario,
         seed=seed,
-        recovered={sym: complex(x[i]) for sym, x in out.recovered.items()},
+        recovered=dict(zip(sched.symbols, out.recovered[i].tolist())),
         max_symbol_error=float(worst[i]),
         effective_ranks=dict(out.ranks),
         slots_used=sched.n_slots,
@@ -419,18 +412,18 @@ def simulate(scenario: str, cfg: NetworkConfig, base_seed: int, trials: int,
             for rep in _reports(scenario, seeds, out)]
 
 
-def ledger_linearity_error(ledger: EquationLedger, sched: Schedule, syms: dict):
+def ledger_linearity_error(ledger: EquationLedger, s: np.ndarray):
     """Worst |observed - coeffs applied to the true symbols| over all equations, per seed.
 
     Independent of the decoding path; equals the noise magnitude in noisy
     runs and vanishes (to numerical precision) in noiseless ones.
     """
-    s = _symbol_vector(sched, syms)[..., None, :]
+    s = s[..., None, :]
     users = np.abs(ledger.values - np.matvec(ledger.rows, s)).max(axis=(-2, -1))
     return np.maximum(users, np.abs(ledger.relay_values - np.matvec(ledger.relay, s)).max(axis=(-2, -1)))
 
 
-def alignment_error(ledger: EquationLedger, sched: Schedule, syms: dict):
+def alignment_error(ledger: EquationLedger, sched: Schedule, s: np.ndarray):
     """Worst mismatch between relayed interference and the stored equations it replays, per seed.
 
     For every replay identity of the schedule (``Schedule.replays``: a user's phase-2
@@ -439,7 +432,6 @@ def alignment_error(ledger: EquationLedger, sched: Schedule, syms: dict):
     per group of identities, one group for every built-in schedule. Zero (to numerical
     precision) when the scenario designs no alignment.
     """
-    s = _symbol_vector(sched, syms)
     worst = np.zeros(s.shape[:-1])
     for t, r, k, cols in sched.replays:
         # (..., pair, phase-2 row, column): row-major, so every seed takes one BLAS path

@@ -76,9 +76,6 @@ class Schedule:
     def slot_of(self, sym: SymbolId) -> int:
         return self._slot_index[sym]
 
-    def own_symbols(self, k: int) -> tuple:
-        return tuple(self.symbols[c] for c in self.decode_columns[k][1])
-
     @cached_property
     def listens(self) -> np.ndarray:
         """(slots, users) bool: True at [t-1, k-1] when user k listens in slot t, read from

@@ -147,12 +147,20 @@ def test_solve_least_norm_nearest_to_x0_matches_null_space_oracle():
         assert np.linalg.norm(x[i] - want) <= 1e-12
 
 
-def test_solve_least_norm_fails_exactly_the_bad_members():
+def test_solve_least_norm_fails_exactly_the_bad_members(monkeypatch):
     rng = np.random.default_rng(11)
     a, b = crandn(rng, 2, 3, 2, 3), crandn(rng, 2, 3, 2)
     a[1, 0, 1] = a[1, 0, 0]  # equal rows, unequal targets: no solution
     a[1, 2] = 0  # and a singular member after it
+    real, calls = np.linalg.solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
     x, ok = solve_least_norm(a, b)
+    assert len(calls) == 1  # one batched solve, no member re-solved alone
     assert np.array_equal(~ok, [[False, False, False], [True, False, True]])
     for idx in zip(*np.nonzero(ok)):  # every other member is bitwise its solution alone
         alone, verdict = solve_least_norm(a[idx], b[idx])

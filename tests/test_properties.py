@@ -72,17 +72,17 @@ def check_ledger_and_recovery(cases):
     cfg = NetworkConfig(4, (2,))
     for i in range(cases):
         seed = derive_trial_seed(8, i)
-        sched, _, syms, precoders, ledger, failures = _execute("twic", cfg, seed, None)
+        sched, _, s, precoders, ledger, failures = _execute("twic", cfg, seed, None)
         assert failures == {}
-        assert ledger_linearity_error(ledger, sched, syms) < 1e-9
+        assert ledger_linearity_error(ledger, s) < 1e-9
         assert precoders.residual < 1e-9
         for k in sched.users:
-            own = {sym: syms[sym] for sym in sched.own_symbols(k)}
-            res = decode_user(k, ledger, sched, own)
+            res = decode_user(k, ledger, sched, s)
             assert res.effective_rank == 2 and res.failures == {}
             assert res.stray_coeff < 1e-9
-            for sym, est in res.recovered.items():
-                assert abs(est - syms[sym]) / abs(syms[sym]) < 1e-8
+            assert [sched.symbols[c].dest for c in res.columns] == [k]
+            for c, est in zip(res.columns, res.recovered):
+                assert abs(est - s[c]) / abs(s[c]) < 1e-8
 
 
 def check_feasibility_boundary(cases):

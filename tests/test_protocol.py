@@ -10,6 +10,7 @@ from stpnc.precoder import AntennaDeficit, design_twic, design_twxc
 from stpnc.protocol import (
     alignment_error,
     decode_user,
+    draw_payload,
     draw_symbols,
     ledger_linearity_error,
     relay_decode,
@@ -36,16 +37,14 @@ def twic_setup(seed):
     cfg = NetworkConfig(4, (2,))
     sched = schedule_twic()
     ch = draw_channels(cfg, 3, seed)
-    syms = draw_symbols(sched, seed + 1)
-    return cfg, sched, ch, syms
+    return cfg, sched, ch, draw_payload(sched, seed + 1)
 
 
 def twxc_setup(seed):
     cfg = NetworkConfig(4, (2,))
     sched = schedule_twxc()
     ch = draw_channels(cfg, 5, seed)
-    syms = draw_symbols(sched, seed + 1)
-    return cfg, sched, ch, syms
+    return cfg, sched, ch, draw_payload(sched, seed + 1)
 
 
 def cls(sched, j, sym):
@@ -54,21 +53,22 @@ def cls(sched, j, sym):
 
 
 def test_phase1_user_equation_coefficients():
-    _, sched, ch, syms = twic_setup(0)
-    ledger = run_phase1(sched, ch, syms)
+    _, sched, ch, s = twic_setup(0)
+    ledger = run_phase1(sched, ch, s)
     assert ledger.users[3][0] == 1  # user 3's first equation is slot 1's
     row, value = ledger.rows[0, 2], ledger.values[0, 2]
     assert ledger.rows.shape == (sched.n_slots, len(sched.users), len(sched.symbols))
     assert row[sched.column[SymbolId(3, 1)]] == ch.gain[0, 2, 0]
     assert row[sched.column[SymbolId(4, 2)]] == ch.gain[0, 2, 1]
     assert np.count_nonzero(row) == 2  # only the slot's two symbols
-    expect = ch.gain[0, 2, 0] * syms[SymbolId(3, 1)] + ch.gain[0, 2, 1] * syms[SymbolId(4, 2)]
+    s31, s42 = s[sched.column[SymbolId(3, 1)]], s[sched.column[SymbolId(4, 2)]]
+    expect = ch.gain[0, 2, 0] * s31 + ch.gain[0, 2, 1] * s42
     assert value == expect
 
 
 def test_phase1_relay_gets_four_scalar_equations():
-    _, sched, ch, syms = twic_setup(1)
-    ledger = run_phase1(sched, ch, syms)
+    _, sched, ch, s = twic_setup(1)
+    ledger = run_phase1(sched, ch, s)
     # two slots, one scalar equation per antenna in each (the one relay's equations)
     assert ledger.relay_values.shape == (2, 2)
     covered = set()
@@ -78,26 +78,25 @@ def test_phase1_relay_gets_four_scalar_equations():
         assert heard == set(sched.slot(t).sends.values())
         covered.update(heard)
         for m in range(value.shape[0]):
-            pred = sum(coeffs[m, c] * syms[sym] for sym, c in sched.column.items())
+            pred = sum(coeffs[m, c] * s[c] for c in sched.column.values())
             assert abs(value[m] - pred) < 1e-12
     assert covered == set(sched.symbols)
 
 
 def test_relay_decodes_all_symbols_noiselessly():
-    _, sched, ch, syms = twic_setup(2)
-    ledger = run_phase1(sched, ch, syms)
+    _, sched, ch, s = twic_setup(2)
+    ledger = run_phase1(sched, ch, s)
     decoded, failures = relay_decode(ledger, 1, ch.config.relay_columns[0])
     assert decoded.shape == (len(sched.symbols),) and failures == {}
-    for sym in sched.symbols:
-        assert abs(decoded[sched.column[sym]] - syms[sym]) < 1e-9
+    for c in sched.column.values():
+        assert abs(decoded[c] - s[c]) < 1e-9
 
 
 def test_relay_decode_rank_deficient_for_single_antenna_relay():
     cfg = NetworkConfig(4, (1, 1, 1, 2))
     sched = schedule_case1(4)
     ch = draw_channels(cfg, sched.n_slots, 3)
-    syms = draw_symbols(sched, 4)
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, draw_payload(sched, 4))
     # one antenna over four slots gives four equations in twelve symbols
     _, failures = relay_decode(ledger, 1, cfg.relay_columns[0])
     assert list(failures) == [0]  # an unbatched draw is seed 0
@@ -110,9 +109,8 @@ def test_linear_forward_matches_brute_force():
     for sched, cfg in [(schedule_case1(3), NetworkConfig(3, (2,))),
                        (schedule_case2(5), NetworkConfig(5, (2, 3, 1)))]:
         ch = draw_channels(cfg, sched.n_slots, 5)
-        syms = draw_symbols(sched, 6)
         p = precoder.design(sched, ch)
-        ledger = run_phase1(sched, ch, syms)
+        ledger = run_phase1(sched, ch, draw_payload(sched, 6))
         plan = relay_process(ledger, p, sched, "linear_forward")
         width = sum(cfg.relay_antennas)
         assert plan.coeffs.shape == (sched.phase2_len, width, len(sched.symbols))
@@ -127,9 +125,8 @@ def test_linear_forward_matches_brute_force():
 
 
 def test_zero_symbols_give_zero_transmit_plan():
-    _, sched, ch, syms = twic_setup(7)
-    zeros = {sym: 0.0 for sym in syms}
-    ledger = run_phase1(sched, ch, zeros)
+    _, sched, ch, s = twic_setup(7)
+    ledger = run_phase1(sched, ch, np.zeros_like(s))
     p = design_twic(ch)
     plan = relay_process(ledger, p, sched, "decode_forward")
     assert plan.signals.shape == (sched.phase2_len, 2)
@@ -138,9 +135,9 @@ def test_zero_symbols_give_zero_transmit_plan():
 
 
 def test_phase2_neutralized_coefficient_is_tiny():
-    _, sched, ch, syms = twic_setup(8)
+    _, sched, ch, s = twic_setup(8)
     p = design_twic(ch)
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     row = ledger.rows[2, 0]  # user 1 in slot 3
@@ -153,9 +150,9 @@ def test_phase2_neutralized_coefficient_is_tiny():
 
 
 def test_twxc_overheard_part_replays_stored_equation():
-    _, sched, ch, syms = twxc_setup(9)
+    _, sched, ch, s = twxc_setup(9)
     p = design_twxc(ch)
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     row5 = ledger.rows[4, 0]  # user 1's equations in slots 5 and 4
@@ -165,9 +162,9 @@ def test_twxc_overheard_part_replays_stored_equation():
     assert {cls(sched, 1, sym) for sym in sched.symbols} == {"D", "SI", "AOI", "N"}
     oi = {sym: row5[c] for sym, c in sched.column.items() if cls(sched, 1, sym) == "AOI"}
     assert set(oi) == {sym for sym, c in sched.column.items() if row4[c] != 0}
-    oi_value = sum(c * syms[sym] for sym, c in oi.items())
+    oi_value = sum(c * s[sched.column[sym]] for sym, c in oi.items())
     assert abs(oi_value - value4) < 1e-9
-    assert alignment_error(ledger, sched, syms) < 1e-9
+    assert alignment_error(ledger, sched, s) < 1e-9
 
 
 def two_pure_schedule():
@@ -201,7 +198,7 @@ def test_unknowns_match_the_stored_equations(sched):
     # the decode system the schedule fixes is the one the ledger used to define:
     # desired symbols plus every symbol of a stored phase-1 equation off the pure slots
     ch = draw_channels(NetworkConfig(len(sched.users), (2,)), sched.n_slots, 23)
-    ledger = run_phase1(sched, ch, draw_symbols(sched, 24))
+    ledger = run_phase1(sched, ch, draw_payload(sched, 24))
     assert [sched.symbols[c] for c in sched.column.values()] == list(sched.symbols)
     for k in sched.users:
         stored = {sym for t in sched.phase1_slots if t not in sched.pure_slots(k)
@@ -209,7 +206,7 @@ def test_unknowns_match_the_stored_equations(sched):
         unknowns = [sched.symbols[c] for c in sched.unknowns(k)]
         assert unknowns == sorted(set(desired(sched, k)) | stored)
         _, own, rest = sched.decode_columns[k]
-        assert [sched.symbols[c] for c in own] == list(sched.own_symbols(k))
+        assert [sched.symbols[c] for c in own] == [sym for sym in sched.symbols if sym.src == k]
         assert sorted([*sched.unknowns(k), *own, *rest]) == list(range(len(sched.symbols)))
         for c in rest:  # what must cancel or arrive neutralized
             sym = sched.symbols[c]
@@ -252,7 +249,7 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
         assert [list(c) for c in sched.decode_columns[j]] == [
             cols("D", "OI"), cols("SI"), cols("AOI", "N")]
         assert list(sched.unknowns(j)) == cols("D", "OI")
-        assert list(sched.own_symbols(j)) == [sched.symbols[c] for c in cols("SI")]
+        assert [sched.symbols[c] for c in cols("SI")] == [sym for sym in sched.symbols if sym.src == j]
     for k in sched.phase1_slots:
         rows = []
         for i, sym in sched.slot(k).sends.items():
@@ -277,28 +274,27 @@ def test_alignment_error_checks_every_pure_slot():
     sched = two_pure_schedule()
     assert sched.pure_slots(1) == {1, 2}
     ch = draw_channels(NetworkConfig(3, (2,)), sched.n_slots, 19)
-    syms = draw_symbols(sched, 20)
+    s = draw_payload(sched, 20)
     p = precoder.design(sched, ch)
     assert p.residual < 1e-9
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, sched, "linear_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in (2, 3):
-        own = {sym: syms[sym] for sym in sched.own_symbols(k)}
-        res = decode_user(k, ledger, sched, own)
-        assert set(res.recovered) == set(desired(sched, k))
-        for sym, est in res.recovered.items():
-            assert abs(est - syms[sym]) < 1e-9
-    assert alignment_error(ledger, sched, syms) < 1e-9
+        res = decode_user(k, ledger, sched, s)
+        assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
+        for c, est in zip(res.columns, res.recovered):
+            assert abs(est - s[c]) < 1e-9
+    assert alignment_error(ledger, sched, s) < 1e-9
     ledger.rows[2, 0, sched.column[SymbolId(2, 3)]] += 1e-6  # user 1, slot 3: a symbol of its second pure slot
-    assert alignment_error(ledger, sched, syms) > 1e-9
+    assert alignment_error(ledger, sched, s) > 1e-9
 
 
 def test_zero_precoders_give_zero_received_values():
-    _, sched, ch, syms = twic_setup(10)
+    _, sched, ch, s = twic_setup(10)
     p = design_twic(ch)
     p.bank[:] = 0
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in sched.users:
@@ -306,32 +302,32 @@ def test_zero_precoders_give_zero_received_values():
 
 
 def test_decode_user_twic_effective_system():
-    _, sched, ch, syms = twic_setup(11)
+    _, sched, ch, s = twic_setup(11)
     p = design_twic(ch)
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    own = {sym: syms[sym] for sym in sched.own_symbols(1)}
-    res = decode_user(1, ledger, sched, own)
+    res = decode_user(1, ledger, sched, s)
     assert res.matrix.shape == (2, 2)
     assert res.effective_rank == 2
     # first row is the stored direct observation
     assert res.matrix[0, 0] == ch.gain[1, 0, 2]
     assert res.matrix[0, 1] == ch.gain[1, 0, 3]
-    assert abs(res.recovered[SymbolId(1, 3)] - syms[SymbolId(1, 3)]) < 1e-9
+    assert res.columns.tolist() == [sched.column[SymbolId(1, 3)]]
+    assert abs(res.recovered[0] - s[sched.column[SymbolId(1, 3)]]) < 1e-9
     assert res.stray_coeff < 1e-10
 
 
 def test_self_interference_fully_removed():
-    _, sched, ch, syms = twic_setup(12)
+    _, sched, ch, s = twic_setup(12)
     p = design_twic(ch)
-    ledger = run_phase1(sched, ch, syms)
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, sched, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     row, value = ledger.rows[2, 1], ledger.values[2, 1]  # user 2 in slot 3
     roles = {sym: cls(sched, 2, sym) for sym in sched.column}
     assert sorted(roles.values()) == ["D", "N", "OI", "SI"]
-    terms = {sym: row[c] * syms[sym] for sym, c in sched.column.items()}
+    terms = {sym: row[c] * s[c] for sym, c in sched.column.items()}
     cleaned = value - sum(x for sym, x in terms.items() if roles[sym] == "SI")
     rebuilt = sum(x for sym, x in terms.items() if roles[sym] != "SI")
     assert abs(cleaned - rebuilt) < 1e-10
@@ -362,14 +358,14 @@ def test_general_constructions_decode_system_shapes():
     for scenario, cfg in [("case1", NetworkConfig(3, (2,))), ("case2", NetworkConfig(4, (2,)))]:
         from stpnc.protocol import _execute
 
-        sched, _, syms, _, ledger, failures = _execute(scenario, cfg, 21, None)
+        sched, _, s, _, ledger, failures = _execute(scenario, cfg, 21, None)
         assert failures == {}
         for k in sched.users:
-            own = {sym: syms[sym] for sym in sched.own_symbols(k)}
-            res = decode_user(k, ledger, sched, own)
+            res = decode_user(k, ledger, sched, s)
             assert res.matrix.shape == (2, 2)
             assert res.effective_rank == 2
             assert len(res.recovered) == len(desired(sched, k))
+            assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
 
 
 def test_relay_modes_agree_noiselessly():
@@ -405,11 +401,11 @@ def test_ledger_linearity_reflects_noise_level():
     cfg = NetworkConfig(4, (2,))
     sched = schedule_twic()
     ch = draw_channels(cfg, 3, 17)
-    syms = draw_symbols(sched, 18)
-    noiseless = run_phase1(sched, ch, syms, noise_var=0.0, seed=1)
-    assert ledger_linearity_error(noiseless, sched, syms) < 1e-12
-    noisy = run_phase1(sched, ch, syms, noise_var=1e-4, seed=1)
-    err = ledger_linearity_error(noisy, sched, syms)
+    s = draw_payload(sched, 18)
+    noiseless = run_phase1(sched, ch, s, noise_var=0.0, seed=1)
+    assert ledger_linearity_error(noiseless, s) < 1e-12
+    noisy = run_phase1(sched, ch, s, noise_var=1e-4, seed=1)
+    err = ledger_linearity_error(noisy, s)
     assert 1e-4 < err < 1e-1
 
 
@@ -420,11 +416,10 @@ def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
     cfg = NetworkConfig(5, (2, 3, 1), noise_var=1e-3)
     sched = schedule_case2(5)
     ch = draw_channels(cfg, sched.n_slots, 31)
-    syms = draw_symbols(sched, 32)
-    ledger = run_phase1(sched, ch, syms, cfg.noise_var, seed=33)
-    clean = run_phase1(sched, ch, syms)
+    s = draw_payload(sched, 32)
+    ledger = run_phase1(sched, ch, s, cfg.noise_var, seed=33)
+    clean = run_phase1(sched, ch, s)
     assert np.array_equal(ledger.rows, clean.rows) and np.array_equal(ledger.relay, clean.relay)
-    s = np.array([syms[sym] for sym in sched.symbols])
     rng = np.random.default_rng(33)
     scale = np.sqrt(cfg.noise_var / 2.0)
 
@@ -564,8 +559,9 @@ def test_simulate_achieved_dof_counts_recovered_symbols():
     for i, ok in [(0, 1), (1, 2), (2, 1)]:
         seed = derive_trial_seed(1, i)
         rep = run_end_to_end("twic", cfg, seed)
-        syms = draw_symbols(schedule_twic(), derive_trial_seed(seed, 1))
-        errors = [abs(est - syms[sym]) / abs(syms[sym]) for sym, est in rep.recovered.items()]
+        s = draw_payload(schedule_twic(), derive_trial_seed(seed, 1))
+        column = schedule_twic().column
+        errors = [abs(est - s[column[sym]]) / abs(s[column[sym]]) for sym, est in rep.recovered.items()]
         assert sum(err < protocol.SYMBOL_ERROR_TOL for err in errors) == ok
         assert rep.achieved_dof == Fraction(ok, 3)
         assert rep.symbols_delivered == 4 and rep.slots_used == 3
@@ -577,8 +573,7 @@ def test_achieved_dof_counts_recovered_symbols(monkeypatch):
     def faulty(k, *args, **kwargs):
         res = real(k, *args, **kwargs)
         if k == 1:
-            sym = next(iter(res.recovered))
-            res.recovered[sym] *= 1.5
+            res.recovered[..., 0] *= 1.5  # its first desired symbol, every seed
         return res
 
     monkeypatch.setattr(protocol, "decode_user", faulty)
@@ -685,18 +680,17 @@ def test_a_failing_seed_stays_in_its_own_slot_of_the_batch(monkeypatch):
     # seeds 0 and 3 of the faulty chunk get the ledger and the decode each gets alone: the
     # failed design of seed 2 leaves finite arrays that cannot fail the batched solves
     cfg, seeds = faulty_twxc_chunk(monkeypatch)
-    sched, _, syms, _, batch, _ = protocol._execute("twxc", cfg, seeds, None)
+    sched, _, s, _, batch, _ = protocol._execute("twxc", cfg, seeds, None)
     for i in (0, 3):
-        _, _, own_syms, _, alone, failures = protocol._execute("twxc", cfg, [seeds[i]], None)
+        _, _, own, _, alone, failures = protocol._execute("twxc", cfg, [seeds[i]], None)
         assert failures == {}
         for name in ("rows", "values", "relay", "relay_values"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)[0]), name
         for k in sched.users:
-            got = decode_user(k, batch, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
-            want = decode_user(k, alone, sched, {sym: own_syms[sym] for sym in sched.own_symbols(k)})
+            got, want = decode_user(k, batch, sched, s), decode_user(k, alone, sched, own)
             assert i not in got.failures and want.failures == {}
-            for sym, x in want.recovered.items():
-                assert x[0] == got.recovered[sym][i]
+            assert np.array_equal(got.columns, want.columns)
+            assert np.array_equal(want.recovered[0], got.recovered[i])
 
 
 @pytest.mark.parametrize("scenario,cfg,seeds", [
@@ -720,7 +714,7 @@ def test_verify_chunks_stay_within_the_byte_budget(monkeypatch, scenario, cfg, s
 
 
 def test_noiseless_phases_build_no_generator(monkeypatch):
-    cfg, sched, ch, syms = twic_setup(3)
+    cfg, sched, ch, s = twic_setup(3)
     real, built = np.random.default_rng, []
 
     def counting(*args):
@@ -728,11 +722,11 @@ def test_noiseless_phases_build_no_generator(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(protocol.np.random, "default_rng", counting)
-    ledger = run_phase1(sched, ch, syms, 0.0, seed=5)
+    ledger = run_phase1(sched, ch, s, 0.0, seed=5)
     plan = relay_process(ledger, design_twic(ch), sched, "decode_forward")
     run_phase2(plan, sched, ch, 0.0, seed=6, ledger=ledger)
     assert built == []
-    ledger = run_phase1(sched, ch, syms, 1e-3, seed=5)
+    ledger = run_phase1(sched, ch, s, 1e-3, seed=5)
     run_phase2(plan, sched, ch, 1e-3, seed=6, ledger=ledger)
     assert built == [(5,), (6,)]
     built.clear()
@@ -751,6 +745,19 @@ def test_noisy_batch_keeps_each_seeds_noise_stream():
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), name
 
 
+@pytest.mark.parametrize("sched", [schedule_twic(), schedule_twxc(), schedule_case2(5)],
+                         ids=["twic", "twxc", "case2-5"])
+def test_payload_is_each_seeds_draw_bitwise(sched):
+    # one row per seed, in Schedule.symbols column order; the symbol-id view is one seed's row
+    seeds = [derive_trial_seed(9, i) for i in range(5)]
+    batch = draw_payload(sched, seeds)
+    assert batch.shape == (len(seeds), len(sched.symbols)) and batch.dtype == complex
+    for i, seed in enumerate(seeds):
+        alone = draw_payload(sched, seed)
+        assert alone.shape == (len(sched.symbols),) and batch[i].tobytes() == alone.tobytes()
+        assert draw_symbols(sched, seed) == dict(zip(sched.symbols, draw_payload(sched, seed)))
+
+
 @pytest.mark.parametrize("scenario,cfg", [
     ("twic", NetworkConfig(4, (2,))),
     ("case2", NetworkConfig(5, (2, 2, 1))),
@@ -762,7 +769,7 @@ def test_symbol_errors_are_pythons_abs_of_the_recovered_symbols(scenario, cfg):
     for i in range(20):
         seed = derive_trial_seed(6, i)
         rep = run_end_to_end(scenario, cfg, seed)
-        syms = draw_symbols(sched, derive_trial_seed(seed, 1))
+        syms = dict(zip(sched.symbols, draw_payload(sched, derive_trial_seed(seed, 1)).tolist()))
         assert rep.max_symbol_error == max(abs(est - syms[sym]) / abs(syms[sym])
                                            for sym, est in rep.recovered.items())
 
@@ -789,17 +796,17 @@ def test_a_batched_ledger_is_each_seeds_own_ledger_bitwise(scenario, cfg):
 def grid_ledger(sched, antennas, seeds):
     """Both phases of sched on a batch of seeds, linear-forward."""
     ch = draw_channels(NetworkConfig(len(sched.users), antennas), sched.n_slots, seeds)
-    syms = draw_symbols(sched, [s + 100 for s in seeds])
-    ledger = run_phase1(sched, ch, syms)
+    s = draw_payload(sched, [seed + 100 for seed in seeds])
+    ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, precoder.design(sched, ch), sched, "linear_forward")
-    return run_phase2(plan, sched, ch, ledger=ledger), syms
+    return run_phase2(plan, sched, ch, ledger=ledger), s
 
 
 @pytest.mark.parametrize("sched,antennas", [
     (schedule_case2(5), (2, 2, 1)), (two_pure_schedule(), (2,)), (deaf_schedule(), (2,)),
 ], ids=["case2-5", "two_pure", "deaf"])
 def test_b_rows_and_values_are_zero_wherever_nobody_listens(sched, antennas):
-    ledger, syms = grid_ledger(sched, antennas, [41, 42])
+    ledger, s = grid_ledger(sched, antennas, [41, 42])
     n1, deaf = sched.phase1_len, ~sched.listens
     assert ledger.rows.shape == (2, sched.n_slots, len(sched.users), len(sched.symbols))
     assert deaf[:n1].any()
@@ -813,22 +820,23 @@ def test_b_rows_and_values_are_zero_wherever_nobody_listens(sched, antennas):
             assert np.array_equal(ledger.rows[:, t, k] != 0, np.broadcast_to(carried[t], (2, carried.shape[1])))
         else:
             assert np.all(ledger.values[:, t, k] != 0)
-    assert np.all(ledger_linearity_error(ledger, sched, syms) < 1e-12)
-    assert np.all(alignment_error(ledger, sched, syms) < 1e-9)
+    assert np.all(ledger_linearity_error(ledger, s) < 1e-12)
+    assert np.all(alignment_error(ledger, sched, s) < 1e-9)
 
 
 @pytest.mark.parametrize("sched,antennas", [
     (schedule_twxc(), (2,)), (schedule_case2(5), (2, 2, 1)), (two_pure_schedule(), (2,)),
 ], ids=["twxc", "case2-5", "two_pure"])
 def test_c_decode_system_is_the_heard_non_pure_rows_in_slot_order(sched, antennas):
-    ledger, syms = grid_ledger(sched, antennas, [51, 52, 53])
+    ledger, s = grid_ledger(sched, antennas, [51, 52, 53])
     for k in sched.users:
         if not sched.unknowns(k).size:
             continue
-        res = decode_user(k, ledger, sched, {sym: syms[sym] for sym in sched.own_symbols(k)})
+        res = decode_user(k, ledger, sched, s)
         slots = [t for t in range(1, sched.n_slots + 1)
                  if k in sched.slot(t).destinations and t not in sched.pure_slots(k)]
         want = ledger.rows[:, np.array(slots) - 1, k - 1][..., sched.unknowns(k)]
         assert res.matrix.shape == want.shape and np.array_equal(res.matrix, want)
-        for sym, est in res.recovered.items():
-            assert np.abs(est - syms[sym]).max() < 1e-9
+        assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
+        assert res.recovered.shape == (3, len(res.columns))
+        assert np.abs(res.recovered - s[:, res.columns]).max() < 1e-9

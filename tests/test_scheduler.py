@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stpnc.channel import NetworkConfig, draw_channels
-from stpnc.protocol import draw_symbols, run_phase1, scenario_schedule
+from stpnc.protocol import draw_payload, run_phase1, scenario_schedule
 from stpnc.scheduler import (
     InvalidUserCount,
     SymbolId,
@@ -104,7 +104,7 @@ def test_every_relay_stores_every_phase1_slot(build):
     s = build()
     cfg = NetworkConfig(len(s.users), (2, 1))
     ch = draw_channels(cfg, s.n_slots, 3)
-    ledger = run_phase1(s, ch, draw_symbols(s, 4))
+    ledger = run_phase1(s, ch, draw_payload(s, 4))
     # one equation of the whole relay bank per slot: relay l's rows are its antenna columns
     assert ledger.relays == s.phase1_slots
     assert ledger.relay.shape == (s.phase1_len, 3, len(s.symbols))
@@ -188,7 +188,7 @@ def test_roles_partition_every_symbol(build):
         roles = dict(zip(s.symbols, s.classes[u]))
         desired = {sym for sym in s.symbols if sym.dest == u}
         assert {sym for sym, r in roles.items() if r == "D"} == desired
-        assert {sym for sym, r in roles.items() if r == "SI"} == set(s.own_symbols(u))
+        assert {sym for sym, r in roles.items() if r == "SI"} == {s.symbols[c] for c in s.decode_columns[u][1]}
         overheard = {sym for t in s.listened_phase1(u) for sym in s.slot(t).sends.values()}
         assert {sym for sym, r in roles.items() if r in ("OI", "AOI")} == overheard - desired
         # pure slots are overheard slots without a desired symbol
