@@ -37,7 +37,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet, NetworkConfig, derive_trial_seed, draw_channels
+from .channel import (
+    ChannelSet,
+    NetworkConfig,
+    derive_trial_seed,
+    derive_trial_seeds,
+    draw_channels,
+    standard_normals,
+)
 from .linalg import RankDeficient, zf_solve
 from .linalg import rank  # noqa: F401  (unused; perfbench/spans.py wraps protocol.rank)
 from .precoder import (
@@ -93,21 +100,24 @@ class EquationLedger:
         return range(1, self.relay.shape[-3] + 1)
 
 
-def _batch(seed) -> list:
+def _batch(seed):
     """The seeds of a batch, or one seed as a batch of one."""
-    return [seed] if np.ndim(seed) == 0 else list(seed)
+    return [seed] if np.ndim(seed) == 0 else seed
 
 
-def _derived(seed, i: int):
-    """derive_trial_seed(seed, i) of one seed, or of every seed of a batch."""
-    return derive_trial_seed(seed, i) if np.ndim(seed) == 0 else [derive_trial_seed(s, i) for s in seed]
+def _stage_seeds(seed):
+    """derive_trial_seed(seed, i) for the stages i = 0..3 (channels, payload, phase-1 noise,
+    phase-2 noise): four ints for one seed, a (4, seeds) uint64 array for a batch."""
+    if np.ndim(seed) == 0:
+        return [derive_trial_seed(seed, i) for i in range(4)]
+    return derive_trial_seeds(seed, [[0], [1], [2], [3]])
 
 
 def draw_payload(sched: Schedule, seed) -> np.ndarray:
     """Unit-power CN(0,1) payload in ``Schedule.symbols`` column order: (n,) for one seed,
-    (seeds, n) for a sequence of seeds, each seed drawn alone."""
-    n = len(sched.symbols)
-    normals = np.array([np.random.default_rng(s).standard_normal((2, n)) for s in _batch(seed)])
+    (seeds, n) for a sequence of seeds, each seed drawn alone: its real parts, then its
+    imaginary ones, from default_rng(seed)'s stream."""
+    normals = standard_normals(_batch(seed), (2, len(sched.symbols)))
     z = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
     return z if np.ndim(seed) else z[0]
 
@@ -119,14 +129,16 @@ def draw_symbols(sched: Schedule, seed: int) -> dict:
 
 
 def _noise(seed, sizes, noise_var: float) -> np.ndarray:
-    """Per seed, from default_rng(seed), one CN(0, noise_var) vector per entry of sizes in
-    turn (its real parts, then its imaginary ones), concatenated: the receivers' noise
-    stream in reception order. One seed gives (sum sizes,), a batch (seeds, sum sizes)."""
-    def one(s):
-        rng = np.random.default_rng(s)
-        return np.concatenate([np.sqrt(noise_var / 2.0)
-                               * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for n in sizes])
-    draws = np.array([one(s) for s in _batch(seed)])
+    """Per seed, from default_rng(seed)'s stream, one CN(0, noise_var) vector per entry of
+    sizes in turn (its real parts, then its imaginary ones), concatenated: the receivers'
+    noise in reception order. One seed gives (sum sizes,), a batch (seeds, sum sizes)."""
+    sizes = np.asarray(sizes)
+    normals = standard_normals(_batch(seed), (2 * sizes.sum(),))
+    # vector j fills output entries o_j..e_j-1; entry p reads its real part at o_j + p and
+    # its imaginary part at e_j + p of the seed's block
+    ends, at = np.cumsum(sizes), np.arange(sizes.sum())
+    draws = np.sqrt(noise_var / 2.0) * (normals[:, np.repeat(ends - sizes, sizes) + at]
+                                        + 1j * normals[:, np.repeat(ends, sizes) + at])
     return draws if np.ndim(seed) else draws[0]
 
 
@@ -137,7 +149,7 @@ def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray,
 
     One gather of every column's sender gains writes the users' rows, a second the bank's
     uplinks. Noisy runs draw each slot's noise user after user, then relay after relay,
-    from default_rng of the seed (one per seed of a batch); noiseless runs build no generator.
+    from the seed's default_rng stream (one per seed of a batch); noiseless runs draw none.
     """
     n1, (src, carries) = sched.phase1_len, sched.senders
     heard = sched.listens[:n1]
@@ -217,12 +229,11 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
     """Relay slots: every listening user stores one equation over every symbol the relays
     forward, into the ledger's phase-2 rows.
 
-    Noisy runs draw the noise per slot, user after user, from default_rng of the seed (one
-    per seed of a batch); noiseless runs build no generator.
+    Noisy runs draw the noise per slot, user after user, from the seed's default_rng
+    stream (one per seed of a batch); noiseless runs draw none.
     """
     n1, heard = sched.phase1_len, sched.listens[sched.phase1_len:]
-    # (..., phase-2 slots, users, sum M_l), row-major: the drawn stacks keep NumPy's gather layout
-    dn = np.ascontiguousarray(ch.dn[..., n1:, :, :])
+    dn = ch.dn[..., n1:, :, :]  # (..., phase-2 slots, users, sum M_l)
     ledger.rows[..., n1:, :, :] = np.where(heard[:, :, None], dn @ plan.coeffs, 0)
     values = np.where(heard, np.matvec(dn, plan.signals), 0)
     if noise_var:
@@ -317,12 +328,13 @@ def _execute(scenario: str, cfg: NetworkConfig, seed, relay_mode: str | None):
     """Draw, design, both phases and the relays for one seed or a batch of seeds, plus
     the failure record of design and then the relays."""
     sched = scenario_schedule(scenario, cfg.K)
-    ch = draw_channels(cfg, sched.n_slots, _derived(seed, 0))
-    s = draw_payload(sched, _derived(seed, 1))
+    channel_seed, payload_seed, noise1_seed, noise2_seed = _stage_seeds(seed)
+    ch = draw_channels(cfg, sched.n_slots, channel_seed)
+    s = draw_payload(sched, payload_seed)
     precoders = SCENARIOS[scenario].design(ch, cfg.K)
-    ledger = run_phase1(sched, ch, s, cfg.noise_var, _derived(seed, 2))
+    ledger = run_phase1(sched, ch, s, cfg.noise_var, noise1_seed)
     plan = relay_process(ledger, precoders, sched, relay_mode or SCENARIOS[scenario].relay_mode)
-    ledger = run_phase2(plan, sched, ch, cfg.noise_var, _derived(seed, 3), ledger=ledger)
+    ledger = run_phase2(plan, sched, ch, cfg.noise_var, noise2_seed, ledger=ledger)
     return sched, ch, s, precoders, ledger, plan.failures | precoders.failures
 
 
@@ -372,7 +384,7 @@ def _chunks(scenario: str, cfg: NetworkConfig, base_seed: int, count: int,
     """(seeds, outcome) for the derived seeds 0..count-1 in chunks of chunk_seeds, in order."""
     size = chunk_seeds(scenario_schedule(scenario, cfg.K), cfg)
     for start in range(0, count, size):
-        seeds = [derive_trial_seed(base_seed, i) for i in range(start, min(start + size, count))]
+        seeds = derive_trial_seeds(base_seed, range(start, min(start + size, count))).tolist()
         yield seeds, _run(scenario, cfg, seeds, relay_mode)
 
 

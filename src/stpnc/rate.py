@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkConfig, derive_trial_seed, draw_layout, draw_pools
+from .channel import NetworkConfig, derive_trial_seeds, draw_layout, draw_pools
 from .channel import draw_channels  # noqa: F401  (unused; perfbench/spans.py wraps rate.draw_channels)
 from .linalg import null_space  # noqa: F401  (unused; perfbench/spans.py wraps rate.null_space)
 from .precoder import design_twic  # noqa: F401  (unused; perfbench/spans.py wraps rate.design_twic)
@@ -104,8 +104,8 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     """
     coeffs = np.empty((count, _FLOW_INDEX.size), dtype=complex)
     for b in range(0, count, _DRAW_BATCH):
-        seeds = [derive_trial_seed(seed, start + i) for i in range(b, min(b + _DRAW_BATCH, count))]
-        coeffs[b:b + len(seeds)] = draw_pools(_TWIC_CFG, 3, seeds).reshape(len(seeds), -1)[:, _FLOW_INDEX]
+        seeds = derive_trial_seeds(seed, range(start + b, start + min(b + _DRAW_BATCH, count)))
+        coeffs[b:b + seeds.size] = draw_pools(_TWIC_CFG, 3, seeds).reshape(seeds.size, -1)[:, _FLOW_INDEX]
     return _gains(coeffs)
 
 

@@ -5,10 +5,13 @@ from stpnc import channel
 from stpnc.channel import (
     NetworkConfig,
     _complex_pool,
+    _seed_states,
     derive_trial_seed,
+    derive_trial_seeds,
     draw_channels,
     draw_layout,
     draw_pools,
+    standard_normals,
 )
 
 
@@ -92,8 +95,13 @@ def test_an_exact_zero_takes_the_per_slot_redraw_path(monkeypatch):
     zeros = {8: (5, size + 5)}
 
     def stub(seed):
-        return ZeroingGenerator(seed, zeros.get(seed, ()))
+        return ZeroingGenerator(seed, zeros.get(int(seed), ()))
 
+    def normals(seeds, shape):  # the batched draw, with seed 8's zeros injected
+        return np.array([stub(seed).standard_normal(shape) for seed in seeds])
+
+    # the block comes from the batched helper, the redraws from default_rng
+    monkeypatch.setattr(channel, "standard_normals", normals)
     monkeypatch.setattr(channel.np.random, "default_rng", stub)
     expect = per_slot_pools(cfg, slots, 8, stub)
     assert np.count_nonzero(expect) == expect.size  # _complex_pool redrew the zero
@@ -104,6 +112,12 @@ def test_an_exact_zero_takes_the_per_slot_redraw_path(monkeypatch):
     assert np.array_equal(batch[1], expect)
     for i, seed in ((0, 7), (2, 9)):
         assert np.array_equal(batch[i], per_slot_pools(cfg, slots, seed, stub))
+    # a uint64 batch as the trials draw it: only seed 8 takes the redraw path
+    batch = draw_pools(cfg, slots, np.arange(2, 12, dtype=np.uint64))
+    assert np.array_equal(batch[6], expect)
+    monkeypatch.undo()
+    for i in (0, 1, 2, 3, 4, 5, 7, 8, 9):
+        assert np.array_equal(batch[i], per_slot_pools(cfg, slots, i + 2))
 
 
 def test_a_batch_of_seeds_is_each_seed_drawn_alone():
@@ -201,3 +215,59 @@ def test_derive_trial_seed_no_collisions():
     s = 999
     seen = {derive_trial_seed(s, t) for t in range(10_000)}
     assert len(seen) == 10_000
+
+
+def test_derive_trial_seeds_is_the_scalar_derivation():
+    for root in (0, 999, 2**63, 2**64 - 1, 2**64, 2**64 + 12345, 3**90):
+        for trials in (range(0), range(5), range(1000, 1300)):
+            got = derive_trial_seeds(root, trials)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [derive_trial_seed(root, i) for i in trials]
+    roots = [0, 7, 2**64 - 1, 2**64, 2**70 + 3]
+    for trial in (0, 3, 2**40):
+        assert derive_trial_seeds(roots, trial).tolist() == [derive_trial_seed(s, trial) for s in roots]
+    derived = derive_trial_seeds(11, range(64))
+    assert derive_trial_seeds(derived, 2).tolist() == [derive_trial_seed(s, 2) for s in derived.tolist()]
+    assert derive_trial_seeds(12345, 7).tolist() == [7959005890829367068]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+NORMAL_SHAPES = {"twic pools": (3, 2, 28), "21x1 pools": (10, 2, 282), "payload": (2, 4), "noise": (16,)}
+
+
+def assert_default_rng_bits(got, seeds, shape):
+    assert got.shape == (len(seeds), *shape)
+    for row, seed in zip(got, seeds):
+        want = np.random.default_rng(seed).standard_normal(shape)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), seed
+
+
+def test_seed_states_are_seed_sequence_states():
+    seeds = EDGE_SEEDS + derive_trial_seeds(3, range(4096)).tolist()
+    states = _seed_states(np.array(seeds, dtype=np.uint64))
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    for seed, state in zip(seeds, states):
+        assert state.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist(), seed
+
+
+@pytest.mark.parametrize("shape", NORMAL_SHAPES.values(), ids=NORMAL_SHAPES.keys())
+def test_batched_normals_have_the_bits_of_default_rng(shape):
+    seeds = EDGE_SEEDS + derive_trial_seeds(5, range(4096 if shape[0] < 10 else 64)).tolist()
+    words = np.array(seeds, dtype=np.uint64)
+    assert_default_rng_bits(standard_normals(words, shape), seeds, shape)
+    assert_default_rng_bits(standard_normals(words[::3], shape), seeds[::3], shape)  # strided
+    assert_default_rng_bits(standard_normals(seeds[:40], shape), seeds[:40], shape)
+    assert_default_rng_bits(standard_normals([np.uint64(s) for s in seeds[:40]], shape), seeds[:40], shape)
+    for n in range(1, 12):  # both sides of the batch size that switches to derived states
+        assert_default_rng_bits(standard_normals(words[-n:], shape), seeds[-n:], shape)
+
+
+def test_out_of_range_seeds_keep_default_rng_behaviour():
+    shape = NORMAL_SHAPES["twic pools"]
+    seeds = [5, 2**64, 2**64 + 1, 2**100 + 7, 2**64 - 1, 6, 7, 8, 9, 10]  # beyond two entropy words
+    assert_default_rng_bits(standard_normals(seeds, shape), seeds, shape)
+    for bad in ([-1], [1, 2, 3, 4, 5, 6, 7, 8, 9, -1], np.array([3, 4, 5, 6, 7, 8, 9, -2])):
+        with pytest.raises(ValueError):
+            np.random.default_rng(bad[-1])
+        with pytest.raises(ValueError):
+            standard_normals(bad, shape)

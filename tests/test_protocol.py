@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stpnc import precoder, protocol
+from stpnc import channel, precoder, protocol
 from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels
 from stpnc.linalg import RankDeficient
 from stpnc.precoder import AntennaDeficit, design_twic, design_twxc
@@ -715,23 +715,34 @@ def test_verify_chunks_stay_within_the_byte_budget(monkeypatch, scenario, cfg, s
 
 def test_noiseless_phases_build_no_generator(monkeypatch):
     cfg, sched, ch, s = twic_setup(3)
-    real, built = np.random.default_rng, []
+    real, drawn = channel.standard_normals, []
 
-    def counting(*args):
-        built.append(args)
-        return real(*args)
+    def counting(seeds, shape):
+        drawn.append(([int(seed) for seed in seeds], shape))
+        return real(seeds, shape)
 
-    monkeypatch.setattr(protocol.np.random, "default_rng", counting)
+    def no_generator(*args):
+        raise AssertionError("a generator outside the batched draw")
+
+    monkeypatch.setattr(channel, "standard_normals", counting)
+    monkeypatch.setattr(protocol, "standard_normals", counting)
     ledger = run_phase1(sched, ch, s, 0.0, seed=5)
     plan = relay_process(ledger, design_twic(ch), sched, "decode_forward")
     run_phase2(plan, sched, ch, 0.0, seed=6, ledger=ledger)
-    assert built == []
+    assert drawn == []
     ledger = run_phase1(sched, ch, s, 1e-3, seed=5)
     run_phase2(plan, sched, ch, 1e-3, seed=6, ledger=ledger)
-    assert built == [(5,), (6,)]
-    built.clear()
-    verify_scenario("twic", cfg, n_seeds=5)
-    assert len(built) == 10  # per seed: the channels and the symbols, nothing else
+    # phase 1: 2 slots of 2 listening users and the 2 relay antennas; phase 2: 4 users
+    assert drawn == [([5], (16,)), ([6], (8,))]
+    drawn.clear()
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", no_generator)  # the helper itself may not build one
+        m.setattr(channel, "_BATCH_SEEDING", 1)
+        verify_scenario("twic", cfg, n_seeds=5)
+    # one batched draw of the channels and one of the payload, nothing else
+    seeds = [derive_trial_seed(0, i) for i in range(5)]
+    assert drawn == [([derive_trial_seed(seed, 0) for seed in seeds], (3, 2, 28)),
+                     ([derive_trial_seed(seed, 1) for seed in seeds], (2, 4))]
 
 
 def test_noisy_batch_keeps_each_seeds_noise_stream():
