@@ -250,6 +250,17 @@ def draw_layout(cfg: NetworkConfig) -> tuple:
     return pairs + 2 * K * width, gain, up, dn
 
 
+@functools.cache
+def bank_unknowns(antennas: tuple) -> tuple:
+    """A slot pair's stacked bank unknowns, relay after relay: each one's uplink and downlink
+    antenna (its bank entry is [dn, up]), and vec(I) over them, amplify-and-forward."""
+    owner = np.repeat(np.arange(len(antennas)), antennas)  # antenna -> relay
+    up_col, dn_col = np.nonzero(owner[:, None] == owner)
+    g = (up_col == dn_col).astype(complex)
+    up_col.flags.writeable = dn_col.flags.writeable = g.flags.writeable = False  # cached: shared
+    return up_col, dn_col, g
+
+
 def draw_pools(cfg: NetworkConfig, slots: int, seed) -> np.ndarray:
     """The (slots, pool size) stack of per-slot IID CN(0,1) draws that draw_channels places.
 

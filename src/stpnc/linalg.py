@@ -2,14 +2,13 @@
 
 Everything operates on complex numpy arrays, deterministically. ``solve_least_norm``
 and ``zf_solve`` take a stack of systems of one shape, (..., r, n), and solve them all
-from one batched decomposition whose result per system is bitwise that of the system
-alone, so a batch of seeds decodes exactly as each seed would by itself. Neither raises
-for a bad system: each reports a per-system status next to its solutions (the residual
-gate's verdict, the kept singular-value count), and the caller decides what a failure
-means. The precoders use only ``solve_least_norm`` (one batched QR); decoding uses
-``zf_solve`` (one batched SVD). ``null_space`` (ascending singular values, each column's
-first significant entry real positive) and ``rank`` stay as test oracles and benchmark
-bindings.
+with batched calls whose result per system is bitwise that of the system alone, so a
+batch of seeds decodes exactly as each seed would by itself. Neither raises for a bad
+system: each reports a per-system status next to its solutions (the residual gate's
+verdict, the kept singular-value count), and the caller decides what a failure means.
+The precoders use only ``solve_least_norm`` (the dual form: one batched Gram solve and
+one refinement step); decoding uses ``zf_solve`` (one batched SVD). ``null_space`` and
+``rank`` stay as test oracles and benchmark bindings.
 """
 
 from __future__ import annotations
@@ -20,18 +19,14 @@ import numpy as np
 
 
 class InconsistentSystem(Exception):
-    """The linear constraints admit no solution within tolerance.
-
-    Nothing raises it: ``solve_least_norm`` returns a verdict per system, and ``design``
-    reports an infeasible slot pair as AntennaDeficit. perfbench/oracles.py imports it.
-    """
+    """Never raised: ``solve_least_norm`` returns a verdict per system. perfbench imports it."""
 
 
 class RankDeficient(Exception):
     """The coefficient matrix does not have full column rank."""
 
 
-# Singular values at or below REL_EPS * s_max * max(shape) count as zero.
+# Singular values at or below REL_EPS * s_max * max(shape) count as zero (see _kept).
 REL_EPS = 1e-10
 # A least-norm solve is consistent when its residual is at most ABS_EPS * (1 + ||a x0 - b||).
 ABS_EPS = 1e-10
@@ -49,10 +44,11 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def _kept(s: np.ndarray, shape: tuple[int, int]):
-    """How many of the descending singular values s (..., k) of each (rows, cols) matrix
-    lie above the relative cutoff."""
-    return (s > REL_EPS * s[..., :1] * max(shape)).sum(axis=-1)
+def _kept(s: np.ndarray, shape: tuple[int, int], scale=None):
+    """How many of the descending singular values s (..., k) of each (rows, cols) matrix lie
+    above the cutoff, relative to the largest one or to scale (...,) where that is larger."""
+    top = s[..., :1] if scale is None else np.maximum(s[..., :1], np.asarray(scale)[..., None])
+    return (s > REL_EPS * top * max(shape)).sum(axis=-1)
 
 
 def rank(a) -> int:
@@ -84,55 +80,52 @@ def solve_least_norm(a, b, x0=None) -> tuple[np.ndarray, np.ndarray]:
     """The x with a @ x = b nearest to x0 (minimum norm when x0 is omitted), per system,
     and each system's verdict.
 
-    a is (..., r, n) and b (..., r): one system per leading index, all solved from one
-    batched complete QR a^H = [Q1 N] R as x = N N^H x0 + Q1 R^-H b. The R^-H solve is
-    skipped where b is zero, so a homogeneous system returns the projection of x0 onto a
-    null space even when a is rank deficient; the other systems take one batched solve,
-    and those whose R has an exact zero on its diagonal are left NaN. With r > n only the
-    leading n equations are solved. The verdict (...,) is the residual gate, ||a x - b|| <=
-    ABS_EPS * (1 + ||a x0 - b||): False where the system is inconsistent, singular or comes
-    out non-finite (its x may then hold NaN). That signals infeasible precoder constraints,
-    and it is the only check: QR does not reveal rank.
+    a is (..., r, n) and b (..., r), one system per leading index, solved in dual form: x =
+    x0 + a^H l with G l = b - a x0 for the batched Gram G = a a^H, then one refinement step
+    with the same G on the residual. A zero row (a vacuous equation) gets 1 on G's diagonal;
+    if the batched solve raises, one batched slogdet marks the members whose G is exactly
+    singular, which are left NaN. With r > n only the leading n equations are solved. The
+    verdict (...,), the only check, is the residual gate over every equation, ||a x - b|| <=
+    ABS_EPS * (1 + ||a x0 - b||): False where a system is inconsistent, singular or
+    non-finite (x may then hold NaN), which signals infeasible precoder constraints.
     """
     m = as_cmatrix(a)
     batch, (r, n) = m.shape[:-2], m.shape[-2:]
-    size = math.prod(batch)
+    size, lead = math.prod(batch), min(r, n)
     m = m.reshape(size, r, n)
     rhs = np.asarray(b, dtype=complex).reshape(size, r)
-    lead = min(r, n)
-    q, rr = np.linalg.qr(m[:, :lead].conj().transpose(0, 2, 1), mode="complete")
-    if x0 is None:
-        x, base = np.zeros((size, n), dtype=complex), rhs
-    else:
-        start = np.broadcast_to(np.asarray(x0, dtype=complex), (size, n))
-        null = q[:, :, lead:]
-        x = (null @ (null.conj().transpose(0, 2, 1) @ start[:, :, None]))[:, :, 0]
-        base = (m @ start[:, :, None])[:, :, 0] - rhs
-    active = rhs.any(axis=1)
-    regular = np.diagonal(rr, axis1=1, axis2=2).all(axis=1)  # a zero on R's diagonal: singular
-    x[active & ~regular] = np.nan  # the gate fails them
-    solved = np.flatnonzero(active & regular)
-    if solved.size:
-        lower = rr[solved, :lead].conj().transpose(0, 2, 1)  # R1^H, lower triangular
-        y = np.linalg.solve(lower, rhs[solved, :lead, None])
-        x[solved] += (q[solved, :, :lead] @ y)[:, :, 0]
-    resid = np.linalg.norm((m @ x[:, :, None])[:, :, 0] - rhs, axis=1)
-    ok = resid <= ABS_EPS * (1.0 + np.linalg.norm(base, axis=1))  # False on NaN
+    x = np.array(np.broadcast_to(0 if x0 is None else x0, (size, n)), dtype=complex)
+    base = rhs - np.matvec(m, x)
+    eq, solved = m[:, :lead], slice(None)
+    adj = eq.conj().swapaxes(-1, -2)
+    gram = eq @ adj
+    member, row = np.nonzero(np.diagonal(gram, axis1=1, axis2=2) == 0)  # the zero rows
+    gram[member, row, row] = 1.0  # a vacuous equation: its target alone decides the gate
+    try:
+        step = np.linalg.solve(gram, base[:, :lead, None])
+    except np.linalg.LinAlgError:  # an exactly singular member fails the whole stack
+        singular = np.linalg.slogdet(gram)[0] == 0
+        x[singular], solved = np.nan, np.flatnonzero(~singular)  # the gate fails them
+        step = np.linalg.solve(gram[solved], base[solved, :lead, None])
+    x[solved] += (adj[solved] @ step)[..., 0]
+    step = np.linalg.solve(gram[solved], (rhs[solved, :lead] - np.matvec(eq[solved], x[solved]))[..., None])
+    x[solved] += (adj[solved] @ step)[..., 0]
+    ok = np.linalg.norm(np.matvec(m, x) - rhs, axis=1) <= ABS_EPS * (1.0 + np.linalg.norm(base, axis=1))
     return x.reshape(batch + (n,)), ok.reshape(batch)
 
 
-def zf_solve(h, y) -> tuple[np.ndarray, np.ndarray]:
+def zf_solve(h, y, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing decode: least-squares solution of h @ s = y, per system of a stack,
     and each system's kept singular-value count.
 
     h is (..., r, c) and y either (..., r), one right-hand side per system, or (..., r, m).
-    The count (...,) is the rank at the relative cutoff, as ``rank`` gives it; a system
-    decodes when it equals c, and one short of c (an undecodable configuration) solves to
-    zeros instead of dividing by a zero singular value. One batched SVD gives both.
+    The count (...,) is the rank at the relative cutoff, as ``rank`` gives it, or against
+    scale (...,) where given and larger; a system decodes when it equals c, and one short of
+    c solves to zeros instead of dividing by a zero singular value. One batched SVD gives both.
     """
     m = as_cmatrix(h)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    kept = _kept(s, m.shape[-2:])
+    kept = _kept(s, m.shape[-2:], scale)
     s[kept < m.shape[-1]] = np.inf
     rhs = np.asarray(y, dtype=complex)
     vector = rhs.ndim == m.ndim - 1

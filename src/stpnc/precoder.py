@@ -6,15 +6,13 @@ components are free; an aligned (AOI) component's coefficient must equal
 the phase-1 channel, so the relayed interference replays the stored
 equation; every N component is neutralized to a zero coefficient.
 
-The relays act together as one distributed precoder. Relay l owns the
-antenna columns ``relay_columns[l-1]``, so the whole bank is one
-block-diagonal sum M_l x sum M_l matrix per (phase-2 slot t, phase-1 slot k)
-pair, applied to what every relay received in slot k; relay l's M_l x M_l
-block V_(l,t,k) sits on its own columns and everything off the blocks is
-zero (no relay combines another relay's receptions). The end-to-end
-coefficient of transmitter i at user j is h_dn(j, t) B_(t,k) h_up(i, k),
-which per relay is the Kronecker row (h_up^T x h_dn) applied to vec(V), so
-each pair's stacked vec'd blocks solve one linear system in those rows.
+The relays act together as one distributed precoder: per (phase-2 slot t, phase-1 slot
+k) pair, one block-diagonal sum M_l x sum M_l bank B_(t,k) applied to what every relay
+received in slot k, relay l's M_l x M_l block V_(l,t,k) on its own antenna columns
+``relay_columns[l-1]`` and zero elsewhere (no relay combines another's receptions). The
+coefficient of transmitter i at user j is h_dn(j, t) B_(t,k) h_up(i, k), per relay the
+Kronecker row (h_up^T x h_dn) applied to vec(V), so each pair's stacked vec'd blocks solve
+one linear system in those rows, in dual (Gram) form.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, _KeyedView
+from .channel import ChannelSet, _KeyedView, bank_unknowns
 from .linalg import solve_least_norm
 from .linalg import null_space  # noqa: F401  (unused; perfbench/spans.py wraps precoder.null_space)
 from .scheduler import (
@@ -36,11 +34,7 @@ from .scheduler import (
 
 
 class SynthesisFailed(Exception):
-    """A precoder constraint system was singular (probability-zero event).
-
-    Nothing raises it: ``design`` reports an unsolvable slot pair as
-    AntennaDeficit. The name stays public.
-    """
+    """Never raised: ``design`` reports an unsolvable slot pair as AntennaDeficit. Kept public."""
 
 
 class AntennaDeficit(Exception):
@@ -90,43 +84,33 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
 
     One rule per (phase-2 slot, phase-1 slot) pair: with A the pair's rows, b their targets
     and g the stacked vec(I) blocks (amplify-and-forward), f is the point of {A f = b}
-    nearest to g, whatever basis the solver uses; a pair without targets is then scaled to
-    unit norm. The pairs whose phase-1 slots have the same row count are solved as one
-    stack, one ``solve_least_norm`` call; every built-in schedule has a single row count.
-    Leading axes of the channel stacks (a batch of seeds) lead every array here too, and
-    the bank and residual keep them; an infeasible pair goes to ``failures``. A schedule
-    that fixes its relay set (``Schedule.relays``) rejects any other before that.
+    nearest to g, in dual form f = g + A^H l with (A A^H) l = b - A g; a pair without
+    targets is then scaled to unit norm. Pairs with equal row counts are one stack, one
+    ``solve_least_norm`` call, laid out by the cached ``Schedule.constraint_layout`` and
+    ``bank_unknowns``. A batch of seeds leads every array; an infeasible pair goes to
+    ``failures``. A schedule that fixes its relay set rejects any other first.
     """
-    if sched.relays not in (None, ch.config.relay_antennas):
+    cfg = ch.config
+    if sched.relays not in (None, cfg.relay_antennas):
         (m,) = sched.relays  # the built-in fixed sets are one relay
         raise AntennaDeficit(f"{sched.name} needs a single relay with {m} antennas")
-    view = sched.constraint_rows
-    # checked before any decomposition: a slot pair's stacked precoder has sum M_l^2 unknowns;
-    # homogeneous rows need one more than their count for a nonzero solution
-    need = max(len(rows) + (not any(aligned for *_, aligned in rows)) for rows, _, _ in view.values())
-    have = ch.config.sum_antenna_sq
-    if have < need:
-        raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {have}")
-    cfg = ch.config
+    need, groups, _ = sched.constraint_layout  # checked before any decomposition
+    if cfg.sum_antenna_sq < need:
+        raise AntennaDeficit(f"need sum of squared antennas >= {need}, have {cfg.sum_antenna_sq}")
     width = sum(cfg.relay_antennas)
-    batch = ch.gain.shape[:-3]
-    bank = np.zeros(batch + (sched.phase2_len, sched.phase1_len, width, width), dtype=complex)
+    bank = np.zeros(ch.gain.shape[:-3] + (sched.phase2_len, sched.phase1_len, width, width), dtype=complex)
     # row (j, i) is kron(h_up(l, i, k), h_dn(j, l, t)) for each relay l in turn: its entries
     # pair every uplink antenna a of relay l with every downlink antenna b (stack columns),
     # and the entry for (a, b) is the bank's [b, a]: one assignment places a pair's blocks
-    owner = np.repeat(np.arange(len(cfg.relay_antennas)), cfg.relay_antennas)  # antenna -> relay
-    up_col, dn_col = np.nonzero(owner[:, None] == owner)
-    g = (up_col == dn_col).astype(complex)  # vec(I) per relay: amplify-and-forward
+    up_col, dn_col, g = bank_unknowns(cfg.relay_antennas)
     dn = ch.dn[..., sched.phase1_len:sched.n_slots, :, dn_col]  # (phase-2 slot, user, unknown)
     infeasible = np.zeros(bank.shape[:-2], dtype=bool)  # (..., phase-2 slot, phase-1 slot)
-    for count in dict.fromkeys(len(rows) for rows, _, _ in view.values()):
-        ks = np.array([k for k, (rows, _, _) in view.items() if len(rows) == count])
-        rx, tx = (np.stack([view[k][i] for k in ks]) for i in (1, 2))
-        aligned = np.array([[a for *_, a in view[k][0]] for k in ks], dtype=bool)
+    for ks, rx, tx, aligned in groups:
         # (phase-2 slot, phase-1 slot, row, unknown): a row's uplink half and its target
         # depend on the phase-1 slot alone
         up = ch.up[..., ks[:, None, None] - 1, tx[..., None], up_col]
-        a = up[..., None, :, :, :] * dn[..., :, rx, :]
+        a = dn.take(rx, axis=-2)  # row-major, so the solver reshapes it without a copy
+        np.multiply(up[..., None, :, :, :], a, out=a)  # uplink first, as kron multiplies
         b = _targets(ch, ks[:, None], aligned, rx, tx)
         f, ok = solve_least_norm(a, np.broadcast_to(b[..., None, :, :], a.shape[:-1]), g)
         # zeroed, not left NaN: a non-finite member would fail every later batched solve
@@ -168,17 +152,13 @@ def design_case2(ch: ChannelSet, k2: int) -> PrecoderSet:
 def verify_constraints(p: PrecoderSet, ch: ChannelSet, sched: Schedule):
     """Max absolute violation over the schedule's constraint rows, recomputed from raw channels.
 
-    Independent of the Kronecker rows synthesis stacks: per slot pair, one direct
-    product DN(t) @ B_(t,k) @ UP(k)^T of the downlink stack, the block-diagonal bank and
-    the uplink stack gives every (receiver, transmitter) coefficient, read at the rows'
-    positions. Equal to the per-relay sum while the bank is zero off its relay blocks.
-    One value per leading index (seed) of the stacks.
+    Independent of the Kronecker rows synthesis stacks: one direct product DN(t) @ B_(t,k) @
+    UP(k)^T per slot pair gives every (receiver, transmitter) coefficient (the per-relay sum,
+    the bank being zero off its blocks), read in one gather at ``constraint_layout``'s stacked
+    rows. One value per leading index (seed) of the stacks.
     """
-    n1 = sched.phase1_len
+    n1, (k, rx, tx, aligned) = sched.phase1_len, sched.constraint_layout[2]
     # (..., phase-2 slot, phase-1 slot, receiver, transmitter)
     coeff = ch.dn[..., n1:sched.n_slots, None, :, :] @ p.bank @ ch.up[..., None, :n1, :, :].swapaxes(-1, -2)
-    gaps = []
-    for k, (rows, rx, tx) in sched.constraint_rows.items():
-        target = _targets(ch, k, [aligned for *_, aligned in rows], rx, tx)
-        gaps.append(coeff[..., :, k - 1, rx, tx] - target[..., None, :])
-    return np.abs(np.concatenate(gaps, axis=-1)).max(axis=(-2, -1), initial=0.0)
+    gaps = coeff[..., :, k - 1, rx, tx] - _targets(ch, k, aligned, rx, tx)[..., None, :]
+    return np.abs(gaps).max(axis=(-2, -1), initial=0.0)

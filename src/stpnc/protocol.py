@@ -265,6 +265,7 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, s: np.ndarray) 
     kept, split, pure = sched.decode_slots[k]
     rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
     a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)  # the rows' scale, before cancellation
     if own.size:  # k sends nothing in a slot it listens to, so its own columns are zero on the phase-1 rows
         y -= np.matvec(a.take(own, axis=-1), s[..., own])
     if pure.size:
@@ -272,7 +273,7 @@ def decode_user(k: int, ledger: EquationLedger, sched: Schedule, s: np.ndarray) 
         y[..., split:] -= values.take(pure, axis=-1).sum(axis=-1)[..., None]
     stray = np.abs(a.take(rest, axis=-1)).max(axis=(-2, -1), initial=0.0)
     h = a.take(unknowns, axis=-1)
-    sol, kept = zf_solve(h, y)
+    sol, kept = zf_solve(h, y, scale)
     desired = np.array([sched.classes[k][c] == "D" for c in unknowns], dtype=bool)
     return DecodeResult(sol[..., desired], unknowns[desired], h.shape[-1], h, stray,
                         _short(kept, h.shape[-1], f"user {k}", "unknowns"))
@@ -371,11 +372,10 @@ def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None)
 
 def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
     """Seeds per chunk: CHUNK_BYTES over one seed's share of the largest stacks, the design's
-    Kronecker rows with their complete QR factors and relay_process's bank products."""
+    rows and their Gram, rows x (sum M_l^2 + rows) per slot pair, and the bank products."""
     n, width = cfg.sum_antenna_sq, sum(cfg.relay_antennas)
-    rows = sum(len(rows) for rows, _, _ in sched.constraint_rows.values())
-    per_seed = 16 * sched.phase2_len * (n * (rows + sched.phase1_len * n)
-                                        + sched.phase1_len * width * len(sched.symbols))
+    rows = sum(len(rows) * (n + len(rows)) for rows, _, _ in sched.constraint_rows.values())
+    per_seed = 16 * sched.phase2_len * (rows + sched.phase1_len * width * len(sched.symbols))
     return max(1, CHUNK_BYTES // per_seed)
 
 

@@ -136,6 +136,22 @@ class Schedule:
         return view
 
     @cached_property
+    def constraint_layout(self) -> tuple:
+        """``constraint_rows`` as the precoder reads them: the antenna need (the largest row
+        count of a slot, +1 for a slot without targets); per row count, its phase-1 slots ks and
+        their rows' rx, tx and aligned, stacked; every row's (k, rx, tx, aligned), in slot order."""
+        view = {k: (rx, tx, np.array([a for *_, a in rows], dtype=bool))
+                for k, (rows, rx, tx) in self.constraint_rows.items()}
+        need = max(len(a) + (not a.any()) for _, _, a in view.values())
+        groups = []
+        for count in dict.fromkeys(len(rx) for rx, _, _ in view.values()):
+            ks = np.array([k for k, (rx, _, _) in view.items() if len(rx) == count])
+            groups.append((ks, *(np.stack([view[k][i] for k in ks]) for i in range(3))))
+        rows = (np.repeat(list(view), [len(rx) for rx, _, _ in view.values()]),
+                *(np.concatenate([v[i] for v in view.values()]) for i in range(3)))
+        return need, tuple(groups), rows
+
+    @cached_property
     def column(self) -> dict:
         """Position of each symbol in a coefficient row; rows run over ``symbols``."""
         return {sym: i for i, sym in enumerate(self.symbols)}

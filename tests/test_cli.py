@@ -155,7 +155,7 @@ def test_decode_forward_on_single_antenna_relays_names_the_relay(tmp_path, capsy
     (["case1", "--k1", "5", "--relays", "3,2"], r"^infeasible: user 1: effective rank \d+ < 4 unknowns$"),
     (["case2", "--k2", "7", "--relays", "4,3"],
      r"^infeasible: alignment constraints for slot pair \(8,1\) are infeasible\n\Z"),
-    # rank-deficient homogeneous slot pairs: the QR-based solver still returns null vectors
+    # rank-deficient homogeneous slot pairs: the least-norm solver still returns null vectors
     (["case1", "--k1", "10", "--relays", "8,3"], r"^infeasible: user 1: effective rank \d+ < 9 unknowns$"),
 ], ids=["case1-5-32", "case2-7-43", "case1-10-83"])
 def test_refuted_relay_sets_exit_three_with_their_reason(tmp_path, capsys, flags, reason):

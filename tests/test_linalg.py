@@ -160,17 +160,23 @@ def test_solve_least_norm_fails_exactly_the_bad_members(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     x, ok = solve_least_norm(a, b)
-    assert len(calls) == 1  # one batched solve, no member re-solved alone
+    # the batched Gram solve raises for the exactly singular member (1, 0); the other five
+    # take one batched solve and one batched refinement, and no member is re-solved alone
+    assert [len(gram) for gram, _ in calls] == [6, 5, 5]
     assert np.array_equal(~ok, [[False, False, False], [True, False, True]])
     for idx in zip(*np.nonzero(ok)):  # every other member is bitwise its solution alone
         alone, verdict = solve_least_norm(a[idx], b[idx])
         assert verdict and np.array_equal(x[idx], alone)
     _, ok = solve_least_norm(a[1, 1:], b[1, 1:])  # the singular one among fewer
     assert ok.tolist() == [True, False]
+    calls.clear()
+    solve_least_norm(a[0], b[0])  # a regular stack: one solve and one refinement
+    assert [len(gram) for gram, _ in calls] == [3, 3]
 
 
 def test_solve_least_norm_rank_deficient_homogeneous_member_is_a_null_vector():
-    # QR does not reveal rank, but a zero right-hand side never inverts R, even a singular one
+    # member 1's zero row is a vacuous equation, and member 2's dependent rows leave its Gram
+    # singular only to rounding, so both solve
     rng = np.random.default_rng(12)
     a, x0 = crandn(rng, 3, 3, 5), crandn(rng, 5)
     a[1, 1] = 0  # member 1 has rank 2 and an exactly singular R
@@ -241,6 +247,18 @@ def test_zf_solve_counts_each_members_rank():
     for idx in np.ndindex(2, 3):
         alone, count = zf_solve(h[idx], y[idx])
         assert count == kept[idx] and np.array_equal(x[idx], alone)
+
+
+def test_zf_solve_counts_a_system_small_against_its_scale_as_deficient():
+    # relative to its own largest singular value, a system scaled by 1e-15 has full rank;
+    # against the scale of the rows it came from, it has none
+    rng = np.random.default_rng(13)
+    h = crandn(rng, 4, 2)
+    stack, y = np.stack([h, 1e-15 * h]), crandn(rng, 2, 4)
+    assert zf_solve(stack, y)[1].tolist() == [2, 2]
+    x, kept = zf_solve(stack, y, np.abs(h).max())
+    assert kept.tolist() == [2, 0]
+    assert np.array_equal(x[0], zf_solve(h, y[0])[0]) and not x[1].any()
 
 
 def test_operations_bitwise_deterministic():
