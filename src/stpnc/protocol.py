@@ -1,12 +1,12 @@
 """End-to-end execution of the two-phase relay protocol.
 
-Phase 1 transmits data symbols while listeners (users and relays) store
-linear equations with exactly known coefficients. The relays then forward
-precoded combinations in phase 2. Each user decodes by subtracting its
-self-interference, subtracting interference it overheard in phase 1 when
-the precoders replay that shape, and zero-forcing the remaining stacked
-system. In noiseless mode every desired symbol is recovered exactly and the
-report carries the achieved symbols-per-slot ratio as an exact fraction.
+Phase 1 transmits data symbols while listeners (users and relays) store linear equations
+with exactly known coefficients. The relays then forward precoded combinations in phase 2.
+Each user decodes by subtracting its self-interference and the interference it overheard
+in phase 1 when the precoders replay that shape, and zero-forcing the rest, one pass per
+group of users with one decode shape (``Schedule.decode_groups``). In noiseless mode every
+desired symbol is recovered exactly and the report carries the achieved symbols-per-slot
+ratio as an exact fraction.
 
 The payload is one complex array ``s`` in ``Schedule.symbols`` column order
 (``draw_payload``). Phase 1 applies the ledger's rows to it, each user reads its SI
@@ -47,21 +47,9 @@ from .channel import (
 )
 from .linalg import RankDeficient, zf_solve
 from .linalg import rank  # noqa: F401  (unused; perfbench/spans.py wraps protocol.rank)
-from .precoder import (
-    PrecoderSet,
-    design_case1,
-    design_case2,
-    design_twic,
-    design_twxc,
-)
-from .scheduler import (
-    InvalidUserCount,
-    Schedule,
-    schedule_case1,
-    schedule_case2,
-    schedule_twic,
-    schedule_twxc,
-)
+from .precoder import PrecoderSet, design_case1, design_case2, design_twic, design_twxc
+from .scheduler import DecodeGroup, InvalidUserCount, Schedule
+from .scheduler import schedule_case1, schedule_case2, schedule_twic, schedule_twxc
 
 SYMBOL_ERROR_TOL = 1e-8  # a symbol counts as recovered below this relative error
 RESIDUAL_TOL = 1e-9      # gate on constraint residual, alignment, linearity and stray error
@@ -185,10 +173,12 @@ class RelayTransmitPlan:
     failures: dict
 
 
-def _short(kept, need: int, who: str, what: str) -> dict:
-    """RankDeficient for each seed whose system keeps fewer than need singular values."""
-    return {int(i): RankDeficient(f"{who}: effective rank {kept.flat[i]} < {need} {what}")
-            for i in np.flatnonzero(kept < need)}
+def _short(kept, need: int, who: str, ids, what: str) -> dict:
+    """Per seed, RankDeficient for its first system (kept's last axis: ``who`` ids) below need."""
+    kept = np.reshape(kept, (-1, len(ids)))
+    first = (kept < need).argmax(axis=-1)
+    return {int(i): RankDeficient(f"{who} {ids[first[i]]}: effective rank {kept[i, first[i]]} < {need} {what}")
+            for i in np.flatnonzero(kept.min(axis=-1) < need)}
 
 
 def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> tuple[np.ndarray, dict]:
@@ -196,7 +186,7 @@ def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> tuple[np.ndar
     h = ledger.relay[..., rows, :]
     h = h.reshape(h.shape[:-3] + (-1, h.shape[-1]))  # slot after slot
     sol, kept = zf_solve(h, ledger.relay_values[..., rows].reshape(h.shape[:-1]))
-    return sol, _short(kept, h.shape[-1], f"relay {ell}", "symbols")
+    return sol, _short(kept, h.shape[-1], "relay", [ell], "symbols")
 
 
 def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
@@ -244,39 +234,40 @@ def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
 
 @dataclass
 class DecodeResult:
-    recovered: np.ndarray     # (..., desired) estimates of the user's D columns
-    columns: np.ndarray       # those columns, ascending
-    effective_rank: int
-    matrix: np.ndarray        # the stacked system that was zero-forced
-    stray_coeff: float | np.ndarray  # worst coefficient left on symbols outside the system
-    failures: dict            # the record of the seeds whose system is rank deficient
+    """One ``decode_user`` pass over a group: a users axis after the seed axes, none for one user."""
+
+    recovered: np.ndarray       # (..., desired) estimates of the D columns, user after user
+    columns: np.ndarray         # those columns
+    effective_rank: np.ndarray  # (..., users) zf_solve's kept count of each system
+    matrix: np.ndarray          # (..., users, rows, unknowns) the systems that were zero-forced
+    stray_coeff: np.ndarray     # (..., users) worst coefficient left on columns outside each system
+    failures: dict              # per seed, the first user whose system is rank deficient
 
 
-def decode_user(k: int, ledger: EquationLedger, sched: Schedule, s: np.ndarray) -> DecodeResult:
-    """Recover user k's desired symbols from its stored equations.
+def decode_user(k: int | DecodeGroup, ledger: EquationLedger, sched: Schedule, s: np.ndarray) -> DecodeResult:
+    """Recover the desired symbols of user k, or of every user of a ``DecodeGroup``, in one pass.
 
-    Phase-2 rows are cleaned of SI (its own symbols' payload values subtracted) and of
-    AOI (the stored pure-slot equations subtracted), stacked under the other
-    heard phase-1 rows in slot order (``Schedule.decode_slots``) and zero-forced over
-    the D and OI columns; what the cleaned rows keep on the AOI and N columns is the
-    stray coefficient. A batch of seeds is one stacked zero-forcing solve.
+    One gather stacks each user's heard, non-pure rows (``decode_slots``), columns ordered
+    unknowns (D, OI), own (SI), rest (AOI, N). Phase-2 rows lose SI (own payload values) and
+    AOI (the stored pure-slot equations); one ``zf_solve`` over seeds and users zero-forces
+    the unknowns, and the rest columns keep the stray coefficient.
     """
-    unknowns, own, rest = sched.decode_columns[k]
-    kept, split, pure = sched.decode_slots[k]
-    rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
-    a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
+    g, pick = (k, slice(None)) if isinstance(k, DecodeGroup) else (sched.decode_group([k]), 0)
+    at, n, own = g.users[:, None, None] - 1, g.unknowns.shape[-1], g.own.shape[-1]
+    order = np.concatenate((g.unknowns, g.own, g.rest), axis=-1)[:, None, :]
+    # (..., users, rows, n): row-major, so every seed takes one BLAS path
+    a = np.ascontiguousarray(ledger.rows[..., g.kept[..., None], at, order])
+    y = np.ascontiguousarray(ledger.values[..., g.kept, at[..., 0]])
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)  # the rows' scale, before cancellation
-    if own.size:  # k sends nothing in a slot it listens to, so its own columns are zero on the phase-1 rows
-        y -= np.matvec(a.take(own, axis=-1), s[..., own])
-    if pure.size:
-        a[..., split:, :] -= rows.take(pure, axis=-2).sum(axis=-2)[..., None, :]
-        y[..., split:] -= values.take(pure, axis=-1).sum(axis=-1)[..., None]
-    stray = np.abs(a.take(rest, axis=-1)).max(axis=(-2, -1), initial=0.0)
-    h = a.take(unknowns, axis=-1)
-    sol, kept = zf_solve(h, y, scale)
-    desired = np.array([sched.classes[k][c] == "D" for c in unknowns], dtype=bool)
-    return DecodeResult(sol[..., desired], unknowns[desired], h.shape[-1], h, stray,
-                        _short(kept, h.shape[-1], f"user {k}", "unknowns"))
+    # a user sends nothing in a slot it listens to: its own columns are zero on phase-1 rows
+    y -= np.matvec(a[..., n:n + own], s.take(g.own, axis=-1))
+    if g.pure.size:
+        a[..., g.split:, :] -= ledger.rows[..., g.pure[..., None], at, order].sum(axis=-2)[..., None, :]
+        y[..., g.split:] -= ledger.values[..., g.pure, at[..., 0]].sum(axis=-1)[..., None]
+    stray = np.abs(a[..., n + own:]).max(axis=(-2, -1), initial=0.0)
+    sol, kept = zf_solve(a[..., :n], y, scale)
+    return DecodeResult(sol[..., g.desired], g.unknowns[g.desired], kept[..., pick], a[..., pick, :, :n],
+                        stray[..., pick], _short(kept, n, "user", g.users, "unknowns"))
 
 
 @dataclass
@@ -345,7 +336,7 @@ class _Outcome(NamedTuple):
     sched: Schedule
     recovered: np.ndarray    # (seeds, n) estimates, in Schedule.symbols column order
     errors: np.ndarray       # (seeds, n) relative errors of those estimates
-    ranks: dict              # user -> effective rank, one decode shape for every seed
+    ranks: np.ndarray        # (seeds, users) each user's effective rank
     residual: np.ndarray
     stray: np.ndarray
     alignment: np.ndarray
@@ -353,20 +344,22 @@ class _Outcome(NamedTuple):
 
 
 def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None) -> _Outcome:
-    """One pass of the protocol over a batch of seeds: decode every user, take both checks."""
+    """One pass of the protocol over a batch of seeds: decode every group of users, take both checks."""
     sched, _, s, precoders, ledger, failures = _execute(scenario, cfg, seeds, relay_mode)
-    results = {k: decode_user(k, ledger, sched, s) for k in sched.users}
     recovered = np.full_like(s, np.nan)  # every column is its destination user's D: none stays NaN
-    for res in results.values():
+    ranks, stray = np.empty((len(seeds), len(sched.users)), dtype=int), np.zeros(len(seeds))
+    for group in sched.decode_groups:  # one for every built-in: the lowest short user stands
+        res = decode_user(group, ledger, sched, s)
         failures = res.failures | failures
         recovered[:, res.columns] = res.recovered
+        ranks[:, group.users - 1] = res.effective_rank
+        stray = np.maximum(stray, res.stray_coeff.max(axis=-1))
     if failures:
         raise failures[min(failures)]
     miss = recovered - s
     # np.hypot is Python's abs of a complex; np.abs rounds differently
     errors = np.hypot(miss.real, miss.imag) / np.hypot(s.real, s.imag)
-    return _Outcome(sched, recovered, errors, {k: res.effective_rank for k, res in results.items()},
-                    precoders.residual, np.max([res.stray_coeff for res in results.values()], axis=0),
+    return _Outcome(sched, recovered, errors, ranks, precoders.residual, stray,
                     alignment_error(ledger, sched, s), ledger_linearity_error(ledger, s))
 
 
@@ -399,7 +392,7 @@ def _reports(scenario: str, seeds: list, out: _Outcome) -> list:
         seed=seed,
         recovered=dict(zip(sched.symbols, out.recovered[i].tolist())),
         max_symbol_error=float(worst[i]),
-        effective_ranks=dict(out.ranks),
+        effective_ranks=dict(zip(sched.users, out.ranks[i].tolist())),
         slots_used=sched.n_slots,
         symbols_delivered=len(sched.symbols),
         achieved_dof=Fraction(int(counts[i]), sched.n_slots),
@@ -457,18 +450,17 @@ def alignment_error(ledger: EquationLedger, sched: Schedule, s: np.ndarray):
 def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: int = 0) -> dict:
     """Run the invariant suite over derived seeds and report a JSON-ready summary.
 
-    A seed fails when any symbol's relative error reaches SYMBOL_ERROR_TOL;
-    when the constraint residual, the alignment error (the replay identity
-    between phase-2 equations and the stored pure-slot equations), the ledger
-    linearity error or any user's stray coefficient reaches RESIDUAL_TOL;
-    when a user's effective rank differs from its unknown count
-    (sched.unknowns); or when the symbols recovered within tolerance per slot
-    fall short of the schedule's own symbols-per-slot ratio. The seeds run in
-    chunks (see _chunks), each folded into the summary as one set of arrays and dropped.
+    A seed fails when any symbol's relative error reaches SYMBOL_ERROR_TOL; when the
+    constraint residual, the alignment error (the replay identity between phase-2 equations
+    and the stored pure-slot equations), the ledger linearity error or any user's stray
+    coefficient reaches RESIDUAL_TOL; when a user's effective rank, zf_solve's kept count,
+    differs from its unknown count (sched.unknowns); or when the symbols recovered within
+    tolerance per slot fall short of the schedule's own symbols-per-slot ratio. The seeds
+    run in chunks (see _chunks), each folded into the summary as one set of arrays and dropped.
     """
     sched = scenario_schedule(scenario, cfg.K)
     expected_dof = Fraction(len(sched.symbols), sched.n_slots)
-    expected_rank = {k: len(sched.unknowns(k)) for k in sched.users}
+    expected_rank = [len(sched.unknowns(k)) for k in sched.users]
     failures = []
     max_err = max_resid = max_align = max_linear = 0.0
     dof_ok = rank_ok = True
@@ -476,12 +468,12 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     for seeds, out in _chunks(scenario, cfg, base_seed, n_seeds):
         errors = out.errors.max(axis=-1, initial=0.0)
         dof = np.count_nonzero(out.errors < SYMBOL_ERROR_TOL, axis=-1) == len(sched.symbols)
-        ranks = out.ranks == expected_rank
+        ranks = (out.ranks == expected_rank).all(axis=-1)
         coeff_err = np.max([out.residual, out.alignment, out.linearity, out.stray], axis=0)
-        bad = ~dof | (errors >= SYMBOL_ERROR_TOL) | (coeff_err >= RESIDUAL_TOL) | (not ranks)
+        bad = ~dof | (errors >= SYMBOL_ERROR_TOL) | (coeff_err >= RESIDUAL_TOL) | ~ranks
         failures += (done + np.flatnonzero(bad)).tolist()
         done += len(seeds)
-        rank_ok = rank_ok and ranks
+        rank_ok = rank_ok and bool(ranks.all())
         dof_ok = dof_ok and bool(dof.all())
         max_err = max(max_err, float(errors.max()))
         max_resid = max(max_resid, float(out.residual.max()))
@@ -495,7 +487,7 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
         "base_seed": base_seed,
         "expected_dof": str(expected_dof),
         "achieved_dof": str(expected_dof) if dof_ok else "mismatch",
-        "expected_rank": min(expected_rank.values()),  # common to every user of a built-in scenario
+        "expected_rank": min(expected_rank),  # common to every user of a built-in scenario
         "rank_ok": rank_ok,
         "max_symbol_error": max_err,
         "max_constraint_residual": max_resid,

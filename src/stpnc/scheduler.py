@@ -1,18 +1,18 @@
 """Per-slot transmission schedules for the supported exchange scenarios.
 
-Every schedule has two phases. In phase 1 subsets of users transmit while
-the remaining users and all relays listen and store linear equations
-(side-information learning). In phase 2 only the relays transmit.
-Slots and users are 1-indexed; a symbol id (dest, src) names the unit-power
-data symbol user `src` sends for user `dest`. Schedules are immutable and
-their builders cached, so what a schedule derives (its symbols, the slot of
-a symbol, who listens in each slot, the columns of a coefficient row, the
-receive class of every symbol at every user, its constraint rows and the index
-arrays the protocol reads its ledger through) is computed once per process.
+Every schedule has two phases. In phase 1 subsets of users transmit while the remaining
+users and all relays listen and store linear equations (side-information learning). In
+phase 2 only the relays transmit. Slots and users are 1-indexed; a symbol id (dest, src)
+names the unit-power data symbol user `src` sends for user `dest`. Schedules are immutable
+and their builders cached, so what a schedule derives (its symbols, the slot of a symbol,
+who listens in each slot, the columns of a coefficient row, the receive class of every
+symbol at every user, its constraint rows, its decode groups and the index arrays the
+protocol reads its ledger through) is computed once per process.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -27,6 +27,12 @@ class InvalidUserCount(ValueError):
 class SymbolId(NamedTuple):
     dest: int
     src: int
+
+
+# Users (ids, ascending) that share one decode shape: their ``Schedule.decode_columns``
+# (unknowns, own, rest) and ``decode_slots`` (kept, split, pure) stacked along a leading
+# users axis, split shared, and desired, the (users, unknowns) mask of their D columns.
+DecodeGroup = namedtuple("DecodeGroup", "users unknowns own rest kept split pure desired")
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,23 @@ class Schedule:
             view[k] = (np.array(kept, dtype=np.intp), sum(t < self.phase1_len for t in kept),
                        np.array(pure, dtype=np.intp))
         return view
+
+    def decode_group(self, users) -> DecodeGroup:
+        """The ``DecodeGroup`` of users that share one decode shape."""
+        unknowns, own, rest, kept, split, pure = map(
+            np.stack, zip(*(self.decode_columns[k] + self.decode_slots[k] for k in users)))
+        desired = np.take_along_axis(np.array([self.classes[k] for k in users]) == "D", unknowns, axis=-1)
+        return DecodeGroup(np.array(users), unknowns, own, rest, kept, int(split[0]), pure, desired)
+
+    @cached_property
+    def decode_groups(self) -> tuple:
+        """The users as ``DecodeGroup``s, grouped by the lengths of their decode arrays and
+        their split, in order of each group's first user; every built-in schedule has one."""
+        shapes = {}
+        for k in self.users:
+            (unknowns, own, rest), (kept, split, pure) = self.decode_columns[k], self.decode_slots[k]
+            shapes.setdefault((*map(len, (unknowns, own, rest, kept, pure)), split), []).append(k)
+        return tuple(self.decode_group(ks) for ks in shapes.values())
 
     @cached_property
     def replays(self) -> tuple:

@@ -30,8 +30,21 @@ def perfbench(monkeypatch):
     return oracles, spans
 
 
-def test_spans_instrument_and_restore(perfbench, tmp_path):
+def record_decodes(monkeypatch) -> list:
+    """The users of every decode_user call, recorded inside its span."""
+    real, users = stpnc.protocol.decode_user, []
+
+    def record(group, *rest):
+        users.append(group.users.tolist())
+        return real(group, *rest)
+
+    monkeypatch.setattr(stpnc.protocol, "decode_user", record)
+    return users
+
+
+def test_spans_instrument_and_restore(perfbench, tmp_path, monkeypatch):
     _, spans = perfbench
+    decoded = record_decodes(monkeypatch)
     before = stpnc.protocol.run_phase1
     tracer = spans.Tracer()
     with spans.instrument(tracer):
@@ -39,9 +52,10 @@ def test_spans_instrument_and_restore(perfbench, tmp_path):
         out = tmp_path / "v.json"
         assert cli.main(["verify", "--scenario", "twxc", "--seeds", "3", "--output", str(out)]) == 0
     assert stpnc.protocol.run_phase1 is before
-    # the three seeds run as one chunk: one pass of every stage, one decode per user
+    # the three seeds run as one chunk: one pass of every stage, one decode of every user
     assert tracer.calls["precoder.design"] == 1
-    assert tracer.calls["protocol.decode_user"] == 4
+    assert tracer.calls["protocol.decode_user"] == 1
+    assert decoded == [[1, 2, 3, 4]]
     # twxc stores 8 phase-1 user equations, 4 relay vector equations and 4 relay-slot ones,
     # each holding all three seeds
     assert tracer.counters["protocol.equations_stored"] == 16
@@ -67,13 +81,17 @@ def test_spans_see_every_registry_route(perfbench, tmp_path, monkeypatch, flags,
         return real(a, *rest)
 
     monkeypatch.setattr(stpnc.precoder, "solve_least_norm", record)
+    decoded = record_decodes(monkeypatch)
     tracer = spans.Tracer()
     with spans.instrument(tracer):
         out = tmp_path / "v.json"
         assert cli.main(["verify", *flags, "--seeds", "2", "--output", str(out)]) == 0
     # both seeds run as one chunk, so every stage fires once per chunk, not per seed
     assert tracer.calls["precoder.design"] == 1
-    assert tracer.calls["protocol.decode_user"] == users
+    assert tracer.calls["protocol.decode_user"] == 1
+    assert decoded == [list(range(1, users + 1))]  # one stacked decode of every user
+    # one decode solve, after the one relay's decode-and-forward solve of twic and twxc
+    assert tracer.calls["linalg.zf_solve"] == 1 + (flags[1] in ("twic", "twxc"))
     assert tracer.calls["precoder.verify_constraints"] == 1
     # one stacked least-norm solve per chunk, its leading axis the two seeds, fed every
     # (phase-2 slot, phase-1 slot) pair's constraint rows of each seed, and no

@@ -540,10 +540,9 @@ def test_verify_fails_on_perturbed_oi_coefficient(monkeypatch):
 def test_verify_fails_on_stray_coefficient(monkeypatch):
     real = protocol.decode_user
 
-    def faulty(k, *args, **kwargs):
-        res = real(k, *args, **kwargs)
-        if k == 2:
-            res.stray_coeff = np.full_like(res.stray_coeff, 1e-6)  # every seed
+    def faulty(group, *args, **kwargs):
+        res = real(group, *args, **kwargs)
+        res.stray_coeff[..., group.users.tolist().index(2)] = 1e-6  # user 2, every seed
         return res
 
     monkeypatch.setattr(protocol, "decode_user", faulty)
@@ -570,10 +569,10 @@ def test_simulate_achieved_dof_counts_recovered_symbols():
 def test_achieved_dof_counts_recovered_symbols(monkeypatch):
     real = protocol.decode_user
 
-    def faulty(k, *args, **kwargs):
-        res = real(k, *args, **kwargs)
-        if k == 1:
-            res.recovered[..., 0] *= 1.5  # its first desired symbol, every seed
+    def faulty(group, *args, **kwargs):
+        res = real(group, *args, **kwargs)
+        assert group.users[0] == 1  # the estimates run user after user: user 1's come first
+        res.recovered[..., 0] *= 1.5  # user 1's first desired symbol, every seed
         return res
 
     monkeypatch.setattr(protocol, "decode_user", faulty)
@@ -851,3 +850,18 @@ def test_c_decode_system_is_the_heard_non_pure_rows_in_slot_order(sched, antenna
         assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
         assert res.recovered.shape == (3, len(res.columns))
         assert np.abs(res.recovered - s[:, res.columns]).max() < 1e-9
+
+
+def test_effective_rank_is_the_kept_count_of_a_short_system():
+    # zeroing every row user 1 stored for seed 1 leaves its system no singular value above the
+    # cutoff: its effective rank reads 0, below its 2 unknowns, next to its RankDeficient record
+    sched = schedule_twxc()
+    ledger, s = grid_ledger(sched, (2,), [71, 72, 73])
+    ledger.rows[1, :, 0], ledger.values[1, :, 0] = 0.0, 0.0
+    (group,) = sched.decode_groups
+    res = decode_user(group, ledger, sched, s)
+    assert res.effective_rank.tolist() == [[2, 2, 2, 2], [0, 2, 2, 2], [2, 2, 2, 2]]
+    assert list(res.failures) == [1] and str(res.failures[1]) == "user 1: effective rank 0 < 2 unknowns"
+    alone = decode_user(1, ledger, sched, s)
+    assert alone.effective_rank.tolist() == [2, 0, 2] and len(sched.unknowns(1)) == 2
+    assert str(alone.failures[1]) == str(res.failures[1]) and list(alone.failures) == [1]
