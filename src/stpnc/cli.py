@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -189,6 +190,12 @@ def _out_stream(ns: argparse.Namespace):
         raise UsageError(f"cannot write --output {ns.output}: {exc.strerror}")
 
 
+def _write_json(doc, f) -> None:
+    """Every JSON output's form: indented, keys sorted, one final newline."""
+    json.dump(doc, f, indent=2, sort_keys=True)
+    f.write("\n")
+
+
 def _report_json(rep, trial: int) -> dict:
     return {
         "trial": trial,
@@ -230,8 +237,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                 "relay_mode": mode,
                 "trials": [_report_json(rep, i) for i, rep in enumerate(reports)],
             }
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+            _write_json(doc, f)
         else:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["trial", "seed", "max_symbol_error", "constraint_residual",
@@ -267,8 +273,7 @@ def _cmd_dof_sweep(ns: argparse.Namespace) -> int:
                 }
                 for L, r in rows
             ]
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+            _write_json(doc, f)
     return EXIT_OK
 
 
@@ -301,23 +306,9 @@ def _cmd_rate_sweep(ns: argparse.Namespace) -> int:
         if ns.format == "csv":
             rate.write_rate_csv(result, f)
         else:
-            doc = {
-                "seed": seed,
-                "trials": ns.trials,
-                "crossover_db": result.crossover_db,
-                "points": [
-                    {
-                        "snr_db": p.snr_db,
-                        "stpnc_rate": p.stpnc_rate,
-                        "stpnc_stderr": p.stpnc_stderr,
-                        "tdma_rate": p.tdma_rate,
-                        "tdma_stderr": p.tdma_stderr,
-                    }
-                    for p in result.points
-                ],
-            }
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+            points = [dataclasses.asdict(p) for p in result.points]
+            _write_json({"seed": seed, "trials": ns.trials, "crossover_db": result.crossover_db,
+                         "points": points}, f)
     summary = sys.stdout if ns.output not in (None, "-") else sys.stderr
     print(f"crossover_db={cross}", file=summary)
     return EXIT_OK
@@ -330,8 +321,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     cfg = _network_config(ns, noise_var=0.0)
     summary = verify_scenario(ns.scenario, cfg, ns.seeds, seed)
     with _out_stream(ns) as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+        _write_json(summary, f)
     return EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
 
 

@@ -118,18 +118,15 @@ def zf_solve(h, y, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing decode: least-squares solution of h @ s = y, per system of a stack,
     and each system's kept singular-value count.
 
-    h is (..., r, c) and y either (..., r), one right-hand side per system, or (..., r, m).
-    The count (...,) is the rank at the relative cutoff, as ``rank`` gives it, or against
-    scale (...,) where given and larger; a system decodes when it equals c, and one short of
-    c solves to zeros instead of dividing by a zero singular value. One batched SVD gives both.
+    h is (..., r, c) and y (..., r), one right-hand side per system. The count (...,) is the
+    rank at the relative cutoff, as ``rank`` gives it, or against scale (...,) where given
+    and larger; a system decodes when it equals c, and one short of c solves to zeros
+    instead of dividing by a zero singular value. One batched SVD gives both.
     """
     m = as_cmatrix(h)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     kept = _kept(s, m.shape[-2:], scale)
     s[kept < m.shape[-1]] = np.inf
-    rhs = np.asarray(y, dtype=complex)
-    vector = rhs.ndim == m.ndim - 1
-    if vector:
-        rhs = rhs[..., None]
+    rhs = np.asarray(y, dtype=complex)[..., None]
     sol = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / s[..., None])
-    return (sol[..., 0] if vector else sol), kept
+    return sol[..., 0], kept

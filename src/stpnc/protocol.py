@@ -40,7 +40,6 @@ import numpy as np
 from .channel import (
     ChannelSet,
     NetworkConfig,
-    derive_trial_seed,
     derive_trial_seeds,
     draw_channels,
     standard_normals,
@@ -91,14 +90,6 @@ class EquationLedger:
 def _batch(seed):
     """The seeds of a batch, or one seed as a batch of one."""
     return [seed] if np.ndim(seed) == 0 else seed
-
-
-def _stage_seeds(seed):
-    """derive_trial_seed(seed, i) for the stages i = 0..3 (channels, payload, phase-1 noise,
-    phase-2 noise): four ints for one seed, a (4, seeds) uint64 array for a batch."""
-    if np.ndim(seed) == 0:
-        return [derive_trial_seed(seed, i) for i in range(4)]
-    return derive_trial_seeds(seed, [[0], [1], [2], [3]])
 
 
 def draw_payload(sched: Schedule, seed) -> np.ndarray:
@@ -247,7 +238,7 @@ class DecodeResult:
 def decode_user(k: int | DecodeGroup, ledger: EquationLedger, sched: Schedule, s: np.ndarray) -> DecodeResult:
     """Recover the desired symbols of user k, or of every user of a ``DecodeGroup``, in one pass.
 
-    One gather stacks each user's heard, non-pure rows (``decode_slots``), columns ordered
+    One gather stacks each user's heard, non-pure rows (``DecodeGroup.kept``), columns ordered
     unknowns (D, OI), own (SI), rest (AOI, N). Phase-2 rows lose SI (own payload values) and
     AOI (the stored pure-slot equations); one ``zf_solve`` over seeds and users zero-forces
     the unknowns, and the rest columns keep the stray coefficient.
@@ -316,11 +307,12 @@ def scenario_schedule(scenario: str, K: int | None = None) -> Schedule:
     return sched
 
 
-def _execute(scenario: str, cfg: NetworkConfig, seed, relay_mode: str | None):
-    """Draw, design, both phases and the relays for one seed or a batch of seeds, plus
-    the failure record of design and then the relays."""
+def _execute(scenario: str, cfg: NetworkConfig, seeds, relay_mode: str | None):
+    """Draw, design, both phases and the relays for a batch of seeds, plus the failure
+    record of design and then the relays. Seed s's stages i = 0..3 (channels, payload,
+    phase-1 noise, phase-2 noise) draw from derive_trial_seed(s, i)."""
     sched = scenario_schedule(scenario, cfg.K)
-    channel_seed, payload_seed, noise1_seed, noise2_seed = _stage_seeds(seed)
+    channel_seed, payload_seed, noise1_seed, noise2_seed = derive_trial_seeds(seeds, [[0], [1], [2], [3]])
     ch = draw_channels(cfg, sched.n_slots, channel_seed)
     s = draw_payload(sched, payload_seed)
     precoders = SCENARIOS[scenario].design(ch, cfg.K)
@@ -367,7 +359,7 @@ def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
     """Seeds per chunk: CHUNK_BYTES over one seed's share of the largest stacks, the design's
     rows and their Gram, rows x (sum M_l^2 + rows) per slot pair, and the bank products."""
     n, width = cfg.sum_antenna_sq, sum(cfg.relay_antennas)
-    rows = sum(len(rows) * (n + len(rows)) for rows, _, _ in sched.constraint_rows.values())
+    rows = sum(len(rx) * (n + len(rx)) for rx, _, _ in sched.constraint_rows.values())
     per_seed = 16 * sched.phase2_len * (rows + sched.phase1_len * width * len(sched.symbols))
     return max(1, CHUNK_BYTES // per_seed)
 
@@ -454,13 +446,15 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     constraint residual, the alignment error (the replay identity between phase-2 equations
     and the stored pure-slot equations), the ledger linearity error or any user's stray
     coefficient reaches RESIDUAL_TOL; when a user's effective rank, zf_solve's kept count,
-    differs from its unknown count (sched.unknowns); or when the symbols recovered within
+    differs from its unknown count (its ``DecodeGroup``'s); or when the symbols recovered within
     tolerance per slot fall short of the schedule's own symbols-per-slot ratio. The seeds
     run in chunks (see _chunks), each folded into the summary as one set of arrays and dropped.
     """
     sched = scenario_schedule(scenario, cfg.K)
     expected_dof = Fraction(len(sched.symbols), sched.n_slots)
-    expected_rank = [len(sched.unknowns(k)) for k in sched.users]
+    expected_rank = np.empty(len(sched.users), dtype=int)
+    for g in sched.decode_groups:
+        expected_rank[g.users - 1] = g.unknowns.shape[-1]
     failures = []
     max_err = max_resid = max_align = max_linear = 0.0
     dof_ok = rank_ok = True
@@ -487,7 +481,7 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
         "base_seed": base_seed,
         "expected_dof": str(expected_dof),
         "achieved_dof": str(expected_dof) if dof_ok else "mismatch",
-        "expected_rank": min(expected_rank),  # common to every user of a built-in scenario
+        "expected_rank": int(expected_rank.min()),  # common to every user of a built-in scenario
         "rank_ok": rank_ok,
         "max_symbol_error": max_err,
         "max_constraint_residual": max_resid,

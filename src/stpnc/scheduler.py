@@ -29,9 +29,10 @@ class SymbolId(NamedTuple):
     src: int
 
 
-# Users (ids, ascending) that share one decode shape: their ``Schedule.decode_columns``
-# (unknowns, own, rest) and ``decode_slots`` (kept, split, pure) stacked along a leading
-# users axis, split shared, and desired, the (users, unknowns) mask of their D columns.
+# Users (ids, ascending) of one decode shape (``Schedule.decode_group``), each table stacked
+# along a leading users axis: the columns each zero-forces (unknowns), subtracts (own) and must
+# see cancelled or neutralized (rest); the slots it stacks (kept) and its pure slots (pure) as
+# positions t-1; split, how many kept slots are in phase 1; desired, the mask of D unknowns.
 DecodeGroup = namedtuple("DecodeGroup", "users unknowns own rest kept split pure desired")
 
 
@@ -52,13 +53,24 @@ class Schedule:
     name: str
     users: tuple
     slots: tuple  # SlotPlan, position i is time slot i+1
-    phase1_len: int
-    phase2_len: int
     relays: tuple | None = None  # the one relay set (antennas per relay) it allows; None: any
+
+    def __post_init__(self):
+        if any(plan.sends for plan in self.slots[self.phase1_len:]):
+            raise ValueError(f"{self.name}: a slot with sends follows a relay slot")
+
+    @cached_property
+    def phase1_len(self) -> int:
+        """Phase 1 is the leading slots that send; any after them is a relay slot (phase 2)."""
+        return next((t for t, plan in enumerate(self.slots) if not plan.sends), len(self.slots))
+
+    @property
+    def phase2_len(self) -> int:
+        return len(self.slots) - self.phase1_len
 
     @property
     def n_slots(self) -> int:
-        return self.phase1_len + self.phase2_len
+        return len(self.slots)
 
     @property
     def phase1_slots(self) -> range:
@@ -115,30 +127,22 @@ class Schedule:
         return table
 
     def pure_slots(self, j: int) -> frozenset:
-        """Phase-1 slots user j overheard that carry none of its desired symbols."""
-        return self._pure_slots[j]
-
-    @cached_property
-    def _pure_slots(self) -> dict:
-        return {j: frozenset(self._slot_index[sym] for sym, c in zip(self.symbols, self.classes[j])
-                             if c == "AOI")
-                for j in self.users}
+        """Phase-1 slots user j overheard that carry none of its desired symbols: its AOI slots."""
+        return frozenset(self._slot_index[sym] for sym, c in zip(self.symbols, self.classes[j]) if c == "AOI")
 
     @cached_property
     def constraint_rows(self) -> dict:
-        """Phase-1 slot k -> the relays' constraints on it: the rows (receiver j, transmitter
-        i, aligned), then each row's j and each row's i as positions in ``users`` (arrays).
-        Per symbol, in the slot's sends order: its AOI users (aligned: the coefficient must
-        equal the phase-1 channel), then its N users (neutralized), each in user order. D,
-        SI and OI give no row."""
+        """Phase-1 slot k -> the relays' constraints on it, as the arrays rx and tx (each row's
+        receiver j and transmitter i as positions in ``users``) and aligned. Per symbol, in the
+        slot's sends order: its AOI users (aligned: the coefficient must equal the phase-1
+        channel), then its N users (neutralized), each in user order. D, SI and OI give no row."""
         view = {}
         for k in self.phase1_slots:
-            rows = tuple((j, i, x == "AOI") for i, sym in self.slot(k).sends.items()
-                         for x in ("AOI", "N") for j in self.users
-                         if self.classes[j][self.column[sym]] == x)
-            rx = np.array([self.users.index(j) for j, _, _ in rows], dtype=np.intp)
-            tx = np.array([self.users.index(i) for _, i, _ in rows], dtype=np.intp)
-            view[k] = (rows, rx, tx)
+            rows = [(self.users.index(j), self.users.index(i), x == "AOI")
+                    for i, sym in self.slot(k).sends.items() for x in ("AOI", "N")
+                    for j in self.users if self.classes[j][self.column[sym]] == x]
+            rx, tx, aligned = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
+            view[k] = rx, tx, aligned.astype(bool)
         return view
 
     @cached_property
@@ -146,15 +150,14 @@ class Schedule:
         """``constraint_rows`` as the precoder reads them: the antenna need (the largest row
         count of a slot, +1 for a slot without targets); per row count, its phase-1 slots ks and
         their rows' rx, tx and aligned, stacked; every row's (k, rx, tx, aligned), in slot order."""
-        view = {k: (rx, tx, np.array([a for *_, a in rows], dtype=bool))
-                for k, (rows, rx, tx) in self.constraint_rows.items()}
+        view = self.constraint_rows
         need = max(len(a) + (not a.any()) for _, _, a in view.values())
         groups = []
         for count in dict.fromkeys(len(rx) for rx, _, _ in view.values()):
             ks = np.array([k for k, (rx, _, _) in view.items() if len(rx) == count])
-            groups.append((ks, *(np.stack([view[k][i] for k in ks]) for i in range(3))))
+            groups.append((ks, *map(np.stack, zip(*(view[k] for k in ks)))))
         rows = (np.repeat(list(view), [len(rx) for rx, _, _ in view.values()]),
-                *(np.concatenate([v[i] for v in view.values()]) for i in range(3)))
+                *map(np.concatenate, zip(*view.values())))
         return need, tuple(groups), rows
 
     @cached_property
@@ -176,46 +179,28 @@ class Schedule:
         carries = np.arange(1, self.phase1_len + 1)[:, None] == [self._slot_index[sym] for sym in self.symbols]
         return src, carries
 
-    def unknowns(self, k: int) -> np.ndarray:
-        """Columns user k zero-forces, ascending: its D and OI symbols."""
-        return self.decode_columns[k][0]
-
-    @cached_property
-    def decode_columns(self) -> dict:
-        """User k -> the columns it zero-forces (D, OI), subtracts by value (SI)
-        and must see cancelled or neutralized (AOI, N), each ascending."""
-        groups = (("D", "OI"), ("SI",), ("AOI", "N"))
-        return {k: tuple(np.array([c for c, x in enumerate(self.classes[k]) if x in g], dtype=np.intp)
-                         for g in groups)
-                for k in self.users}
-
-    @cached_property
-    def decode_slots(self) -> dict:
-        """User k -> the slots whose equations it stacks (heard, not pure) as positions t-1,
-        ascending; how many of them are phase-1 slots; and its pure slots' positions."""
-        view = {}
-        for k in self.users:
-            pure = sorted(t - 1 for t in self.pure_slots(k))
-            kept = [t for t in range(self.n_slots) if self.listens[t, k - 1] and t not in pure]
-            view[k] = (np.array(kept, dtype=np.intp), sum(t < self.phase1_len for t in kept),
-                       np.array(pure, dtype=np.intp))
-        return view
-
     def decode_group(self, users) -> DecodeGroup:
-        """The ``DecodeGroup`` of users that share one decode shape."""
-        unknowns, own, rest, kept, split, pure = map(
-            np.stack, zip(*(self.decode_columns[k] + self.decode_slots[k] for k in users)))
-        desired = np.take_along_axis(np.array([self.classes[k] for k in users]) == "D", unknowns, axis=-1)
-        return DecodeGroup(np.array(users), unknowns, own, rest, kept, int(split[0]), pure, desired)
+        """The ``DecodeGroup`` of users of one decode shape, read from ``classes`` and ``listens``:
+        each zero-forces its D and OI columns, subtracts its SI ones, must see its AOI and N ones
+        cancelled or neutralized, and stacks the slots it heard but its ``pure_slots``."""
+        cls = np.array([self.classes[k] for k in users])
+        unknowns, own, rest = (np.stack([np.flatnonzero(np.isin(row, g)) for row in cls])
+                               for g in (("D", "OI"), ("SI",), ("AOI", "N")))
+        pure = np.array([[t + 1 in p for t in range(self.n_slots)] for p in map(self.pure_slots, users)])
+        heard = self.listens.T[np.array(users) - 1]
+        kept, pure = (np.stack([np.flatnonzero(row) for row in m]) for m in (heard & ~pure, pure))
+        desired = np.take_along_axis(cls == "D", unknowns, axis=-1)
+        split = int(np.count_nonzero(kept[0] < self.phase1_len))
+        return DecodeGroup(np.array(users), unknowns, own, rest, kept, split, pure, desired)
 
     @cached_property
     def decode_groups(self) -> tuple:
-        """The users as ``DecodeGroup``s, grouped by the lengths of their decode arrays and
-        their split, in order of each group's first user; every built-in schedule has one."""
+        """The users as ``DecodeGroup``s, grouped by the shapes and split of their one-user
+        groups, in order of each group's first user; every built-in schedule has one."""
         shapes = {}
         for k in self.users:
-            (unknowns, own, rest), (kept, split, pure) = self.decode_columns[k], self.decode_slots[k]
-            shapes.setdefault((*map(len, (unknowns, own, rest, kept, pure)), split), []).append(k)
+            g = self.decode_group([k])
+            shapes.setdefault((g.split, *map(np.shape, g)), []).append(k)
         return tuple(self.decode_group(ks) for ks in shapes.values())
 
     @cached_property
@@ -246,7 +231,7 @@ def schedule_twic() -> Schedule:
         SlotPlan(frozenset({1, 2}), {3: s13, 4: s24}),
         SlotPlan(frozenset({1, 2, 3, 4})),
     )
-    return Schedule("twic", (1, 2, 3, 4), slots, phase1_len=2, phase2_len=1, relays=(2,))
+    return Schedule("twic", (1, 2, 3, 4), slots, relays=(2,))
 
 
 @cache
@@ -262,7 +247,7 @@ def schedule_twxc() -> Schedule:
         SlotPlan(frozenset({1, 2}), {3: SymbolId(2, 3), 4: SymbolId(2, 4)}),
         SlotPlan(frozenset({1, 2, 3, 4})),
     )
-    return Schedule("twxc", (1, 2, 3, 4), slots, phase1_len=4, phase2_len=1, relays=(2,))
+    return Schedule("twxc", (1, 2, 3, 4), slots, relays=(2,))
 
 
 @cache
@@ -279,7 +264,7 @@ def schedule_case1(k1: int) -> Schedule:
     for k in users:
         slots.append(SlotPlan(frozenset({k}), {i: SymbolId(k, i) for i in users if i != k}))
     slots.extend(SlotPlan(frozenset(users)) for _ in range(k1 - 2))
-    return Schedule("case1", users, tuple(slots), phase1_len=k1, phase2_len=k1 - 2)
+    return Schedule("case1", users, tuple(slots))
 
 
 def cyclic_user(k: int, j: int, n_users: int) -> int:
@@ -304,4 +289,4 @@ def schedule_case2(k2: int) -> Schedule:
         srcs = tuple(cyclic_user(k, j, k2) for j in range(2, k2))
         slots.append(SlotPlan(dests, {i: SymbolId(k, i) for i in srcs}))
     slots.extend(SlotPlan(frozenset(users)) for _ in range(k2 - 3))
-    return Schedule("case2", users, tuple(slots), phase1_len=k2, phase2_len=k2 - 3)
+    return Schedule("case2", users, tuple(slots))

@@ -294,6 +294,30 @@ def test_rate_sweep_writes_the_golden_bytes(name, jobs, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# fixed bytes of the protocol and DoF commands, which any change to the schedule's derived
+# tables, the design, the decode or the JSON writer must keep: the crossed exchange on one
+# relay, case2 on three relays, case1 on the 21 one-antenna relays of its antenna bound,
+# a noisy run and a DoF table
+CLI_GOLDEN = {
+    "verify_twxc_seeds12.json": ["verify", "--scenario", "twxc", "--seeds", "12"],
+    "verify_case2_k5_relays2-2-1_seeds5.json": [
+        "verify", "--scenario", "case2", "--k2", "5", "--relays", "2,2,1", "--seeds", "5"],
+    "verify_case1_k6_relays21x1_seeds2.json": [
+        "verify", "--scenario", "case1", "--k1", "6", "--relays", ",".join(["1"] * 21), "--seeds", "2"],
+    "simulate_twxc_noise0.01_trials3.json": [
+        "simulate", "--scenario", "twxc", "--noise-var", "0.01", "--trials", "3", "--format", "json"],
+    "dof_sweep_k6_lmax30.json": ["dof-sweep", "--k", "6", "--l-max", "30", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", CLI_GOLDEN)
+def test_cli_writes_the_golden_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("STPNC_SEED", raising=False)  # the files are seed 0's
+    out = tmp_path / name
+    assert run([*CLI_GOLDEN[name], "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_worker_pool_is_capped_at_the_core_count(tmp_path, monkeypatch):
     # a fake pool records its size and maps in-process: no worker is started
     import multiprocessing

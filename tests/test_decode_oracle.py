@@ -20,9 +20,13 @@ from test_protocol import deaf_schedule, faulty_twxc_chunk, grid_ledger, two_pur
 
 def per_user_decode(k, ledger, sched, s):
     """User k's decode as one pass made it before users were stacked: (D estimates, their
-    columns, stray coefficient, kept count, failure record)."""
-    unknowns, own, rest = sched.decode_columns[k]
-    kept, split, pure = sched.decode_slots[k]
+    columns, stray coefficient, kept count, failure record). Its columns and slots are read
+    here from its receive classes, pure slots and listening slots, not from a DecodeGroup."""
+    classes = np.array(sched.classes[k])
+    unknowns, own, rest = (np.flatnonzero(np.isin(classes, g)) for g in (("D", "OI"), ("SI",), ("AOI", "N")))
+    pure = np.array(sorted(sched.pure_slots(k)), dtype=np.intp) - 1
+    kept = np.array([t for t in np.flatnonzero(sched.listens[:, k - 1]) if t not in pure], dtype=np.intp)
+    split = np.count_nonzero(kept < sched.phase1_len)
     rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
     a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)

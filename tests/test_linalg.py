@@ -217,11 +217,10 @@ def test_zf_solve_requires_full_column_rank():
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 3), (9, 4)])
 def test_zf_solve_stack_is_each_system_alone(shape):
-    # one batched SVD, bitwise the solution of each system solved by itself, for one
-    # right-hand side per system and for a matrix of them
+    # one batched SVD, bitwise the solution of each system solved by itself
     rng = np.random.default_rng(9)
     h = crandn(rng, 6, *shape)
-    y, ys = crandn(rng, 6, shape[0]), crandn(rng, 6, shape[0], 2)
+    y = crandn(rng, 6, shape[0])
 
     def sol(*args):
         return zf_solve(*args)[0]
@@ -229,7 +228,6 @@ def test_zf_solve_stack_is_each_system_alone(shape):
     assert sol(h, y).shape == (6, shape[1])
     assert np.array_equal(zf_solve(h, y)[1], [shape[1]] * 6)
     assert np.array_equal(sol(h, y), np.array([sol(m, v) for m, v in zip(h, y)]))
-    assert np.array_equal(sol(h, ys), np.array([sol(m, v) for m, v in zip(h, ys)]))
     assert np.array_equal(sol(h[2:3], y[2:3])[0], sol(h[2], y[2]))
     assert np.linalg.norm(sol(h, np.einsum("sij,sj->si", h, y[:, :shape[1]])) - y[:, :shape[1]]) < 1e-9
 

@@ -34,6 +34,11 @@ def twxc_channels(seed):
     return draw_channels(NetworkConfig(4, (2,)), 5, seed)
 
 
+def triples(sched, k):
+    """Phase-1 slot k's constraint rows as (receiver j, transmitter i, aligned), by user id."""
+    return tuple((sched.users[r], sched.users[c], bool(a)) for r, c, a in zip(*sched.constraint_rows[k]))
+
+
 def coefficient(ch, p, j, i, t, k):
     """End-to-end coefficient of slot-k transmitter i at user j, by direct products."""
     return sum(
@@ -168,9 +173,11 @@ def test_stacked_constraints_shape_and_rows(monkeypatch):
     cfg = NetworkConfig(3, (2,))
     ch = draw_channels(cfg, 4, 2)
     sched = schedule_case1(3)
-    rows, rx, tx = sched.constraint_rows[1]
+    rx, tx, aligned = sched.constraint_rows[1]
+    rows = triples(sched, 1)
     assert rows == ((3, 2, False), (2, 3, False))  # (j, i) for i, then j, ascending
     assert rx.tolist() == [2, 1] and tx.tolist() == [1, 2]  # positions in sched.users
+    assert rx.dtype == tx.dtype == np.intp and aligned.dtype == bool
     a = solver_inputs(sched, ch, monkeypatch)[0][(4, 1)]
     assert a.shape == (2, 4)  # (k1-1)(k1-2) rows, sum of squared antennas cols
     # row oracle: the broadcast row (j, i) is bitwise kron(uplink, downlink);
@@ -191,10 +198,10 @@ def test_stacked_constraints_degenerate_two_users(monkeypatch):
         SlotPlan(frozenset({2}), {1: SymbolId(2, 1)}),
         SlotPlan(frozenset({1}), {2: SymbolId(1, 2)}),
         SlotPlan(frozenset({1, 2})),
-    ), phase1_len=2, phase2_len=1)
+    ))
     ch = draw_channels(NetworkConfig(2, (2,)), 3, 0)
-    for rows, rx, tx in sched.constraint_rows.values():
-        assert rows == () and rx.shape == tx.shape == (0,)
+    for rx, tx, aligned in sched.constraint_rows.values():
+        assert rx.shape == tx.shape == aligned.shape == (0,)
     matrices, p = solver_inputs(sched, ch, monkeypatch)
     assert [a.shape for a in matrices.values()] == [(0, 4), (0, 4)]
     assert p.residual == 0.0
@@ -208,8 +215,8 @@ def test_each_row_count_is_one_stacked_solve(monkeypatch):
         SlotPlan(frozenset({1}), {2: SymbolId(1, 2)}),
         SlotPlan(frozenset({3}), {2: SymbolId(3, 2), 1: SymbolId(3, 1)}),
         SlotPlan(frozenset({1, 2, 3})),
-    ), phase1_len=3, phase2_len=1)
-    assert [len(rows) for rows, _, _ in sched.constraint_rows.values()] == [2, 1, 2]
+    ))
+    assert [len(rx) for rx, _, _ in sched.constraint_rows.values()] == [2, 1, 2]
     ch = draw_channels(NetworkConfig(3, (2,)), 4, 5)
     matrices, p = solver_inputs(sched, ch, monkeypatch)
     assert p.residual < 1e-12
@@ -241,7 +248,7 @@ def test_broadcast_rows_match_kron_across_relays(monkeypatch):
         expect = np.vstack([
             np.concatenate([np.kron(ch.up[k - 1, i - 1, c], ch.dn[t - 1, j - 1, c])
                             for c in (slice(0, 2), slice(2, 5), slice(5, 6))])
-            for j, i, _ in sched.constraint_rows[k][0]
+            for j, i, _ in triples(sched, k)
         ])
         assert np.array_equal(a, expect)
 
@@ -258,14 +265,14 @@ def test_case2_rows_align_before_neutralizing():
             i = cyclic_user(k, off, k2)
             expect.append((nxt, i, True))
             expect += [(j, i, False) for j in sched.users if j not in (k, nxt, i)]
-        assert sched.constraint_rows[k][0] == tuple(expect)
+        assert triples(sched, k) == tuple(expect)
 
 
 def brute_force_residual(p, ch, sched):
     """Max |coefficient - target| over every constraint row and phase-2 slot, one product each."""
     return max(
         abs(coefficient(ch, p, j, i, t, k) - (ch.gain[k - 1, j - 1, i - 1] if aligned else 0.0))
-        for k, (rows, *_) in sched.constraint_rows.items() for j, i, aligned in rows
+        for k in sched.phase1_slots for j, i, aligned in triples(sched, k)
         for t in sched.phase2_slots
     )
 
@@ -309,7 +316,7 @@ def test_each_pair_is_the_constrained_point_nearest_to_amplify_and_forward(sched
     g = np.concatenate([np.eye(m).reshape(-1, order="F") for m in antennas])  # vec(I) per relay
     for tp, t in enumerate(sched.phase2_slots):
         for k in sched.phase1_slots:
-            rows = sched.constraint_rows[k][0]
+            rows = triples(sched, k)
             a = np.array([np.concatenate([np.kron(ch.up[k - 1, i - 1, c], ch.dn[t - 1, j - 1, c])
                                           for c in cols]) for j, i, _ in rows])
             b = np.array([ch.gain[k - 1, j - 1, i - 1] if aligned else 0 for j, i, aligned in rows])

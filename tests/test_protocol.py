@@ -173,14 +173,18 @@ def two_pure_schedule():
         SlotPlan(frozenset({1, 3}), {2: SymbolId(3, 2)}),
         SlotPlan(frozenset({1, 2}), {3: SymbolId(2, 3)}),
         SlotPlan(frozenset({1, 2, 3})),
-    ), phase1_len=2, phase2_len=1)
+    ))
 
 
 def deaf_schedule():
     # two_pure_schedule with user 1 deaf in the relay slot: its pure slots have nothing to replay
     plan = two_pure_schedule().slots
-    return Schedule("deaf", (1, 2, 3), plan[:2] + (SlotPlan(frozenset({2, 3})),),
-                    phase1_len=2, phase2_len=1)
+    return Schedule("deaf", (1, 2, 3), plan[:2] + (SlotPlan(frozenset({2, 3})),))
+
+
+def unknowns(sched, k):
+    """The columns user k zero-forces, from its one-user decode group."""
+    return sched.decode_group([k]).unknowns[0]
 
 
 def desired(sched, k):
@@ -203,11 +207,11 @@ def test_unknowns_match_the_stored_equations(sched):
     for k in sched.users:
         stored = {sym for t in sched.phase1_slots if t not in sched.pure_slots(k)
                   for sym, c in sched.column.items() if ledger.rows[t - 1, k - 1, c] != 0}
-        unknowns = [sched.symbols[c] for c in sched.unknowns(k)]
-        assert unknowns == sorted(set(desired(sched, k)) | stored)
-        _, own, rest = sched.decode_columns[k]
+        g = sched.decode_group([k])
+        assert [sched.symbols[c] for c in g.unknowns[0]] == sorted(set(desired(sched, k)) | stored)
+        own, rest = g.own[0], g.rest[0]
         assert [sched.symbols[c] for c in own] == [sym for sym in sched.symbols if sym.src == k]
-        assert sorted([*sched.unknowns(k), *own, *rest]) == list(range(len(sched.symbols)))
+        assert sorted([*g.unknowns[0], *own, *rest]) == list(range(len(sched.symbols)))
         for c in rest:  # what must cancel or arrive neutralized
             sym = sched.symbols[c]
             assert cls(sched, k, sym) == "N" or sched.slot_of(sym) in sched.pure_slots(k)
@@ -242,13 +246,14 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
                 and all(s.dest != j for s in sched.slot(t).sends.values())}
         assert sched.pure_slots(j) == pure
         heard = [t for t in range(1, sched.n_slots + 1) if j in sched.slot(t).destinations]
-        kept, split, pure_pos = sched.decode_slots[j]
-        assert (kept + 1).tolist() == [t for t in heard if t not in pure]
-        assert split == sum(t <= sched.phase1_len for t in kept + 1)
-        assert (pure_pos + 1).tolist() == sorted(pure)
-        assert [list(c) for c in sched.decode_columns[j]] == [
+        g = sched.decode_group([j])
+        assert g.users.tolist() == [j]
+        assert (g.kept[0] + 1).tolist() == [t for t in heard if t not in pure]
+        assert g.split == sum(t <= sched.phase1_len for t in g.kept[0] + 1)
+        assert (g.pure[0] + 1).tolist() == sorted(pure)
+        assert [c.tolist() for c in (g.unknowns[0], g.own[0], g.rest[0])] == [
             cols("D", "OI"), cols("SI"), cols("AOI", "N")]
-        assert list(sched.unknowns(j)) == cols("D", "OI")
+        assert g.desired[0].tolist() == [table[j][c] == "D" for c in cols("D", "OI")]
         assert [sched.symbols[c] for c in cols("SI")] == [sym for sym in sched.symbols if sym.src == j]
     for k in sched.phase1_slots:
         rows = []
@@ -256,10 +261,10 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
             c = sched.column[sym]
             rows += [(j, i, True) for j in sched.users if table[j][c] == "AOI"]
             rows += [(j, i, False) for j in sched.users if table[j][c] == "N"]
-        view, rx, tx = sched.constraint_rows[k]
-        assert view == tuple(rows)
+        rx, tx, aligned = sched.constraint_rows[k]
         assert rx.tolist() == [sched.users.index(j) for j, _, _ in rows]
         assert tx.tolist() == [sched.users.index(i) for _, i, _ in rows]
+        assert aligned.tolist() == [a for _, _, a in rows]
     identities = []  # (user, pure slot, phase-2 slot, column) of every replay alignment checks
     for t, r, k, cols in sched.replays:
         assert t.shape == (len(r), t.shape[1]) and cols.shape == (len(r), cols.shape[1])
@@ -358,13 +363,13 @@ def test_general_constructions_decode_system_shapes():
     for scenario, cfg in [("case1", NetworkConfig(3, (2,))), ("case2", NetworkConfig(4, (2,)))]:
         from stpnc.protocol import _execute
 
-        sched, _, s, _, ledger, failures = _execute(scenario, cfg, 21, None)
+        sched, _, s, _, ledger, failures = _execute(scenario, cfg, [21], None)
         assert failures == {}
         for k in sched.users:
             res = decode_user(k, ledger, sched, s)
-            assert res.matrix.shape == (2, 2)
-            assert res.effective_rank == 2
-            assert len(res.recovered) == len(desired(sched, k))
+            assert res.matrix.shape == (1, 2, 2)
+            assert res.effective_rank.tolist() == [2]
+            assert res.recovered.shape == (1, len(desired(sched, k)))
             assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
 
 
@@ -588,7 +593,7 @@ def test_achieved_dof_counts_recovered_symbols(monkeypatch):
 def fold(reports, sched):
     """verify_scenario's summary fields, folded from one SimReport per seed."""
     expected_dof = Fraction(len(sched.symbols), sched.n_slots)
-    expected_rank = {k: len(sched.unknowns(k)) for k in sched.users}
+    expected_rank = {k: len(unknowns(sched, k)) for k in sched.users}
     failures = [i for i, rep in enumerate(reports)
                 if rep.effective_ranks != expected_rank or rep.achieved_dof != expected_dof
                 or rep.max_symbol_error >= protocol.SYMBOL_ERROR_TOL
@@ -750,9 +755,9 @@ def test_noisy_batch_keeps_each_seeds_noise_stream():
     seeds = [derive_trial_seed(2, i) for i in range(3)]
     batch = protocol._execute("case2", cfg, seeds, None)[4]
     for i, seed in enumerate(seeds):
-        alone = protocol._execute("case2", cfg, seed, None)[4]
+        alone = protocol._execute("case2", cfg, [seed], None)[4]
         for name in ("rows", "values", "relay", "relay_values"):
-            assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), name
+            assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)[0]), name
 
 
 @pytest.mark.parametrize("sched", [schedule_twic(), schedule_twxc(), schedule_case2(5)],
@@ -797,9 +802,9 @@ def test_a_batched_ledger_is_each_seeds_own_ledger_bitwise(scenario, cfg):
     seeds = [derive_trial_seed(8, i) for i in range(4)]
     batch = protocol._execute(scenario, cfg, seeds, None)[4]
     for i, seed in enumerate(seeds):
-        alone = protocol._execute(scenario, cfg, seed, None)[4]
+        alone = protocol._execute(scenario, cfg, [seed], None)[4]
         for name in ("rows", "values", "relay", "relay_values"):
-            got, want = getattr(batch, name)[i], getattr(alone, name)
+            got, want = getattr(batch, name)[i], getattr(alone, name)[0]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
@@ -840,12 +845,12 @@ def test_b_rows_and_values_are_zero_wherever_nobody_listens(sched, antennas):
 def test_c_decode_system_is_the_heard_non_pure_rows_in_slot_order(sched, antennas):
     ledger, s = grid_ledger(sched, antennas, [51, 52, 53])
     for k in sched.users:
-        if not sched.unknowns(k).size:
+        if not unknowns(sched, k).size:
             continue
         res = decode_user(k, ledger, sched, s)
         slots = [t for t in range(1, sched.n_slots + 1)
                  if k in sched.slot(t).destinations and t not in sched.pure_slots(k)]
-        want = ledger.rows[:, np.array(slots) - 1, k - 1][..., sched.unknowns(k)]
+        want = ledger.rows[:, np.array(slots) - 1, k - 1][..., unknowns(sched, k)]
         assert res.matrix.shape == want.shape and np.array_equal(res.matrix, want)
         assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
         assert res.recovered.shape == (3, len(res.columns))
@@ -863,5 +868,5 @@ def test_effective_rank_is_the_kept_count_of_a_short_system():
     assert res.effective_rank.tolist() == [[2, 2, 2, 2], [0, 2, 2, 2], [2, 2, 2, 2]]
     assert list(res.failures) == [1] and str(res.failures[1]) == "user 1: effective rank 0 < 2 unknowns"
     alone = decode_user(1, ledger, sched, s)
-    assert alone.effective_rank.tolist() == [2, 0, 2] and len(sched.unknowns(1)) == 2
+    assert alone.effective_rank.tolist() == [2, 0, 2] and len(unknowns(sched, 1)) == 2
     assert str(alone.failures[1]) == str(res.failures[1]) and list(alone.failures) == [1]

@@ -7,6 +7,8 @@ from stpnc.channel import NetworkConfig, draw_channels
 from stpnc.protocol import draw_payload, run_phase1, scenario_schedule
 from stpnc.scheduler import (
     InvalidUserCount,
+    Schedule,
+    SlotPlan,
     SymbolId,
     cyclic_user,
     schedule_case1,
@@ -58,6 +60,27 @@ def test_case1_shape():
     for k1 in range(3, 9):
         s = schedule_case1(k1)
         assert Fraction(len(s.symbols), s.n_slots) == Fraction(k1, 2)
+
+
+@pytest.mark.parametrize("sched,lengths", [
+    (schedule_twic(), (2, 1)),
+    (schedule_twxc(), (4, 1)),
+    *((schedule_case1(K), (K, K - 2)) for K in range(3, 11)),
+    *((schedule_case2(K), (K, K - 3)) for K in range(4, 11)),
+], ids=lambda x: f"{x.name}-{len(x.users)}" if isinstance(x, Schedule) else None)
+def test_phase_lengths_are_read_from_the_slots(sched, lengths):
+    # phase 1 is the leading slots that send, phase 2 the relay slots after them
+    assert (sched.phase1_len, sched.phase2_len) == lengths
+    assert sched.n_slots == len(sched.slots) == sum(lengths)
+    assert list(sched.phase1_slots) == [t for t in range(1, sched.n_slots + 1) if sched.slot(t).sends]
+    assert list(sched.phase2_slots) == list(range(lengths[0] + 1, sched.n_slots + 1))
+
+
+def test_a_slot_that_sends_after_a_relay_slot_is_rejected():
+    send, relay = SlotPlan(frozenset({2}), {1: SymbolId(2, 1)}), SlotPlan(frozenset({1, 2}))
+    assert Schedule("ok", (1, 2), (send, relay, relay)).phase2_len == 2
+    with pytest.raises(ValueError, match="^late: a slot with sends follows a relay slot$"):
+        Schedule("late", (1, 2), (send, relay, SlotPlan(frozenset({1}), {2: SymbolId(1, 2)})))
 
 
 def test_cyclic_user_examples():
@@ -188,7 +211,8 @@ def test_roles_partition_every_symbol(build):
         roles = dict(zip(s.symbols, s.classes[u]))
         desired = {sym for sym in s.symbols if sym.dest == u}
         assert {sym for sym, r in roles.items() if r == "D"} == desired
-        assert {sym for sym, r in roles.items() if r == "SI"} == {s.symbols[c] for c in s.decode_columns[u][1]}
+        own = s.decode_group([u]).own[0]
+        assert {sym for sym, r in roles.items() if r == "SI"} == {s.symbols[c] for c in own}
         overheard = {sym for t in s.listened_phase1(u) for sym in s.slot(t).sends.values()}
         assert {sym for sym, r in roles.items() if r in ("OI", "AOI")} == overheard - desired
         # pure slots are overheard slots without a desired symbol
