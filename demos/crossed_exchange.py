@@ -21,7 +21,7 @@ s = draw_payload(sched, seed=8)  # one entry per symbol, in sched.symbols order
 
 ledger = run_phase1(sched, ch, s)
 p = design_twxc(ch)
-plan = relay_process(ledger, p, sched, mode="decode_forward")
+plan = relay_process(ledger, p, mode="decode_forward")
 ledger = run_phase2(plan, sched, ch, ledger=ledger)
 
 print("per-user view of the relay slot:")

@@ -12,12 +12,12 @@ import sys
 
 import numpy as np
 
-from stpnc.rate import RateConfig, snr_sweep, trial_gains, write_rate_csv
+from stpnc.rate import snr_sweep, trial_gains, write_rate_csv
 
 trials = int(sys.argv[sys.argv.index("--trials") + 1]) if "--trials" in sys.argv else 10_000
 grid = tuple(float(s) for s in range(0, 31))
 gains = trial_gains(seed=0, start=0, count=trials)
-result = snr_sweep(RateConfig(grid, trials, seed=0), gains)
+result = snr_sweep(grid, gains)
 
 print(f"{trials} trials per point")
 print(f"{'SNR dB':>7} {'relayed':>9} {'tdma':>9}")

@@ -41,7 +41,7 @@ for slot in ledger.relays:
 # coefficient.
 p = design_twic(ch)
 print(f"\nprecoder residual (worst neutralization violation): {p.residual:.2e}")
-plan = relay_process(ledger, p, sched, mode="decode_forward")
+plan = relay_process(ledger, p, mode="decode_forward")
 ledger = run_phase2(plan, sched, ch, ledger=ledger)
 
 row = ledger.rows[3 - 1, 1 - 1]  # user 1's equation in the relay slot 3

@@ -296,11 +296,10 @@ def _cmd_rate_sweep(ns: argparse.Namespace) -> int:
         raise UsageError("--trials must be at least 1")
     if ns.jobs < 0:
         raise UsageError("--jobs must be nonnegative (0 = all cores)")
-    cfg = rate.RateConfig(grid, ns.trials, seed)
     cores = os.cpu_count() or 1  # outputs do not depend on the worker count
     jobs = min(ns.jobs, cores) if ns.jobs else cores
     gains = _parallel_gains(seed, ns.trials, jobs)
-    result = rate.snr_sweep(cfg, gains)
+    result = rate.snr_sweep(grid, gains)
     cross = "none" if result.crossover_db is None else f"{result.crossover_db:.4g}"
     with _out_stream(ns) as f:
         if ns.format == "csv":

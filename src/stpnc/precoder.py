@@ -18,6 +18,7 @@ one linear system in those rows, in dual (Gram) form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,14 +55,13 @@ class PrecoderSet:
     each seed's first infeasible pair in (t, k) order, whose operator is left zero.
     """
 
-    scenario: str
     bank: np.ndarray = field(repr=False)
     columns: tuple
-    mode: str = "per_block"
     residual: float | np.ndarray = 0.0  # one value per seed of a batch
     failures: dict = field(default_factory=dict)
+    mode: ClassVar[str] = "per_block"  # the one layout; read only by perfbench/oracles.py
 
-    # read-only keyed view block[(l, t, k)], kept only for perfbench/oracles.py (with mode);
+    # read-only keyed view block[(l, t, k)], kept only for perfbench/oracles.py;
     # stpnc itself reads the bank
     @property
     def per_block(self):
@@ -124,7 +124,7 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
         tp, kp = divmod(int(pairs[i].argmax()), sched.phase1_len)
         failures[int(i)] = AntennaDeficit(
             f"alignment constraints for slot pair ({sched.phase2_slots[tp]},{kp + 1}) are infeasible")
-    p = PrecoderSet(sched.name, bank, cfg.relay_columns, failures=failures)
+    p = PrecoderSet(bank, cfg.relay_columns, failures=failures)
     p.residual = verify_constraints(p, ch, sched)
     return p
 

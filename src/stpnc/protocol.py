@@ -180,8 +180,7 @@ def relay_decode(ledger: EquationLedger, ell: int, rows: slice) -> tuple[np.ndar
     return sol, _short(kept, h.shape[-1], "relay", [ell], "symbols")
 
 
-def relay_process(ledger: EquationLedger, p: PrecoderSet, sched: Schedule,
-                  mode: str = "linear_forward") -> RelayTransmitPlan:
+def relay_process(ledger: EquationLedger, p: PrecoderSet, mode: str) -> RelayTransmitPlan:
     """Turn stored receptions into phase-2 transmit signals through the relay bank.
 
     Per phase-2 slot, the bank's product with each phase-1 slot's equation, summed in slot
@@ -317,7 +316,7 @@ def _execute(scenario: str, cfg: NetworkConfig, seeds, relay_mode: str | None):
     s = draw_payload(sched, payload_seed)
     precoders = SCENARIOS[scenario].design(ch, cfg.K)
     ledger = run_phase1(sched, ch, s, cfg.noise_var, noise1_seed)
-    plan = relay_process(ledger, precoders, sched, relay_mode or SCENARIOS[scenario].relay_mode)
+    plan = relay_process(ledger, precoders, relay_mode or SCENARIOS[scenario].relay_mode)
     ledger = run_phase2(plan, sched, ch, cfg.noise_var, noise2_seed, ledger=ledger)
     return sched, ch, s, precoders, ledger, plan.failures | precoders.failures
 
@@ -327,7 +326,8 @@ class _Outcome(NamedTuple):
 
     sched: Schedule
     recovered: np.ndarray    # (seeds, n) estimates, in Schedule.symbols column order
-    errors: np.ndarray       # (seeds, n) relative errors of those estimates
+    worst: np.ndarray        # (seeds,) largest relative error of those estimates
+    delivered: np.ndarray    # (seeds,) estimates within SYMBOL_ERROR_TOL relative error
     ranks: np.ndarray        # (seeds, users) each user's effective rank
     residual: np.ndarray
     stray: np.ndarray
@@ -351,8 +351,9 @@ def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None)
     miss = recovered - s
     # np.hypot is Python's abs of a complex; np.abs rounds differently
     errors = np.hypot(miss.real, miss.imag) / np.hypot(s.real, s.imag)
-    return _Outcome(sched, recovered, errors, ranks, precoders.residual, stray,
-                    alignment_error(ledger, sched, s), ledger_linearity_error(ledger, s))
+    return _Outcome(sched, recovered, errors.max(axis=-1, initial=0.0),
+                    np.count_nonzero(errors < SYMBOL_ERROR_TOL, axis=-1), ranks, precoders.residual,
+                    stray, alignment_error(ledger, sched, s), ledger_linearity_error(ledger, s))
 
 
 def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
@@ -377,17 +378,15 @@ def _reports(scenario: str, seeds: list, out: _Outcome) -> list:
     """One SimReport per seed of a batch's outcome; the achieved DoF counts the symbols
     recovered within SYMBOL_ERROR_TOL relative error, per slot."""
     sched = out.sched
-    worst = out.errors.max(axis=-1, initial=0.0)
-    counts = np.count_nonzero(out.errors < SYMBOL_ERROR_TOL, axis=-1)
     return [SimReport(
         scenario=scenario,
         seed=seed,
         recovered=dict(zip(sched.symbols, out.recovered[i].tolist())),
-        max_symbol_error=float(worst[i]),
+        max_symbol_error=float(out.worst[i]),
         effective_ranks=dict(zip(sched.users, out.ranks[i].tolist())),
         slots_used=sched.n_slots,
         symbols_delivered=len(sched.symbols),
-        achieved_dof=Fraction(int(counts[i]), sched.n_slots),
+        achieved_dof=Fraction(int(out.delivered[i]), sched.n_slots),
         constraint_residual=float(out.residual[i]),
         max_stray_coeff=float(out.stray[i]),
         alignment_error=float(out.alignment[i]),
@@ -460,16 +459,15 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     dof_ok = rank_ok = True
     done = 0
     for seeds, out in _chunks(scenario, cfg, base_seed, n_seeds):
-        errors = out.errors.max(axis=-1, initial=0.0)
-        dof = np.count_nonzero(out.errors < SYMBOL_ERROR_TOL, axis=-1) == len(sched.symbols)
+        dof = out.delivered == len(sched.symbols)
         ranks = (out.ranks == expected_rank).all(axis=-1)
         coeff_err = np.max([out.residual, out.alignment, out.linearity, out.stray], axis=0)
-        bad = ~dof | (errors >= SYMBOL_ERROR_TOL) | (coeff_err >= RESIDUAL_TOL) | ~ranks
+        bad = ~dof | (out.worst >= SYMBOL_ERROR_TOL) | (coeff_err >= RESIDUAL_TOL) | ~ranks
         failures += (done + np.flatnonzero(bad)).tolist()
         done += len(seeds)
         rank_ok = rank_ok and bool(ranks.all())
         dof_ok = dof_ok and bool(dof.all())
-        max_err = max(max_err, float(errors.max()))
+        max_err = max(max_err, float(out.worst.max()))
         max_resid = max(max_resid, float(out.residual.max()))
         max_align = max(max_align, float(out.alignment.max()))
         max_linear = max(max_linear, float(out.linearity.max()))

@@ -34,20 +34,6 @@ _SNR_ELEMENTS = 8 * 2048  # (points x trials) elements per snr_sweep pass; at le
 
 
 @dataclass(frozen=True)
-class RateConfig:
-    snr_db: tuple
-    trials: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
-        if not self.snr_db:
-            raise ValueError("need at least one SNR point")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-
-
-@dataclass(frozen=True)
 class RatePoint:
     snr_db: float
     stpnc_rate: float
@@ -109,8 +95,8 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     return _gains(coeffs)
 
 
-def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
-    """Both curves over the SNR grid, from common per-trial channel draws.
+def snr_sweep(snr_db, gains: np.ndarray) -> RateResult:
+    """Both curves over the SNR grid (dB), from the trial_gains rows of common channel draws.
 
     Per trial, the relayed exchange delivers 4/3 times the decode-and-forward rate of the
     flow (the smaller of its two hop rates) and TDMA the direct-link rate; each point is the
@@ -119,12 +105,14 @@ def snr_sweep(cfg: RateConfig, gains: np.ndarray | None = None) -> RateResult:
     crossover is the linearly interpolated SNR where the relayed exchange first overtakes
     the baseline; None when no upward crossing falls inside the grid.
     """
-    if gains is None:
-        gains = trial_gains(cfg.seed, 0, cfg.trials)
-    n = gains.shape[0]
+    snr_db, n = tuple(float(x) for x in snr_db), gains.shape[0]
+    if not snr_db:
+        raise ValueError("need at least one SNR point")
+    if n < 1:
+        raise ValueError("need at least one trial")
     points, width = [], max(1, _SNR_ELEMENTS // n)  # SNR points per pass
-    for b in range(0, len(cfg.snr_db), width):
-        grid = cfg.snr_db[b:b + width]
+    for b in range(0, len(snr_db), width):
+        grid = snr_db[b:b + width]
         rho = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
         up = np.log2(1.0 + rho * gains[:, 0])
         dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])

@@ -17,7 +17,7 @@ from stpnc.channel import NetworkConfig
 from stpnc.dof import single_antenna_sweep
 from stpnc.protocol import run_end_to_end, verify_scenario
 from stpnc.precoder import AntennaDeficit
-from stpnc.rate import RateConfig, snr_sweep, trial_gains
+from stpnc.rate import snr_sweep, trial_gains
 from stpnc.scheduler import schedule_case2
 
 from test_properties import (
@@ -128,7 +128,7 @@ def test_criterion_6_rate_crossover(tmp_path, capsys):
         grid = tuple(float(s) for s in range(30, 51, 2))
         gains = trial_gains(1, 0, 10_000)
         assert np.all(np.isfinite(gains)) and np.all(gains > 0)
-        res = snr_sweep(RateConfig(grid, trials=10_000, seed=1), gains)
+        res = snr_sweep(grid, gains)
         x = np.array([p.snr_db for p in res.points])
         slope_stpnc = np.polyfit(x, [p.stpnc_rate for p in res.points], 1)[0]
         slope_tdma = np.polyfit(x, [p.tdma_rate for p in res.points], 1)[0]

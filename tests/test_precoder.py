@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -89,7 +90,8 @@ def test_twic_zero_constraints():
     ch = twic_channels(0)
     p = design_twic(ch)
     assert p.residual < 1e-10
-    assert p.mode == "per_block"
+    assert p.mode == "per_block"  # a class constant: no constructor sets the layout
+    assert [f.name for f in dataclasses.fields(p)] == ["bank", "columns", "residual", "failures"]
     # the four victim constraints, spelled out: each symbol is N at one user
     t = 3
     sched = schedule_twic()

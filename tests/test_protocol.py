@@ -111,7 +111,7 @@ def test_linear_forward_matches_brute_force():
         ch = draw_channels(cfg, sched.n_slots, 5)
         p = precoder.design(sched, ch)
         ledger = run_phase1(sched, ch, draw_payload(sched, 6))
-        plan = relay_process(ledger, p, sched, "linear_forward")
+        plan = relay_process(ledger, p, "linear_forward")
         width = sum(cfg.relay_antennas)
         assert plan.coeffs.shape == (sched.phase2_len, width, len(sched.symbols))
         assert plan.signals.shape == (sched.phase2_len, width)
@@ -124,11 +124,17 @@ def test_linear_forward_matches_brute_force():
                 assert np.abs(plan.coeffs[t - sched.phase1_len - 1][c] - expect).max() < 1e-12
 
 
+def test_unknown_relay_mode_rejected():
+    _, sched, ch, s = twic_setup(7)
+    with pytest.raises(ValueError, match="^unknown relay mode 'amplify'$"):
+        relay_process(run_phase1(sched, ch, s), design_twic(ch), "amplify")
+
+
 def test_zero_symbols_give_zero_transmit_plan():
     _, sched, ch, s = twic_setup(7)
     ledger = run_phase1(sched, ch, np.zeros_like(s))
     p = design_twic(ch)
-    plan = relay_process(ledger, p, sched, "decode_forward")
+    plan = relay_process(ledger, p, "decode_forward")
     assert plan.signals.shape == (sched.phase2_len, 2)
     for sig in plan.signals:
         assert np.linalg.norm(sig) < 1e-12
@@ -138,7 +144,7 @@ def test_phase2_neutralized_coefficient_is_tiny():
     _, sched, ch, s = twic_setup(8)
     p = design_twic(ch)
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, p, sched, "decode_forward")
+    plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     row = ledger.rows[2, 0]  # user 1 in slot 3
     assert abs(row[sched.column[SymbolId(4, 2)]]) < 1e-10
@@ -153,7 +159,7 @@ def test_twxc_overheard_part_replays_stored_equation():
     _, sched, ch, s = twxc_setup(9)
     p = design_twxc(ch)
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, p, sched, "decode_forward")
+    plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     row5 = ledger.rows[4, 0]  # user 1's equations in slots 5 and 4
     assert sched.pure_slots(1) == {4}
@@ -283,7 +289,7 @@ def test_alignment_error_checks_every_pure_slot():
     p = precoder.design(sched, ch)
     assert p.residual < 1e-9
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, p, sched, "linear_forward")
+    plan = relay_process(ledger, p, "linear_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in (2, 3):
         res = decode_user(k, ledger, sched, s)
@@ -300,7 +306,7 @@ def test_zero_precoders_give_zero_received_values():
     p = design_twic(ch)
     p.bank[:] = 0
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, p, sched, "decode_forward")
+    plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in sched.users:
         assert abs(ledger.values[2, k - 1]) < 1e-12
@@ -310,7 +316,7 @@ def test_decode_user_twic_effective_system():
     _, sched, ch, s = twic_setup(11)
     p = design_twic(ch)
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, p, sched, "decode_forward")
+    plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     res = decode_user(1, ledger, sched, s)
     assert res.matrix.shape == (2, 2)
@@ -327,7 +333,7 @@ def test_self_interference_fully_removed():
     _, sched, ch, s = twic_setup(12)
     p = design_twic(ch)
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, p, sched, "decode_forward")
+    plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     row, value = ledger.rows[2, 1], ledger.values[2, 1]  # user 2 in slot 3
     roles = {sym: cls(sched, 2, sym) for sym in sched.column}
@@ -460,7 +466,8 @@ def test_unknown_scenario_rejected():
 
 def test_unknown_scenario_error_lists_the_registry_keys():
     for call in (lambda: run_end_to_end("bogus", NetworkConfig(4, (2,)), 0),
-                 lambda: verify_scenario("bogus", NetworkConfig(4, (2,)), 1)):
+                 lambda: verify_scenario("bogus", NetworkConfig(4, (2,)), 1),
+                 lambda: scenario_schedule("bogus")):
         with pytest.raises(ValueError) as exc:
             call()
         assert "'bogus'" in str(exc.value)
@@ -508,10 +515,10 @@ def test_verify_fails_on_perturbed_precoder_block(monkeypatch):
 
 
 def test_verify_fails_on_perturbed_ledger_coefficient(monkeypatch):
-    real = protocol.relay_process
+    real, sched = protocol.relay_process, scenario_schedule("case2", 4)
 
-    def faulty(ledger, p, sched, *args, **kwargs):
-        plan = real(ledger, p, sched, *args, **kwargs)
+    def faulty(ledger, p, *args, **kwargs):
+        plan = real(ledger, p, *args, **kwargs)
         # after the relays used it: only the stored equation is now wrong, on every seed;
         # slot 1's row 0, relay 1's first antenna
         ledger.relay[..., 0, 0, sched.column[min(sched.slot(1).sends.values())]] += 1e-6
@@ -731,7 +738,7 @@ def test_noiseless_phases_build_no_generator(monkeypatch):
     monkeypatch.setattr(channel, "standard_normals", counting)
     monkeypatch.setattr(protocol, "standard_normals", counting)
     ledger = run_phase1(sched, ch, s, 0.0, seed=5)
-    plan = relay_process(ledger, design_twic(ch), sched, "decode_forward")
+    plan = relay_process(ledger, design_twic(ch), "decode_forward")
     run_phase2(plan, sched, ch, 0.0, seed=6, ledger=ledger)
     assert drawn == []
     ledger = run_phase1(sched, ch, s, 1e-3, seed=5)
@@ -813,7 +820,7 @@ def grid_ledger(sched, antennas, seeds):
     ch = draw_channels(NetworkConfig(len(sched.users), antennas), sched.n_slots, seeds)
     s = draw_payload(sched, [seed + 100 for seed in seeds])
     ledger = run_phase1(sched, ch, s)
-    plan = relay_process(ledger, precoder.design(sched, ch), sched, "linear_forward")
+    plan = relay_process(ledger, precoder.design(sched, ch), "linear_forward")
     return run_phase2(plan, sched, ch, ledger=ledger), s
 
 

@@ -7,7 +7,7 @@ from scipy import integrate, special
 from stpnc import linalg, rate
 from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels, draw_pools
 from stpnc.precoder import design_twic
-from stpnc.rate import RateConfig, RatePoint, flow_gains, snr_sweep, trial_gains
+from stpnc.rate import RatePoint, flow_gains, snr_sweep, trial_gains
 
 LN2 = np.log(2.0)
 
@@ -101,7 +101,7 @@ def test_df_pair_rate_is_min_of_hops():
     for seed in range(20):
         ch = draw_channels(NetworkConfig(4, (2,)), 3, derive_trial_seed(seed, 0))
         up, dn = hop_rates(ch, 10.0)
-        got = snr_sweep(RateConfig((10.0,), trials=1, seed=seed)).points[0].stpnc_rate
+        got = snr_sweep((10.0,), trial_gains(seed, 0, 1)).points[0].stpnc_rate
         assert got == 4.0 / 3.0 * min(up, dn)
         assert got <= 4.0 / 3.0 * up and got <= 4.0 / 3.0 * dn
 
@@ -171,11 +171,11 @@ def test_closed_form_gains_match_null_space_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def per_point_sweep(cfg, gains):
+def per_point_sweep(snr_db, gains):
     """snr_sweep as one loop over the SNR points, each a mean and stderr over all trials."""
     n = gains.shape[0]
     points = []
-    for snr in cfg.snr_db:
+    for snr in snr_db:
         rho = 10.0 ** (snr / 10.0)
         up = np.log2(1.0 + rho * gains[:, 0])
         dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
@@ -201,7 +201,7 @@ PASS_WIDTHS = {1: [31], 2: [31], 64: [31], 3000: [5] * 6 + [1]}
 
 @pytest.mark.parametrize("trials", PASS_WIDTHS)
 def test_blocked_sweep_is_the_per_point_loop_bitwise(trials, monkeypatch):
-    cfg = RateConfig(tuple(float(s) for s in range(31)), trials=trials, seed=trials)
+    grid = tuple(float(s) for s in range(31))
     gains = trial_gains(trials, 0, trials)
     passes, column_stack = [], np.column_stack
 
@@ -210,10 +210,10 @@ def test_blocked_sweep_is_the_per_point_loop_bitwise(trials, monkeypatch):
         return column_stack(arrays)
 
     monkeypatch.setattr(np, "column_stack", recording)
-    got = snr_sweep(cfg, gains)
+    got = snr_sweep(grid, gains)
     monkeypatch.undo()
     assert passes == PASS_WIDTHS[trials]
-    points, crossover = per_point_sweep(cfg, gains)
+    points, crossover = per_point_sweep(grid, gains)
     assert got.points == tuple(points)
     assert got.crossover_db == crossover
     if trials == 3000:
@@ -221,7 +221,7 @@ def test_blocked_sweep_is_the_per_point_loop_bitwise(trials, monkeypatch):
 
 
 def test_single_trial_average_is_hand_computation():
-    point = snr_sweep(RateConfig((10.0,), trials=1, seed=5)).points[0]
+    point = snr_sweep((10.0,), trial_gains(5, 0, 1)).points[0]
     ch = draw_channels(NetworkConfig(4, (2,)), 3, derive_trial_seed(5, 0))
     expect = (4.0 / 3.0) * min(hop_rates(ch, 10.0))
     assert point.stpnc_rate == pytest.approx(expect, rel=1e-12)
@@ -230,32 +230,31 @@ def test_single_trial_average_is_hand_computation():
 
 def test_stderr_scales_inverse_sqrt_trials():
     g = trial_gains(1, 0, 8000)
-    small = snr_sweep(RateConfig((10.0,), trials=2000, seed=1), g[:2000]).points[0]
-    big = snr_sweep(RateConfig((10.0,), trials=8000, seed=1), g).points[0]
+    small = snr_sweep((10.0,), g[:2000]).points[0]
+    big = snr_sweep((10.0,), g).points[0]
     ratio = small.stpnc_stderr / big.stpnc_stderr
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
 def test_tdma_rate_vanishes_and_grows_monotonically():
-    cfg = RateConfig(tuple(float(s) for s in range(-10, 31, 5)), trials=2000, seed=3)
     g = trial_gains(3, 0, 2000)
-    rates = [p.tdma_rate for p in snr_sweep(cfg, g).points]
+    rates = [p.tdma_rate for p in snr_sweep(tuple(float(s) for s in range(-10, 31, 5)), g).points]
     assert all(a < b for a, b in zip(rates, rates[1:]))
-    low = snr_sweep(RateConfig((-100.0,), trials=2000, seed=3), g)
+    low = snr_sweep((-100.0,), g)
     assert low.points[0].tdma_rate < 1e-6
 
 
 def test_snr_sweep_deterministic_and_df_bounded():
-    cfg = RateConfig((0.0, 10.0, 20.0), trials=500, seed=4)
-    a = snr_sweep(cfg)
-    b = snr_sweep(cfg)
+    grid = (0.0, 10.0, 20.0)
+    a = snr_sweep(grid, trial_gains(4, 0, 500))
+    b = snr_sweep(grid, trial_gains(4, 0, 500))
     assert a == b
     for p in a.points:
         assert p.stpnc_rate >= 0 and p.tdma_rate >= 0
 
 
-def test_rate_config_validation():
-    with pytest.raises(ValueError):
-        RateConfig((), trials=10)
-    with pytest.raises(ValueError):
-        RateConfig((1.0,), trials=0)
+def test_snr_sweep_validation():
+    with pytest.raises(ValueError, match="^need at least one SNR point$"):
+        snr_sweep((), trial_gains(0, 0, 10))
+    with pytest.raises(ValueError, match="^need at least one trial$"):
+        snr_sweep((1.0,), trial_gains(0, 0, 0))
