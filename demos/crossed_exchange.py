@@ -17,7 +17,7 @@ from stpnc.scheduler import schedule_twxc
 cfg = NetworkConfig(K=4, relay_antennas=(2,))
 sched = schedule_twxc()
 ch = draw_channels(cfg, sched.n_slots, seed=7)
-s = draw_payload(sched, seed=8)  # one entry per symbol, in sched.symbols order
+s = draw_payload(sched, [8])[0]  # seed 8's row: one entry per symbol, in sched.symbols order
 
 ledger = run_phase1(sched, ch, s)
 p = design_twxc(ch)
@@ -34,10 +34,11 @@ for k in sched.users:
           f"equation to {abs(oi_value - ledger.values[ref_slot - 1, k - 1]):.2e}")
 
 print("\ndecoding (subtract self-interference, subtract the replayed equation, solve 2x2):")
+res = decode_user(sched.decode_groups[0], ledger, s)  # all four users in one stacked pass
 worst = 0.0
 for k in sched.users:
-    res = decode_user(k, ledger, sched, s)  # it reads its own symbols' values from s
-    errs = {sched.symbols[c]: abs(est - s[c]) for c, est in zip(res.columns, res.recovered)}
+    errs = {sched.symbols[c]: abs(est - s[c])
+            for c, est in zip(res.columns, res.recovered) if sched.symbols[c].dest == k}
     worst = max(worst, max(errs.values()))
     got = ", ".join(f"s[{s.dest}<-{s.src}]" for s in errs)
     print(f"  user {k}: {got}, worst error {max(errs.values()):.2e}")

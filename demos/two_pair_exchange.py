@@ -16,7 +16,7 @@ from stpnc.scheduler import schedule_twic
 cfg = NetworkConfig(K=4, relay_antennas=(2,))
 sched = schedule_twic()
 ch = draw_channels(cfg, sched.n_slots, seed=2024)
-s = draw_payload(sched, seed=1)  # one entry per symbol, in sched.symbols order
+s = draw_payload(sched, [1])[0]  # seed 1's row: one entry per symbol, in sched.symbols order
 
 print("symbols in flight (dest <- src):")
 for sym, val in zip(sched.symbols, s):
@@ -53,14 +53,15 @@ for part in ("D", "SI", "OI", "N"):
 print("  (N is the neutralized symbol user 1 never overheard)")
 
 # Decoding: subtract self-interference, then solve the little 2x2 system
-# of the stored slot-2 equation and the cleaned relay equation.
+# of the stored slot-2 equation and the cleaned relay equation. Every user's
+# system has that shape, so one pass decodes them all, stacked.
 print("\ndecoding results:")
-for k in sched.users:
-    res = decode_user(k, ledger, sched, s)  # it reads its own symbols' values from s
-    for c, est in zip(res.columns, res.recovered):
-        sym, err = sched.symbols[c], abs(est - s[c])
-        print(f"  user {k} recovers s[{sym.dest}<-{sym.src}]: error {err:.2e} "
-              f"(system rank {res.effective_rank})")
+group = sched.decode_groups[0]  # users 1..4
+res = decode_user(group, ledger, s)  # it reads each user's own symbols' values from s
+for c, est in zip(res.columns, res.recovered):
+    sym, err = sched.symbols[c], abs(est - s[c])
+    print(f"  user {sym.dest} recovers s[{sym.dest}<-{sym.src}]: error {err:.2e} "
+          f"(system rank {res.effective_rank[sym.dest - 1]})")
 
 n_sym, n_slot = len(sched.symbols), sched.n_slots
 print(f"\n{n_sym} symbols in {n_slot} slots: {n_sym}/{n_slot} symbols per channel use "

@@ -264,10 +264,10 @@ def bank_unknowns(antennas: tuple) -> tuple:
 def draw_pools(cfg: NetworkConfig, slots: int, seed) -> np.ndarray:
     """The (slots, pool size) stack of per-slot IID CN(0,1) draws that draw_channels places.
 
-    One standard_normals block (slots, 2, pool size) per seed: the stream of one
-    _complex_pool call per slot (real parts, then imaginary ones) whenever no draw is an
-    exact zero; a seed whose block holds one takes that per-slot path with its redraws. A
-    sequence of seeds gives one stack per seed, (seeds, slots, pool size).
+    One standard_normals block (slots, 2, pool size) per seed: the stream of one _complex_pool
+    call per slot (real parts, then imaginary ones) whenever no draw is an exact zero; a seed
+    whose block holds one takes that per-slot path with its redraws. A sequence of seeds gives
+    one stack per seed, (seeds, slots, pool size), and an int seed, as draw_channels takes, one.
     """
     seeds, size = ([seed] if np.ndim(seed) == 0 else seed), draw_layout(cfg)[0]
     normals = standard_normals(seeds, (slots, 2, size))
@@ -285,8 +285,8 @@ def draw_channels(cfg: NetworkConfig, slots: int, seed) -> ChannelSet:
 
     Coefficients are IID CN(0,1) across links and slots; each stack indexes the slot pools
     in draw_layout's fixed order, so identical (cfg, slots, seed) give identical bits. A
-    sequence of seeds draws each seed as alone and stacks them on a leading seed axis. The
-    stacks are row-major.
+    sequence of seeds draws each seed as alone and stacks them on a leading seed axis; an int
+    seed gives no seed axis, the form perfbench/oracles.py draws. The stacks are row-major.
     """
     if slots < 1:
         raise ValueError("need at least one slot")

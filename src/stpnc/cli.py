@@ -82,6 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=None,
                         help="root seed (default: $STPNC_SEED or 0)")
+    network = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    network.add_argument("--scenario", required=True, choices=SCENARIOS)
+    for name, entry in SCENARIOS.items():
+        if entry.user_flag:
+            network.add_argument(f"--{entry.user_flag}", type=int, help=f"user count for {name}")
+    network.add_argument("--relays", help="comma-separated antenna counts, e.g. '2' or '1,1,2'")
 
     parser = argparse.ArgumentParser(
         prog="stpnc",
@@ -90,13 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[seeded],
+    p = sub.add_parser("simulate", parents=[network],
                        help="run the protocol end to end and report recovery quality")
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    p.add_argument("--k1", type=int, default=None, help="user count for case1")
-    p.add_argument("--k2", type=int, default=None, help="user count for case2")
-    p.add_argument("--relays", default=None,
-                   help="comma-separated antenna counts, e.g. '2' or '1,1,2'")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--noise-var", type=float, default=0.0)
     p.add_argument("--relay-mode", choices=("decode_forward", "linear_forward"), default=None)
@@ -117,13 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("verify", parents=[seeded],
+    p = sub.add_parser("verify", parents=[network],
                        help="run the invariant suite over many seeds; exit 0 iff all pass")
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--relays", default=None)
     return parser
 
 
@@ -299,7 +296,11 @@ def _cmd_rate_sweep(ns: argparse.Namespace) -> int:
     cores = os.cpu_count() or 1  # outputs do not depend on the worker count
     jobs = min(ns.jobs, cores) if ns.jobs else cores
     gains = _parallel_gains(seed, ns.trials, jobs)
-    result = rate.snr_sweep(grid, gains)
+    try:  # a rate past the float range would print as inf, its spread as nan
+        with np.errstate(over="raise"):
+            result = rate.snr_sweep(grid, gains)
+    except (OverflowError, FloatingPointError):
+        raise UsageError(f"--snr {ns.snr!r} is too high: its rates overflow")
     cross = "none" if result.crossover_db is None else f"{result.crossover_db:.4g}"
     with _out_stream(ns) as f:
         if ns.format == "csv":

@@ -17,11 +17,10 @@ schedule's (slot, user) grid (see ``EquationLedger``): each phase writes its slo
 with whole-array products, and decoding and both checks index the grid through the
 schedule's cached arrays.
 
-Seeds are a leading batch axis. Every stage takes the arrays of one seed or
-of a batch of seeds, (S, ...) (one seed axis: splits along the other axes
-swap it to the front), so one pass draws, designs, runs both phases
-and the relays, decodes and checks a whole batch, and each seed gets the bits
-it would get alone. ``run_end_to_end`` is that pass on a batch of one.
+Seeds are a leading batch axis: the draws take a batch of seeds, and every later stage any
+leading axes (the noise draws and failure records read one seed axis). One pass draws,
+designs, runs both phases and the relays, decodes and checks a whole batch, and each seed
+gets the bits it would get alone; ``run_end_to_end`` is that pass on a batch of one.
 ``verify_scenario`` and ``simulate`` run their seeds in chunks of
 ``chunk_seeds`` seeds, sized by CHUNK_BYTES, so memory stays flat for any seed
 count. A stage that can fail for some seeds returns a failure record, {seed position:
@@ -87,48 +86,40 @@ class EquationLedger:
         return range(1, self.relay.shape[-3] + 1)
 
 
-def _batch(seed):
-    """The seeds of a batch, or one seed as a batch of one."""
-    return [seed] if np.ndim(seed) == 0 else seed
-
-
-def draw_payload(sched: Schedule, seed) -> np.ndarray:
-    """Unit-power CN(0,1) payload in ``Schedule.symbols`` column order: (n,) for one seed,
-    (seeds, n) for a sequence of seeds, each seed drawn alone: its real parts, then its
-    imaginary ones, from default_rng(seed)'s stream."""
-    normals = standard_normals(_batch(seed), (2, len(sched.symbols)))
-    z = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
-    return z if np.ndim(seed) else z[0]
+def draw_payload(sched: Schedule, seeds) -> np.ndarray:
+    """Unit-power CN(0,1) payload in ``Schedule.symbols`` column order, (seeds, n): each seed
+    drawn alone, its real parts, then its imaginary ones, from default_rng(seed)'s stream."""
+    normals = standard_normals(seeds, (2, len(sched.symbols)))
+    return (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
 
 
 def draw_symbols(sched: Schedule, seed: int) -> dict:
     """One seed's payload as Python complex numbers keyed by symbol id; only
     perfbench/oracles.py reads it."""
-    return dict(zip(sched.symbols, draw_payload(sched, seed).tolist()))
+    return dict(zip(sched.symbols, draw_payload(sched, [seed])[0].tolist()))
 
 
-def _noise(seed, sizes, noise_var: float) -> np.ndarray:
+def _noise(seeds, sizes, noise_var: float) -> np.ndarray:
     """Per seed, from default_rng(seed)'s stream, one CN(0, noise_var) vector per entry of
     sizes in turn (its real parts, then its imaginary ones), concatenated: the receivers'
-    noise in reception order. One seed gives (sum sizes,), a batch (seeds, sum sizes)."""
+    noise in reception order, (seeds, sum sizes)."""
     sizes = np.asarray(sizes)
-    normals = standard_normals(_batch(seed), (2 * sizes.sum(),))
+    normals = standard_normals(seeds, (2 * sizes.sum(),))
     # vector j fills output entries o_j..e_j-1; entry p reads its real part at o_j + p and
     # its imaginary part at e_j + p of the seed's block
     ends, at = np.cumsum(sizes), np.arange(sizes.sum())
-    draws = np.sqrt(noise_var / 2.0) * (normals[:, np.repeat(ends - sizes, sizes) + at]
-                                        + 1j * normals[:, np.repeat(ends, sizes) + at])
-    return draws if np.ndim(seed) else draws[0]
+    return np.sqrt(noise_var / 2.0) * (normals[:, np.repeat(ends - sizes, sizes) + at]
+                                       + 1j * normals[:, np.repeat(ends, sizes) + at])
 
 
 def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray,
-               noise_var: float = 0.0, seed=0) -> EquationLedger:
+               noise_var: float = 0.0, seeds=None) -> EquationLedger:
     """Execute the learning phase: every listening user stores its equation, and the relay
     bank one sum M_l x n equation per slot (relay l's rows at its antenna columns).
 
     One gather of every column's sender gains writes the users' rows, a second the bank's
-    uplinks. Noisy runs draw each slot's noise user after user, then relay after relay,
-    from the seed's default_rng stream (one per seed of a batch); noiseless runs draw none.
+    uplinks. Noisy runs draw each slot's noise user after user, then relay after relay, for
+    s[i] from seeds[i]'s default_rng stream; noiseless runs draw none and read no seeds.
     """
     n1, (src, carries) = sched.phase1_len, sched.senders
     heard = sched.listens[:n1]
@@ -139,7 +130,7 @@ def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray,
     relay = np.ascontiguousarray(np.where(carries[:, None, :], ch.up[..., :n1, src, :].swapaxes(-1, -2), 0))
     relay_values = np.matvec(relay, s[..., None, :])
     if noise_var:  # the stream runs per slot: its listening users, then the bank's antennas
-        noise = _noise(seed, [m for row in heard for m in (1,) * row.sum() + ch.config.relay_antennas],
+        noise = _noise(seeds, [m for row in heard for m in (1,) * row.sum() + ch.config.relay_antennas],
                        noise_var)
         users = np.concatenate([[True] * row.sum() + [False] * relay.shape[-2] for row in heard])
         values[..., :n1, :][..., heard] += noise[..., users]
@@ -205,26 +196,26 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, mode: str) -> RelayTra
 
 
 def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
-               noise_var: float = 0.0, seed=0, *, ledger: EquationLedger) -> EquationLedger:
+               noise_var: float = 0.0, seeds=None, *, ledger: EquationLedger) -> EquationLedger:
     """Relay slots: every listening user stores one equation over every symbol the relays
     forward, into the ledger's phase-2 rows.
 
-    Noisy runs draw the noise per slot, user after user, from the seed's default_rng
-    stream (one per seed of a batch); noiseless runs draw none.
+    Noisy runs draw the noise per slot, user after user, for the ledger's seed i from
+    seeds[i]'s default_rng stream; noiseless runs draw none and read no seeds.
     """
     n1, heard = sched.phase1_len, sched.listens[sched.phase1_len:]
     dn = ch.dn[..., n1:, :, :]  # (..., phase-2 slots, users, sum M_l)
     ledger.rows[..., n1:, :, :] = np.where(heard[:, :, None], dn @ plan.coeffs, 0)
     values = np.where(heard, np.matvec(dn, plan.signals), 0)
     if noise_var:
-        values[..., heard] += _noise(seed, [1] * np.count_nonzero(heard), noise_var)
+        values[..., heard] += _noise(seeds, [1] * np.count_nonzero(heard), noise_var)
     ledger.values[..., n1:, :] = values
     return ledger
 
 
 @dataclass
 class DecodeResult:
-    """One ``decode_user`` pass over a group: a users axis after the seed axes, none for one user."""
+    """One ``decode_user`` pass over a group: its users axis follows the seed axes."""
 
     recovered: np.ndarray       # (..., desired) estimates of the D columns, user after user
     columns: np.ndarray         # those columns
@@ -234,15 +225,14 @@ class DecodeResult:
     failures: dict              # per seed, the first user whose system is rank deficient
 
 
-def decode_user(k: int | DecodeGroup, ledger: EquationLedger, sched: Schedule, s: np.ndarray) -> DecodeResult:
-    """Recover the desired symbols of user k, or of every user of a ``DecodeGroup``, in one pass.
+def decode_user(g: DecodeGroup, ledger: EquationLedger, s: np.ndarray) -> DecodeResult:
+    """Recover the desired symbols of every user of a ``DecodeGroup`` in one pass.
 
     One gather stacks each user's heard, non-pure rows (``DecodeGroup.kept``), columns ordered
     unknowns (D, OI), own (SI), rest (AOI, N). Phase-2 rows lose SI (own payload values) and
     AOI (the stored pure-slot equations); one ``zf_solve`` over seeds and users zero-forces
     the unknowns, and the rest columns keep the stray coefficient.
     """
-    g, pick = (k, slice(None)) if isinstance(k, DecodeGroup) else (sched.decode_group([k]), 0)
     at, n, own = g.users[:, None, None] - 1, g.unknowns.shape[-1], g.own.shape[-1]
     order = np.concatenate((g.unknowns, g.own, g.rest), axis=-1)[:, None, :]
     # (..., users, rows, n): row-major, so every seed takes one BLAS path
@@ -256,15 +246,14 @@ def decode_user(k: int | DecodeGroup, ledger: EquationLedger, sched: Schedule, s
         y[..., g.split:] -= ledger.values[..., g.pure, at[..., 0]].sum(axis=-1)[..., None]
     stray = np.abs(a[..., n + own:]).max(axis=(-2, -1), initial=0.0)
     sol, kept = zf_solve(a[..., :n], y, scale)
-    return DecodeResult(sol[..., g.desired], g.unknowns[g.desired], kept[..., pick], a[..., pick, :, :n],
-                        stray[..., pick], _short(kept, n, "user", g.users, "unknowns"))
+    return DecodeResult(sol[..., g.desired], g.unknowns[g.desired], kept, a[..., :n], stray,
+                        _short(kept, n, "user", g.users, "unknowns"))
 
 
 @dataclass
 class SimReport:
     """Outcome of one protocol run, with the invariants verify gates on."""
 
-    scenario: str
     seed: int
     recovered: dict
     max_symbol_error: float
@@ -341,7 +330,7 @@ def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None)
     recovered = np.full_like(s, np.nan)  # every column is its destination user's D: none stays NaN
     ranks, stray = np.empty((len(seeds), len(sched.users)), dtype=int), np.zeros(len(seeds))
     for group in sched.decode_groups:  # one for every built-in: the lowest short user stands
-        res = decode_user(group, ledger, sched, s)
+        res = decode_user(group, ledger, s)
         failures = res.failures | failures
         recovered[:, res.columns] = res.recovered
         ranks[:, group.users - 1] = res.effective_rank
@@ -374,12 +363,11 @@ def _chunks(scenario: str, cfg: NetworkConfig, base_seed: int, count: int,
         yield seeds, _run(scenario, cfg, seeds, relay_mode)
 
 
-def _reports(scenario: str, seeds: list, out: _Outcome) -> list:
+def _reports(seeds: list, out: _Outcome) -> list:
     """One SimReport per seed of a batch's outcome; the achieved DoF counts the symbols
     recovered within SYMBOL_ERROR_TOL relative error, per slot."""
     sched = out.sched
     return [SimReport(
-        scenario=scenario,
         seed=seed,
         recovered=dict(zip(sched.symbols, out.recovered[i].tolist())),
         max_symbol_error=float(out.worst[i]),
@@ -397,7 +385,7 @@ def _reports(scenario: str, seeds: list, out: _Outcome) -> list:
 def run_end_to_end(scenario: str, cfg: NetworkConfig, seed: int,
                    relay_mode: str | None = None) -> SimReport:
     """Run one protocol instance and decode every user: the batched pass on a batch of one."""
-    return _reports(scenario, [seed], _run(scenario, cfg, [seed], relay_mode))[0]
+    return _reports([seed], _run(scenario, cfg, [seed], relay_mode))[0]
 
 
 def simulate(scenario: str, cfg: NetworkConfig, base_seed: int, trials: int,
@@ -405,7 +393,7 @@ def simulate(scenario: str, cfg: NetworkConfig, base_seed: int, trials: int,
     """The SimReport of each derived seed derive_trial_seed(base_seed, i), i < trials, in
     chunks; the first failing trial raises as it would alone."""
     return [rep for seeds, out in _chunks(scenario, cfg, base_seed, trials, relay_mode)
-            for rep in _reports(scenario, seeds, out)]
+            for rep in _reports(seeds, out)]
 
 
 def ledger_linearity_error(ledger: EquationLedger, s: np.ndarray):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -76,6 +77,21 @@ def test_scenario_names_agree_across_registry_cli_and_schemas():
     modes = set(load_schema("sim_report.schema.json")["properties"]["relay_mode"]["enum"])
     assert modes == set(_choices("simulate", "relay_mode"))
     assert {entry.relay_mode for entry in SCENARIOS.values()} <= modes
+
+
+def test_a_scenarios_user_flag_comes_from_its_registry_entry(monkeypatch, tmp_path):
+    # a new entry with a new user flag needs nothing else: simulate and verify take the flag
+    monkeypatch.setitem(SCENARIOS, "wide", SCENARIOS["case1"]._replace(user_flag="kw"))
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    for command in ("simulate", "verify"):
+        ns = cli._parse_args([command, "--scenario", "wide", "--kw", "5", "--relays", "3,2"])
+        assert ns.kw == 5 and cli._network_config(ns) == NetworkConfig(5, (3, 2))
+        with pytest.raises(cli.UsageError, match="^--kw is required for scenario wide$"):
+            cli._network_config(cli._parse_args([command, "--scenario", "wide", "--relays", "3"]))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--scenario", "wide", "--kw", "4", "--relays", "3", "--seeds", "2"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == verify_scenario("wide", NetworkConfig(4, (3,)), 2)
 
 
 VERIFY_CONFIGS = {  # scenario: (CLI flags, the NetworkConfig they resolve to)
@@ -234,6 +250,17 @@ def test_negative_snr_start_reads_as_the_grid(tmp_path, grid):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     first = outs[0].read_text().splitlines()[1].split(",")[0]
     assert float(first) == float(grid.split(":")[0])
+
+
+@pytest.mark.parametrize("snr", ["3082", "3083"])
+def test_a_grid_whose_rates_overflow_exits_two_naming_snr(snr, tmp_path):
+    # 10 ** 308.3 overflows a float; at 3082 dB rho * gain does, so a rate reads inf, its spread nan
+    out = tmp_path / "r.csv"
+    proc = cli_process(["rate-sweep", "--snr", snr, "--trials", "5", "--jobs", "1",
+                        "--output", str(out)], tmp_path, stdout=subprocess.PIPE)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr == f"error: --snr '{snr}' is too high: its rates overflow\n"
+    assert proc.stdout == "" and not out.exists()
 
 
 def test_snr_grid_parsing():

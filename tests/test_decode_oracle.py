@@ -52,7 +52,7 @@ def assert_groups_match_oracle(ledger, sched, s):
     """Every decode group, stacked, against the oracle on each of its users."""
     covered = []
     for group in sched.decode_groups:
-        got = decode_user(group, ledger, sched, s)
+        got = decode_user(group, ledger, s)
         want = [per_user_decode(int(k), ledger, sched, s) for k in group.users]
         assert np.array_equal(got.recovered, np.concatenate([w[0] for w in want], axis=-1))
         assert np.array_equal(got.columns, np.concatenate([w[1] for w in want]))
@@ -95,10 +95,10 @@ def test_a_seed_of_a_chunk_decodes_as_it_does_alone(name):
     batch = derive_trial_seeds(5, range(9)).tolist()
     sched, _, s, _, ledger, _ = _execute(scenario, cfg, batch, None)
     (group,) = sched.decode_groups
-    chunk = decode_user(group, ledger, sched, s)
+    chunk = decode_user(group, ledger, s)
     for i, seed in enumerate(batch):
         _, _, own, _, alone, _ = _execute(scenario, cfg, [seed], None)
-        one = decode_user(group, alone, sched, own)
+        one = decode_user(group, alone, own)
         assert np.array_equal(chunk.recovered[i], one.recovered[0])
         assert np.array_equal(chunk.stray_coeff[i], one.stray_coeff[0])
         assert np.array_equal(chunk.effective_rank[i], one.effective_rank[0])
@@ -118,7 +118,7 @@ def test_the_grid_schedules_match_the_oracle(sched):
 def test_the_faulty_chunk_matches_the_oracle(monkeypatch):
     cfg, seeds = faulty_twxc_chunk(monkeypatch)
     sched, _, s, _, ledger, _ = _execute("twxc", cfg, seeds, None)
-    got = decode_user(sched.decode_groups[0], ledger, sched, s)
+    got = decode_user(sched.decode_groups[0], ledger, s)
     # seed 2's failed design leaves it a short system too; _run lets its design failure stand
     assert records(got.failures)[1] == (RankDeficient, "user 1: effective rank 1 < 2 unknowns")
     assert_groups_match_oracle(ledger, sched, s)

@@ -76,13 +76,13 @@ def check_ledger_and_recovery(cases):
         assert failures == {}
         assert ledger_linearity_error(ledger, s)[0] < 1e-9
         assert precoders.residual[0] < 1e-9
-        for k in sched.users:
-            res = decode_user(k, ledger, sched, s)
-            assert res.effective_rank.tolist() == [2] and res.failures == {}
-            assert res.stray_coeff[0] < 1e-9
-            assert [sched.symbols[c].dest for c in res.columns] == [k]
-            for c, est in zip(res.columns, res.recovered[0]):
-                assert abs(est - s[0, c]) / abs(s[0, c]) < 1e-8
+        (group,) = sched.decode_groups  # every user, stacked
+        res = decode_user(group, ledger, s)
+        assert res.effective_rank.tolist() == [[2] * len(sched.users)] and res.failures == {}
+        assert res.stray_coeff[0].max() < 1e-9
+        assert [sched.symbols[c].dest for c in res.columns] == list(sched.users)
+        for c, est in zip(res.columns, res.recovered[0]):
+            assert abs(est - s[0, c]) / abs(s[0, c]) < 1e-8
 
 
 def check_feasibility_boundary(cases):

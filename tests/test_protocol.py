@@ -34,17 +34,19 @@ from stpnc.scheduler import (
 
 
 def twic_setup(seed):
+    """A twic run's inputs as batches of one seed: channels from seed, payload from seed + 1."""
     cfg = NetworkConfig(4, (2,))
     sched = schedule_twic()
-    ch = draw_channels(cfg, 3, seed)
-    return cfg, sched, ch, draw_payload(sched, seed + 1)
+    ch = draw_channels(cfg, 3, [seed])
+    return cfg, sched, ch, draw_payload(sched, [seed + 1])
 
 
 def twxc_setup(seed):
+    """twic_setup for twxc."""
     cfg = NetworkConfig(4, (2,))
     sched = schedule_twxc()
-    ch = draw_channels(cfg, 5, seed)
-    return cfg, sched, ch, draw_payload(sched, seed + 1)
+    ch = draw_channels(cfg, 5, [seed])
+    return cfg, sched, ch, draw_payload(sched, [seed + 1])
 
 
 def cls(sched, j, sym):
@@ -56,13 +58,13 @@ def test_phase1_user_equation_coefficients():
     _, sched, ch, s = twic_setup(0)
     ledger = run_phase1(sched, ch, s)
     assert ledger.users[3][0] == 1  # user 3's first equation is slot 1's
-    row, value = ledger.rows[0, 2], ledger.values[0, 2]
-    assert ledger.rows.shape == (sched.n_slots, len(sched.users), len(sched.symbols))
-    assert row[sched.column[SymbolId(3, 1)]] == ch.gain[0, 2, 0]
-    assert row[sched.column[SymbolId(4, 2)]] == ch.gain[0, 2, 1]
+    row, value = ledger.rows[0, 0, 2], ledger.values[0, 0, 2]
+    assert ledger.rows.shape == (1, sched.n_slots, len(sched.users), len(sched.symbols))
+    assert row[sched.column[SymbolId(3, 1)]] == ch.gain[0, 0, 2, 0]
+    assert row[sched.column[SymbolId(4, 2)]] == ch.gain[0, 0, 2, 1]
     assert np.count_nonzero(row) == 2  # only the slot's two symbols
-    s31, s42 = s[sched.column[SymbolId(3, 1)]], s[sched.column[SymbolId(4, 2)]]
-    expect = ch.gain[0, 2, 0] * s31 + ch.gain[0, 2, 1] * s42
+    s31, s42 = s[0, sched.column[SymbolId(3, 1)]], s[0, sched.column[SymbolId(4, 2)]]
+    expect = ch.gain[0, 0, 2, 0] * s31 + ch.gain[0, 0, 2, 1] * s42
     assert value == expect
 
 
@@ -70,15 +72,15 @@ def test_phase1_relay_gets_four_scalar_equations():
     _, sched, ch, s = twic_setup(1)
     ledger = run_phase1(sched, ch, s)
     # two slots, one scalar equation per antenna in each (the one relay's equations)
-    assert ledger.relay_values.shape == (2, 2)
+    assert ledger.relay_values.shape == (1, 2, 2)
     covered = set()
     for t in ledger.relays:
-        coeffs, value = ledger.relay[t - 1], ledger.relay_values[t - 1]
+        coeffs, value = ledger.relay[0, t - 1], ledger.relay_values[0, t - 1]
         heard = {sym for sym, c in sched.column.items() if coeffs[:, c].any()}
         assert heard == set(sched.slot(t).sends.values())
         covered.update(heard)
         for m in range(value.shape[0]):
-            pred = sum(coeffs[m, c] * s[c] for c in sched.column.values())
+            pred = sum(coeffs[m, c] * s[0, c] for c in sched.column.values())
             assert abs(value[m] - pred) < 1e-12
     assert covered == set(sched.symbols)
 
@@ -87,19 +89,19 @@ def test_relay_decodes_all_symbols_noiselessly():
     _, sched, ch, s = twic_setup(2)
     ledger = run_phase1(sched, ch, s)
     decoded, failures = relay_decode(ledger, 1, ch.config.relay_columns[0])
-    assert decoded.shape == (len(sched.symbols),) and failures == {}
+    assert decoded.shape == (1, len(sched.symbols)) and failures == {}
     for c in sched.column.values():
-        assert abs(decoded[c] - s[c]) < 1e-9
+        assert abs(decoded[0, c] - s[0, c]) < 1e-9
 
 
 def test_relay_decode_rank_deficient_for_single_antenna_relay():
     cfg = NetworkConfig(4, (1, 1, 1, 2))
     sched = schedule_case1(4)
-    ch = draw_channels(cfg, sched.n_slots, 3)
-    ledger = run_phase1(sched, ch, draw_payload(sched, 4))
+    ch = draw_channels(cfg, sched.n_slots, [3])
+    ledger = run_phase1(sched, ch, draw_payload(sched, [4]))
     # one antenna over four slots gives four equations in twelve symbols
     _, failures = relay_decode(ledger, 1, cfg.relay_columns[0])
-    assert list(failures) == [0]  # an unbatched draw is seed 0
+    assert list(failures) == [0]  # the batch's one seed
     with pytest.raises(RankDeficient, match=r"^relay 1: effective rank 4 < 12 symbols$"):
         raise failures[0]
 
@@ -108,20 +110,20 @@ def test_linear_forward_matches_brute_force():
     # per relay, in slot order: each block applied to that relay's own reception
     for sched, cfg in [(schedule_case1(3), NetworkConfig(3, (2,))),
                        (schedule_case2(5), NetworkConfig(5, (2, 3, 1)))]:
-        ch = draw_channels(cfg, sched.n_slots, 5)
+        ch = draw_channels(cfg, sched.n_slots, [5])
         p = precoder.design(sched, ch)
-        ledger = run_phase1(sched, ch, draw_payload(sched, 6))
+        ledger = run_phase1(sched, ch, draw_payload(sched, [6]))
         plan = relay_process(ledger, p, "linear_forward")
         width = sum(cfg.relay_antennas)
-        assert plan.coeffs.shape == (sched.phase2_len, width, len(sched.symbols))
-        assert plan.signals.shape == (sched.phase2_len, width)
+        assert plan.coeffs.shape == (1, sched.phase2_len, width, len(sched.symbols))
+        assert plan.signals.shape == (1, sched.phase2_len, width)
         for ell, c in enumerate(cfg.relay_columns, start=1):
             for t in sched.phase2_slots:
-                blocks = [(p.per_block[(ell, t, k)], k) for k in sched.phase1_slots]
-                expect = sum(v @ ledger.relay_values[k - 1][c] for v, k in blocks)
-                assert np.linalg.norm(plan.signals[t - sched.phase1_len - 1][c] - expect) < 1e-12
-                expect = sum(v @ ledger.relay[k - 1][c] for v, k in blocks)
-                assert np.abs(plan.coeffs[t - sched.phase1_len - 1][c] - expect).max() < 1e-12
+                blocks = [(p.per_block[(ell, t, k)][0], k) for k in sched.phase1_slots]
+                expect = sum(v @ ledger.relay_values[0, k - 1][c] for v, k in blocks)
+                assert np.linalg.norm(plan.signals[0, t - sched.phase1_len - 1][c] - expect) < 1e-12
+                expect = sum(v @ ledger.relay[0, k - 1][c] for v, k in blocks)
+                assert np.abs(plan.coeffs[0, t - sched.phase1_len - 1][c] - expect).max() < 1e-12
 
 
 def test_unknown_relay_mode_rejected():
@@ -135,8 +137,8 @@ def test_zero_symbols_give_zero_transmit_plan():
     ledger = run_phase1(sched, ch, np.zeros_like(s))
     p = design_twic(ch)
     plan = relay_process(ledger, p, "decode_forward")
-    assert plan.signals.shape == (sched.phase2_len, 2)
-    for sig in plan.signals:
+    assert plan.signals.shape == (1, sched.phase2_len, 2)
+    for sig in plan.signals[0]:
         assert np.linalg.norm(sig) < 1e-12
 
 
@@ -146,7 +148,7 @@ def test_phase2_neutralized_coefficient_is_tiny():
     ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    row = ledger.rows[2, 0]  # user 1 in slot 3
+    row = ledger.rows[0, 2, 0]  # user 1 in slot 3
     assert abs(row[sched.column[SymbolId(4, 2)]]) < 1e-10
     assert row.shape == (len(sched.symbols),)
     roles = {sym: cls(sched, 1, sym) for sym in sched.column}
@@ -161,16 +163,16 @@ def test_twxc_overheard_part_replays_stored_equation():
     ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    row5 = ledger.rows[4, 0]  # user 1's equations in slots 5 and 4
+    row5 = ledger.rows[0, 4, 0]  # user 1's equations in slots 5 and 4
     assert sched.pure_slots(1) == {4}
-    row4, value4 = ledger.rows[3, 0], ledger.values[3, 0]
+    row4, value4 = ledger.rows[0, 3, 0], ledger.values[0, 3, 0]
     # user 1's OI symbols are all overheard in its pure slot: AOI
     assert {cls(sched, 1, sym) for sym in sched.symbols} == {"D", "SI", "AOI", "N"}
     oi = {sym: row5[c] for sym, c in sched.column.items() if cls(sched, 1, sym) == "AOI"}
     assert set(oi) == {sym for sym, c in sched.column.items() if row4[c] != 0}
-    oi_value = sum(c * s[sched.column[sym]] for sym, c in oi.items())
+    oi_value = sum(c * s[0, sched.column[sym]] for sym, c in oi.items())
     assert abs(oi_value - value4) < 1e-9
-    assert alignment_error(ledger, sched, s) < 1e-9
+    assert alignment_error(ledger, sched, s)[0] < 1e-9
 
 
 def two_pure_schedule():
@@ -207,12 +209,12 @@ def desired(sched, k):
 def test_unknowns_match_the_stored_equations(sched):
     # the decode system the schedule fixes is the one the ledger used to define:
     # desired symbols plus every symbol of a stored phase-1 equation off the pure slots
-    ch = draw_channels(NetworkConfig(len(sched.users), (2,)), sched.n_slots, 23)
-    ledger = run_phase1(sched, ch, draw_payload(sched, 24))
+    ch = draw_channels(NetworkConfig(len(sched.users), (2,)), sched.n_slots, [23])
+    ledger = run_phase1(sched, ch, draw_payload(sched, [24]))
     assert [sched.symbols[c] for c in sched.column.values()] == list(sched.symbols)
     for k in sched.users:
         stored = {sym for t in sched.phase1_slots if t not in sched.pure_slots(k)
-                  for sym, c in sched.column.items() if ledger.rows[t - 1, k - 1, c] != 0}
+                  for sym, c in sched.column.items() if ledger.rows[0, t - 1, k - 1, c] != 0}
         g = sched.decode_group([k])
         assert [sched.symbols[c] for c in g.unknowns[0]] == sorted(set(desired(sched, k)) | stored)
         own, rest = g.own[0], g.rest[0]
@@ -284,21 +286,22 @@ def test_receive_table_is_the_rule_and_feeds_every_view(sched):
 def test_alignment_error_checks_every_pure_slot():
     sched = two_pure_schedule()
     assert sched.pure_slots(1) == {1, 2}
-    ch = draw_channels(NetworkConfig(3, (2,)), sched.n_slots, 19)
-    s = draw_payload(sched, 20)
+    ch = draw_channels(NetworkConfig(3, (2,)), sched.n_slots, [19])
+    s = draw_payload(sched, [20])
     p = precoder.design(sched, ch)
-    assert p.residual < 1e-9
+    assert p.residual[0] < 1e-9
     ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, "linear_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    for k in (2, 3):
-        res = decode_user(k, ledger, sched, s)
-        assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
-        for c, est in zip(res.columns, res.recovered):
-            assert abs(est - s[c]) < 1e-9
-    assert alignment_error(ledger, sched, s) < 1e-9
-    ledger.rows[2, 0, sched.column[SymbolId(2, 3)]] += 1e-6  # user 1, slot 3: a symbol of its second pure slot
-    assert alignment_error(ledger, sched, s) > 1e-9
+    group = sched.decode_groups[1]  # users 2 and 3; user 1 has no unknowns
+    assert group.users.tolist() == [2, 3]
+    res = decode_user(group, ledger, s)
+    assert [sched.symbols[c] for c in res.columns] == desired(sched, 2) + desired(sched, 3)
+    for c, est in zip(res.columns, res.recovered[0]):
+        assert abs(est - s[0, c]) < 1e-9
+    assert alignment_error(ledger, sched, s)[0] < 1e-9
+    ledger.rows[0, 2, 0, sched.column[SymbolId(2, 3)]] += 1e-6  # user 1, slot 3: a symbol of its second pure slot
+    assert alignment_error(ledger, sched, s)[0] > 1e-9
 
 
 def test_zero_precoders_give_zero_received_values():
@@ -309,7 +312,7 @@ def test_zero_precoders_give_zero_received_values():
     plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
     for k in sched.users:
-        assert abs(ledger.values[2, k - 1]) < 1e-12
+        assert abs(ledger.values[0, 2, k - 1]) < 1e-12
 
 
 def test_decode_user_twic_effective_system():
@@ -318,15 +321,15 @@ def test_decode_user_twic_effective_system():
     ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    res = decode_user(1, ledger, sched, s)
-    assert res.matrix.shape == (2, 2)
-    assert res.effective_rank == 2
+    res = decode_user(sched.decode_group([1]), ledger, s)
+    assert res.matrix.shape == (1, 1, 2, 2)
+    assert res.effective_rank.tolist() == [[2]]
     # first row is the stored direct observation
-    assert res.matrix[0, 0] == ch.gain[1, 0, 2]
-    assert res.matrix[0, 1] == ch.gain[1, 0, 3]
+    assert res.matrix[0, 0, 0, 0] == ch.gain[0, 1, 0, 2]
+    assert res.matrix[0, 0, 0, 1] == ch.gain[0, 1, 0, 3]
     assert res.columns.tolist() == [sched.column[SymbolId(1, 3)]]
-    assert abs(res.recovered[0] - s[sched.column[SymbolId(1, 3)]]) < 1e-9
-    assert res.stray_coeff < 1e-10
+    assert abs(res.recovered[0, 0] - s[0, sched.column[SymbolId(1, 3)]]) < 1e-9
+    assert res.stray_coeff[0, 0] < 1e-10
 
 
 def test_self_interference_fully_removed():
@@ -335,10 +338,10 @@ def test_self_interference_fully_removed():
     ledger = run_phase1(sched, ch, s)
     plan = relay_process(ledger, p, "decode_forward")
     ledger = run_phase2(plan, sched, ch, ledger=ledger)
-    row, value = ledger.rows[2, 1], ledger.values[2, 1]  # user 2 in slot 3
+    row, value = ledger.rows[0, 2, 1], ledger.values[0, 2, 1]  # user 2 in slot 3
     roles = {sym: cls(sched, 2, sym) for sym in sched.column}
     assert sorted(roles.values()) == ["D", "N", "OI", "SI"]
-    terms = {sym: row[c] * s[c] for sym, c in sched.column.items()}
+    terms = {sym: row[c] * s[0, c] for sym, c in sched.column.items()}
     cleaned = value - sum(x for sym, x in terms.items() if roles[sym] == "SI")
     rebuilt = sum(x for sym, x in terms.items() if roles[sym] != "SI")
     assert abs(cleaned - rebuilt) < 1e-10
@@ -372,9 +375,9 @@ def test_general_constructions_decode_system_shapes():
         sched, _, s, _, ledger, failures = _execute(scenario, cfg, [21], None)
         assert failures == {}
         for k in sched.users:
-            res = decode_user(k, ledger, sched, s)
-            assert res.matrix.shape == (1, 2, 2)
-            assert res.effective_rank.tolist() == [2]
+            res = decode_user(sched.decode_group([k]), ledger, s)
+            assert res.matrix.shape == (1, 1, 2, 2)
+            assert res.effective_rank.tolist() == [[2]]
             assert res.recovered.shape == (1, len(desired(sched, k)))
             assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
 
@@ -411,12 +414,12 @@ def test_noisy_mode_perturbs_but_stays_close():
 def test_ledger_linearity_reflects_noise_level():
     cfg = NetworkConfig(4, (2,))
     sched = schedule_twic()
-    ch = draw_channels(cfg, 3, 17)
-    s = draw_payload(sched, 18)
-    noiseless = run_phase1(sched, ch, s, noise_var=0.0, seed=1)
-    assert ledger_linearity_error(noiseless, s) < 1e-12
-    noisy = run_phase1(sched, ch, s, noise_var=1e-4, seed=1)
-    err = ledger_linearity_error(noisy, s)
+    ch = draw_channels(cfg, 3, [17])
+    s = draw_payload(sched, [18])
+    noiseless = run_phase1(sched, ch, s, noise_var=0.0, seeds=[1])
+    assert ledger_linearity_error(noiseless, s)[0] < 1e-12
+    noisy = run_phase1(sched, ch, s, noise_var=1e-4, seeds=[1])
+    err = ledger_linearity_error(noisy, s)[0]
     assert 1e-4 < err < 1e-1
 
 
@@ -426,9 +429,9 @@ def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
     # imaginary ones); every user's and the relay bank's noise must keep that stream bit for bit
     cfg = NetworkConfig(5, (2, 3, 1), noise_var=1e-3)
     sched = schedule_case2(5)
-    ch = draw_channels(cfg, sched.n_slots, 31)
-    s = draw_payload(sched, 32)
-    ledger = run_phase1(sched, ch, s, cfg.noise_var, seed=33)
+    ch = draw_channels(cfg, sched.n_slots, [31])
+    s = draw_payload(sched, [32])
+    ledger = run_phase1(sched, ch, s, cfg.noise_var, seeds=[33])
     clean = run_phase1(sched, ch, s)
     assert np.array_equal(ledger.rows, clean.rows) and np.array_equal(ledger.relay, clean.relay)
     rng = np.random.default_rng(33)
@@ -439,14 +442,14 @@ def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
 
     for t in sched.phase1_slots:
         for k in sorted(sched.slot(t).destinations):
-            drawn, value = noise(1)[0], ledger.values[t - 1, k - 1]
-            assert value == clean.values[t - 1, k - 1] + drawn
-            assert abs(value - (ledger.rows[t - 1, k - 1] @ s + drawn)) < 1e-14
+            drawn, value = noise(1)[0], ledger.values[0, t - 1, k - 1]
+            assert value == clean.values[0, t - 1, k - 1] + drawn
+            assert abs(value - (ledger.rows[0, t - 1, k - 1] @ s[0] + drawn)) < 1e-14
         expect = np.concatenate([noise(m) for m in cfg.relay_antennas])
-        assert np.array_equal(ledger.relay_values[t - 1], clean.relay_values[t - 1] + expect)
-        assert np.array_equal(ledger.relay_values[t - 1], ledger.relay[t - 1] @ s + expect)
+        assert np.array_equal(ledger.relay_values[0, t - 1], clean.relay_values[0, t - 1] + expect)
+        assert np.array_equal(ledger.relay_values[0, t - 1], ledger.relay[0, t - 1] @ s[0] + expect)
         assert np.abs(expect).min() > 0
-    assert not ledger.values[~sched.listens].any()  # no noise where nobody listens
+    assert not ledger.values[:, ~sched.listens].any()  # no noise where nobody listens
 
 
 def test_verify_scenario_summary():
@@ -570,7 +573,7 @@ def test_simulate_achieved_dof_counts_recovered_symbols():
     for i, ok in [(0, 1), (1, 2), (2, 1)]:
         seed = derive_trial_seed(1, i)
         rep = run_end_to_end("twic", cfg, seed)
-        s = draw_payload(schedule_twic(), derive_trial_seed(seed, 1))
+        s = draw_payload(schedule_twic(), [derive_trial_seed(seed, 1)])[0]
         column = schedule_twic().column
         errors = [abs(est - s[column[sym]]) / abs(s[column[sym]]) for sym, est in rep.recovered.items()]
         assert sum(err < protocol.SYMBOL_ERROR_TOL for err in errors) == ok
@@ -697,8 +700,8 @@ def test_a_failing_seed_stays_in_its_own_slot_of_the_batch(monkeypatch):
         assert failures == {}
         for name in ("rows", "values", "relay", "relay_values"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)[0]), name
-        for k in sched.users:
-            got, want = decode_user(k, batch, sched, s), decode_user(k, alone, sched, own)
+        for group in sched.decode_groups:
+            got, want = decode_user(group, batch, s), decode_user(group, alone, own)
             assert i not in got.failures and want.failures == {}
             assert np.array_equal(got.columns, want.columns)
             assert np.array_equal(want.recovered[0], got.recovered[i])
@@ -737,12 +740,12 @@ def test_noiseless_phases_build_no_generator(monkeypatch):
 
     monkeypatch.setattr(channel, "standard_normals", counting)
     monkeypatch.setattr(protocol, "standard_normals", counting)
-    ledger = run_phase1(sched, ch, s, 0.0, seed=5)
+    ledger = run_phase1(sched, ch, s, 0.0, seeds=[5])
     plan = relay_process(ledger, design_twic(ch), "decode_forward")
-    run_phase2(plan, sched, ch, 0.0, seed=6, ledger=ledger)
+    run_phase2(plan, sched, ch, 0.0, seeds=[6], ledger=ledger)
     assert drawn == []
-    ledger = run_phase1(sched, ch, s, 1e-3, seed=5)
-    run_phase2(plan, sched, ch, 1e-3, seed=6, ledger=ledger)
+    ledger = run_phase1(sched, ch, s, 1e-3, seeds=[5])
+    run_phase2(plan, sched, ch, 1e-3, seeds=[6], ledger=ledger)
     # phase 1: 2 slots of 2 listening users and the 2 relay antennas; phase 2: 4 users
     assert drawn == [([5], (16,)), ([6], (8,))]
     drawn.clear()
@@ -775,9 +778,9 @@ def test_payload_is_each_seeds_draw_bitwise(sched):
     batch = draw_payload(sched, seeds)
     assert batch.shape == (len(seeds), len(sched.symbols)) and batch.dtype == complex
     for i, seed in enumerate(seeds):
-        alone = draw_payload(sched, seed)
-        assert alone.shape == (len(sched.symbols),) and batch[i].tobytes() == alone.tobytes()
-        assert draw_symbols(sched, seed) == dict(zip(sched.symbols, draw_payload(sched, seed)))
+        alone = draw_payload(sched, [seed])
+        assert alone.shape == (1, len(sched.symbols)) and batch[i].tobytes() == alone.tobytes()
+        assert draw_symbols(sched, seed) == dict(zip(sched.symbols, alone[0]))
 
 
 @pytest.mark.parametrize("scenario,cfg", [
@@ -791,7 +794,7 @@ def test_symbol_errors_are_pythons_abs_of_the_recovered_symbols(scenario, cfg):
     for i in range(20):
         seed = derive_trial_seed(6, i)
         rep = run_end_to_end(scenario, cfg, seed)
-        syms = dict(zip(sched.symbols, draw_payload(sched, derive_trial_seed(seed, 1)).tolist()))
+        syms = dict(zip(sched.symbols, draw_payload(sched, [derive_trial_seed(seed, 1)])[0].tolist()))
         assert rep.max_symbol_error == max(abs(est - syms[sym]) / abs(syms[sym])
                                            for sym, est in rep.recovered.items())
 
@@ -854,10 +857,10 @@ def test_c_decode_system_is_the_heard_non_pure_rows_in_slot_order(sched, antenna
     for k in sched.users:
         if not unknowns(sched, k).size:
             continue
-        res = decode_user(k, ledger, sched, s)
+        res = decode_user(sched.decode_group([k]), ledger, s)
         slots = [t for t in range(1, sched.n_slots + 1)
                  if k in sched.slot(t).destinations and t not in sched.pure_slots(k)]
-        want = ledger.rows[:, np.array(slots) - 1, k - 1][..., unknowns(sched, k)]
+        want = ledger.rows[:, None, np.array(slots) - 1, k - 1][..., unknowns(sched, k)]
         assert res.matrix.shape == want.shape and np.array_equal(res.matrix, want)
         assert [sched.symbols[c] for c in res.columns] == desired(sched, k)
         assert res.recovered.shape == (3, len(res.columns))
@@ -871,9 +874,9 @@ def test_effective_rank_is_the_kept_count_of_a_short_system():
     ledger, s = grid_ledger(sched, (2,), [71, 72, 73])
     ledger.rows[1, :, 0], ledger.values[1, :, 0] = 0.0, 0.0
     (group,) = sched.decode_groups
-    res = decode_user(group, ledger, sched, s)
+    res = decode_user(group, ledger, s)
     assert res.effective_rank.tolist() == [[2, 2, 2, 2], [0, 2, 2, 2], [2, 2, 2, 2]]
     assert list(res.failures) == [1] and str(res.failures[1]) == "user 1: effective rank 0 < 2 unknowns"
-    alone = decode_user(1, ledger, sched, s)
-    assert alone.effective_rank.tolist() == [2, 0, 2] and len(unknowns(sched, 1)) == 2
+    alone = decode_user(sched.decode_group([1]), ledger, s)
+    assert alone.effective_rank.tolist() == [[2], [0], [2]] and len(unknowns(sched, 1)) == 2
     assert str(alone.failures[1]) == str(res.failures[1]) and list(alone.failures) == [1]

@@ -126,17 +126,17 @@ def test_half_duplex(build):
 def test_every_relay_stores_every_phase1_slot(build):
     s = build()
     cfg = NetworkConfig(len(s.users), (2, 1))
-    ch = draw_channels(cfg, s.n_slots, 3)
-    ledger = run_phase1(s, ch, draw_payload(s, 4))
+    ch = draw_channels(cfg, s.n_slots, [3])
+    ledger = run_phase1(s, ch, draw_payload(s, [4]))
     # one equation of the whole relay bank per slot: relay l's rows are its antenna columns
     assert ledger.relays == s.phase1_slots
-    assert ledger.relay.shape == (s.phase1_len, 3, len(s.symbols))
-    assert ledger.relay_values.shape == (s.phase1_len, 3)
+    assert ledger.relay.shape == (1, s.phase1_len, 3, len(s.symbols))
+    assert ledger.relay_values.shape == (1, s.phase1_len, 3)
     for t in s.phase1_slots:
-        coeffs = ledger.relay[t - 1]
+        coeffs = ledger.relay[0, t - 1]
         src = [sym.src - 1 for sym in s.slot(t).sends.values()]
         for c in cfg.relay_columns:
-            assert np.array_equal(coeffs[c][:, s.slot_columns[t]], ch.up[t - 1][src, c].T)
+            assert np.array_equal(coeffs[c][:, s.slot_columns[t]], ch.up[0, t - 1][src, c].T)
         others = np.setdiff1d(np.arange(len(s.symbols)), s.slot_columns[t])
         assert not coeffs[:, others].any()
 
