@@ -33,6 +33,6 @@ for scenario, cfg in runs:
     except AntennaDeficit as exc:
         print(f"{label:<42} infeasible: {exc}")
         continue
-    print(f"{label:<42} DoF {str(rep.achieved_dof):>5}  "
-          f"worst error {rep.max_symbol_error:.1e}  "
-          f"residual {rep.constraint_residual:.1e}")
+    print(f"{label:<42} DoF {str(rep.achieved_dof(0)):>5}  "
+          f"worst error {rep.max_symbol_error[0]:.1e}  "
+          f"residual {rep.constraint_residual[0]:.1e}")

@@ -193,22 +193,21 @@ def _write_json(doc, f) -> None:
     f.write("\n")
 
 
-def _report_json(rep, trial: int) -> dict:
+def _report_json(rep, i: int) -> dict:
     return {
-        "trial": trial,
-        "seed": rep.seed,
-        "max_symbol_error": rep.max_symbol_error,
-        "constraint_residual": rep.constraint_residual,
-        "max_stray_coeff": rep.max_stray_coeff,
-        "alignment_error": rep.alignment_error,
-        "linearity_error": rep.linearity_error,
-        "achieved_dof": str(rep.achieved_dof),
-        "slots_used": rep.slots_used,
-        "symbols_delivered": rep.symbols_delivered,
-        "effective_ranks": {str(k): r for k, r in sorted(rep.effective_ranks.items())},
-        "recovered": {
-            f"{sym.dest}:{sym.src}": [val.real, val.imag] for sym, val in sorted(rep.recovered.items())
-        },
+        "trial": i,
+        "seed": rep.seeds[i],
+        "max_symbol_error": float(rep.max_symbol_error[i]),
+        "constraint_residual": float(rep.constraint_residual[i]),
+        "max_stray_coeff": float(rep.max_stray_coeff[i]),
+        "alignment_error": float(rep.alignment_error[i]),
+        "linearity_error": float(rep.linearity_error[i]),
+        "achieved_dof": str(rep.achieved_dof(i)),
+        "slots_used": rep.sched.n_slots,
+        "symbols_delivered": len(rep.sched.symbols),
+        "effective_ranks": {str(k): r for k, r in zip(rep.sched.users, rep.effective_ranks[i].tolist())},
+        "recovered": {f"{sym.dest}:{sym.src}": [val.real, val.imag]
+                      for sym, val in zip(rep.sched.symbols, rep.recovered[i].tolist())},
     }
 
 
@@ -222,7 +221,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     seed = _resolve_seed(ns)
     cfg = _network_config(ns, noise_var=ns.noise_var)
     mode = ns.relay_mode or SCENARIOS[ns.scenario].relay_mode
-    reports = simulate(ns.scenario, cfg, seed, ns.trials, mode)
+    rep = simulate(ns.scenario, cfg, seed, ns.trials, mode)
     with _out_stream(ns) as f:
         if ns.format == "json":
             doc = {
@@ -232,7 +231,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                 "power_P": 1.0,  # unit transmit power; the key stays in the schema
                 "noise_var": cfg.noise_var,
                 "relay_mode": mode,
-                "trials": [_report_json(rep, i) for i, rep in enumerate(reports)],
+                "trials": [_report_json(rep, i) for i in range(len(rep.seeds))],
             }
             _write_json(doc, f)
         else:
@@ -240,11 +239,10 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             w.writerow(["trial", "seed", "max_symbol_error", "constraint_residual",
                         "achieved_dof", "slots_used", "symbols_delivered",
                         "rank_min", "rank_max"])
-            for i, rep in enumerate(reports):
-                ranks = rep.effective_ranks.values()
-                w.writerow([i, rep.seed, f"{rep.max_symbol_error:.10g}",
-                            f"{rep.constraint_residual:.10g}", str(rep.achieved_dof),
-                            rep.slots_used, rep.symbols_delivered, min(ranks), max(ranks)])
+            for i, seed in enumerate(rep.seeds):
+                w.writerow([i, seed, f"{rep.max_symbol_error[i]:.10g}", f"{rep.constraint_residual[i]:.10g}",
+                            str(rep.achieved_dof(i)), rep.sched.n_slots, len(rep.sched.symbols),
+                            rep.effective_ranks[i].min(), rep.effective_ranks[i].max()])
     return EXIT_OK
 
 
@@ -296,10 +294,9 @@ def _cmd_rate_sweep(ns: argparse.Namespace) -> int:
     cores = os.cpu_count() or 1  # outputs do not depend on the worker count
     jobs = min(ns.jobs, cores) if ns.jobs else cores
     gains = _parallel_gains(seed, ns.trials, jobs)
-    try:  # a rate past the float range would print as inf, its spread as nan
-        with np.errstate(over="raise"):
-            result = rate.snr_sweep(grid, gains)
-    except (OverflowError, FloatingPointError):
+    try:  # the grid and trial count are checked above: an overflow is the one ValueError left
+        result = rate.snr_sweep(grid, gains)
+    except ValueError:
         raise UsageError(f"--snr {ns.snr!r} is too high: its rates overflow")
     cross = "none" if result.crossover_db is None else f"{result.crossover_db:.4g}"
     with _out_stream(ns) as f:

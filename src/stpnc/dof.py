@@ -48,9 +48,6 @@ def k_stars(antennas) -> tuple[int, int, int]:
 class DoFResult:
     """The three candidate terms, the baseline, the cap, and the final value."""
 
-    k1_star: int
-    k2_star: int
-    k3_star: int
     term_in: Fraction
     term_in_ia: Fraction
     term_ia: Fraction
@@ -64,9 +61,9 @@ def sum_dof(K: int, antennas) -> DoFResult:
     """Achievable sum-DoF for K users served by the given relay antennas.
 
     Sub-network sizes never exceed the users available: K1 and K2 are capped
-    at K, and the one-way partition uses m = min(k3_star, K//2) sources (the
-    partition needs 2m users). The result is optimal (equals K/2) exactly
-    when the squared antenna count reaches (K-1)(K-2)+1.
+    at K, and the one-way partition uses m = min(k3, K//2) sources (k3 from
+    ``k_stars``; the partition needs 2m users). The result is optimal (equals
+    K/2) exactly when the squared antenna count reaches (K-1)(K-2)+1.
     """
     if K < 3:
         raise ValueError("sum_dof needs at least 3 users")
@@ -81,9 +78,6 @@ def sum_dof(K: int, antennas) -> DoFResult:
     cap = Fraction(K, 2)
     value = min(cap, max(term_in, term_in_ia, term_ia))
     return DoFResult(
-        k1_star=k1s,
-        k2_star=k2s,
-        k3_star=k3s,
         term_in=term_in,
         term_in_ia=term_in_ia,
         term_ia=term_ia,

@@ -110,7 +110,8 @@ def design(sched: Schedule, ch: ChannelSet) -> PrecoderSet:
         # depend on the phase-1 slot alone
         up = ch.up[..., ks[:, None, None] - 1, tx[..., None], up_col]
         a = dn.take(rx, axis=-2)  # row-major, so the solver reshapes it without a copy
-        np.multiply(up[..., None, :, :, :], a, out=a)  # uplink first, as kron multiplies
+        # uplink first, as kron multiplies; not in place: NumPy rounds a lone in-place product otherwise
+        a = np.multiply(up[..., None, :, :, :], a, out=np.empty_like(a))
         b = _targets(ch, ks[:, None], aligned, rx, tx)
         f, ok = solve_least_norm(a, np.broadcast_to(b[..., None, :, :], a.shape[:-1]), g)
         # zeroed, not left NaN: a non-finite member would fail every later batched solve

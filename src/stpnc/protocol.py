@@ -11,8 +11,8 @@ ratio as an exact fraction.
 The payload is one complex array ``s`` in ``Schedule.symbols`` column order
 (``draw_payload``). Phase 1 applies the ledger's rows to it, each user reads its SI
 values as its own columns of it, both checks rebuild the stored values from it, and
-the users' estimates come back in the same columns; only ``SimReport.recovered``, for
-the CLI's report, keys them by symbol id. The side information is stored on the
+the users' estimates come back in the same columns, as ``SimReport.recovered``; only the
+CLI's report keys them by symbol id. The side information is stored on the
 schedule's (slot, user) grid (see ``EquationLedger``): each phase writes its slots
 with whole-array products, and decoding and both checks index the grid through the
 schedule's cached arrays.
@@ -20,12 +20,13 @@ schedule's cached arrays.
 Seeds are a leading batch axis: the draws take a batch of seeds, and every later stage any
 leading axes (the noise draws and failure records read one seed axis). One pass draws,
 designs, runs both phases and the relays, decodes and checks a whole batch, and each seed
-gets the bits it would get alone; ``run_end_to_end`` is that pass on a batch of one.
-``verify_scenario`` and ``simulate`` run their seeds in chunks of
-``chunk_seeds`` seeds, sized by CHUNK_BYTES, so memory stays flat for any seed
-count. A stage that can fail for some seeds returns a failure record, {seed position:
-exception}, and leaves those seeds' arrays finite; ``_run`` merges the records in
-pipeline order, and the first failing seed raises once, exactly as it would alone.
+gets the bits it would get alone. The pass returns one ``SimReport``, each result an array
+with a row per seed; ``run_end_to_end`` is that pass on a batch of one. ``verify_scenario``
+and ``simulate`` run their seeds in chunks of ``chunk_seeds`` seeds, sized by CHUNK_BYTES,
+so memory stays flat for any seed count. A stage that can fail for some seeds returns a
+failure record, {seed position: exception}, and leaves those seeds' arrays finite; ``_run``
+merges the records in pipeline order, and the first failing seed raises once, exactly as
+it would alone.
 """
 
 from __future__ import annotations
@@ -238,33 +239,20 @@ def decode_user(g: DecodeGroup, ledger: EquationLedger, s: np.ndarray) -> Decode
     # (..., users, rows, n): row-major, so every seed takes one BLAS path
     a = np.ascontiguousarray(ledger.rows[..., g.kept[..., None], at, order])
     y = np.ascontiguousarray(ledger.values[..., g.kept, at[..., 0]])
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)  # the rows' scale, before cancellation
+    # the rows' scale before cancellation, floored by the bank's uplinks: constraints can zero them
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0),
+                       np.abs(ledger.relay).max(axis=(-3, -2, -1))[..., None])
     # a user sends nothing in a slot it listens to: its own columns are zero on phase-1 rows
     y -= np.matvec(a[..., n:n + own], s.take(g.own, axis=-1))
-    if g.pure.size:
-        a[..., g.split:, :] -= ledger.rows[..., g.pure[..., None], at, order].sum(axis=-2)[..., None, :]
-        y[..., g.split:] -= ledger.values[..., g.pure, at[..., 0]].sum(axis=-1)[..., None]
+    if g.pure.size:  # summed row-major, so a seed's sums add in one order in any batch
+        pure_rows = np.ascontiguousarray(ledger.rows[..., g.pure[..., None], at, order])
+        pure_values = np.ascontiguousarray(ledger.values[..., g.pure, at[..., 0]])
+        a[..., g.split:, :] -= pure_rows.sum(axis=-2)[..., None, :]
+        y[..., g.split:] -= pure_values.sum(axis=-1)[..., None]
     stray = np.abs(a[..., n + own:]).max(axis=(-2, -1), initial=0.0)
     sol, kept = zf_solve(a[..., :n], y, scale)
     return DecodeResult(sol[..., g.desired], g.unknowns[g.desired], kept, a[..., :n], stray,
                         _short(kept, n, "user", g.users, "unknowns"))
-
-
-@dataclass
-class SimReport:
-    """Outcome of one protocol run, with the invariants verify gates on."""
-
-    seed: int
-    recovered: dict
-    max_symbol_error: float
-    effective_ranks: dict
-    slots_used: int
-    symbols_delivered: int
-    achieved_dof: Fraction
-    constraint_residual: float
-    max_stray_coeff: float   # worst coefficient left outside any user's decode system
-    alignment_error: float   # alignment_error of the run's ledger
-    linearity_error: float   # ledger_linearity_error of the run's ledger
 
 
 class Scenario(NamedTuple):
@@ -310,21 +298,26 @@ def _execute(scenario: str, cfg: NetworkConfig, seeds, relay_mode: str | None):
     return sched, ch, s, precoders, ledger, plan.failures | precoders.failures
 
 
-class _Outcome(NamedTuple):
-    """Per-seed results of one batch of seeds: every array's leading axis is the seed."""
+class SimReport(NamedTuple):
+    """A protocol run's results and the invariants verify gates on; array row i is seeds[i]'s."""
 
     sched: Schedule
-    recovered: np.ndarray    # (seeds, n) estimates, in Schedule.symbols column order
-    worst: np.ndarray        # (seeds,) largest relative error of those estimates
-    delivered: np.ndarray    # (seeds,) estimates within SYMBOL_ERROR_TOL relative error
-    ranks: np.ndarray        # (seeds, users) each user's effective rank
-    residual: np.ndarray
-    stray: np.ndarray
-    alignment: np.ndarray
-    linearity: np.ndarray
+    seeds: list
+    recovered: np.ndarray            # (seeds, n) estimates, in Schedule.symbols column order
+    max_symbol_error: np.ndarray     # (seeds,) largest relative error of those estimates
+    delivered: np.ndarray            # (seeds,) estimates within SYMBOL_ERROR_TOL relative error
+    effective_ranks: np.ndarray      # (seeds, users) each user's effective rank
+    constraint_residual: np.ndarray  # (seeds,) the design's worst constraint violation
+    max_stray_coeff: np.ndarray      # (seeds,) worst coefficient left outside any user's decode system
+    alignment_error: np.ndarray      # (seeds,) alignment_error of the run's ledger
+    linearity_error: np.ndarray      # (seeds,) ledger_linearity_error of the run's ledger
+
+    def achieved_dof(self, i: int) -> Fraction:
+        """Seed i's symbols recovered within SYMBOL_ERROR_TOL, per slot."""
+        return Fraction(int(self.delivered[i]), self.sched.n_slots)
 
 
-def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None) -> _Outcome:
+def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None) -> SimReport:
     """One pass of the protocol over a batch of seeds: decode every group of users, take both checks."""
     sched, _, s, precoders, ledger, failures = _execute(scenario, cfg, seeds, relay_mode)
     recovered = np.full_like(s, np.nan)  # every column is its destination user's D: none stays NaN
@@ -340,9 +333,9 @@ def _run(scenario: str, cfg: NetworkConfig, seeds: list, relay_mode: str | None)
     miss = recovered - s
     # np.hypot is Python's abs of a complex; np.abs rounds differently
     errors = np.hypot(miss.real, miss.imag) / np.hypot(s.real, s.imag)
-    return _Outcome(sched, recovered, errors.max(axis=-1, initial=0.0),
-                    np.count_nonzero(errors < SYMBOL_ERROR_TOL, axis=-1), ranks, precoders.residual,
-                    stray, alignment_error(ledger, sched, s), ledger_linearity_error(ledger, s))
+    return SimReport(sched, seeds, recovered, errors.max(axis=-1, initial=0.0),
+                     np.count_nonzero(errors < SYMBOL_ERROR_TOL, axis=-1), ranks, precoders.residual,
+                     stray, alignment_error(ledger, sched, s), ledger_linearity_error(ledger, s))
 
 
 def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
@@ -356,44 +349,28 @@ def chunk_seeds(sched: Schedule, cfg: NetworkConfig) -> int:
 
 def _chunks(scenario: str, cfg: NetworkConfig, base_seed: int, count: int,
             relay_mode: str | None = None):
-    """(seeds, outcome) for the derived seeds 0..count-1 in chunks of chunk_seeds, in order."""
+    """The SimReport of the derived seeds 0..count-1 in chunks of chunk_seeds, in order."""
     size = chunk_seeds(scenario_schedule(scenario, cfg.K), cfg)
     for start in range(0, count, size):
         seeds = derive_trial_seeds(base_seed, range(start, min(start + size, count))).tolist()
-        yield seeds, _run(scenario, cfg, seeds, relay_mode)
-
-
-def _reports(seeds: list, out: _Outcome) -> list:
-    """One SimReport per seed of a batch's outcome; the achieved DoF counts the symbols
-    recovered within SYMBOL_ERROR_TOL relative error, per slot."""
-    sched = out.sched
-    return [SimReport(
-        seed=seed,
-        recovered=dict(zip(sched.symbols, out.recovered[i].tolist())),
-        max_symbol_error=float(out.worst[i]),
-        effective_ranks=dict(zip(sched.users, out.ranks[i].tolist())),
-        slots_used=sched.n_slots,
-        symbols_delivered=len(sched.symbols),
-        achieved_dof=Fraction(int(out.delivered[i]), sched.n_slots),
-        constraint_residual=float(out.residual[i]),
-        max_stray_coeff=float(out.stray[i]),
-        alignment_error=float(out.alignment[i]),
-        linearity_error=float(out.linearity[i]),
-    ) for i, seed in enumerate(seeds)]
+        yield _run(scenario, cfg, seeds, relay_mode)
 
 
 def run_end_to_end(scenario: str, cfg: NetworkConfig, seed: int,
                    relay_mode: str | None = None) -> SimReport:
     """Run one protocol instance and decode every user: the batched pass on a batch of one."""
-    return _reports([seed], _run(scenario, cfg, [seed], relay_mode))[0]
+    return _run(scenario, cfg, [seed], relay_mode)
 
 
 def simulate(scenario: str, cfg: NetworkConfig, base_seed: int, trials: int,
-             relay_mode: str | None = None) -> list:
-    """The SimReport of each derived seed derive_trial_seed(base_seed, i), i < trials, in
-    chunks; the first failing trial raises as it would alone."""
-    return [rep for seeds, out in _chunks(scenario, cfg, base_seed, trials, relay_mode)
-            for rep in _reports(seeds, out)]
+             relay_mode: str | None = None) -> SimReport:
+    """The SimReport of the derived seeds derive_trial_seed(base_seed, i), i < trials, its
+    chunks concatenated; the first failing trial raises as it would alone."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    parts = list(_chunks(scenario, cfg, base_seed, trials, relay_mode))
+    return SimReport(parts[0].sched, [seed for rep in parts for seed in rep.seeds],
+                     *map(np.concatenate, zip(*(rep[2:] for rep in parts))))
 
 
 def ledger_linearity_error(ledger: EquationLedger, s: np.ndarray):
@@ -446,19 +423,20 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     max_err = max_resid = max_align = max_linear = 0.0
     dof_ok = rank_ok = True
     done = 0
-    for seeds, out in _chunks(scenario, cfg, base_seed, n_seeds):
-        dof = out.delivered == len(sched.symbols)
-        ranks = (out.ranks == expected_rank).all(axis=-1)
-        coeff_err = np.max([out.residual, out.alignment, out.linearity, out.stray], axis=0)
-        bad = ~dof | (out.worst >= SYMBOL_ERROR_TOL) | (coeff_err >= RESIDUAL_TOL) | ~ranks
+    for rep in _chunks(scenario, cfg, base_seed, n_seeds):
+        dof = rep.delivered == len(sched.symbols)
+        ranks = (rep.effective_ranks == expected_rank).all(axis=-1)
+        coeff_err = np.max([rep.constraint_residual, rep.alignment_error, rep.linearity_error,
+                            rep.max_stray_coeff], axis=0)
+        bad = ~dof | (rep.max_symbol_error >= SYMBOL_ERROR_TOL) | (coeff_err >= RESIDUAL_TOL) | ~ranks
         failures += (done + np.flatnonzero(bad)).tolist()
-        done += len(seeds)
+        done += len(rep.seeds)
         rank_ok = rank_ok and bool(ranks.all())
         dof_ok = dof_ok and bool(dof.all())
-        max_err = max(max_err, float(out.worst.max()))
-        max_resid = max(max_resid, float(out.residual.max()))
-        max_align = max(max_align, float(out.alignment.max()))
-        max_linear = max(max_linear, float(out.linearity.max()))
+        max_err = max(max_err, float(rep.max_symbol_error.max()))
+        max_resid = max(max_resid, float(rep.constraint_residual.max()))
+        max_align = max(max_align, float(rep.alignment_error.max()))
+        max_linear = max(max_linear, float(rep.linearity_error.max()))
     return {
         "scenario": scenario,
         "K": cfg.K,

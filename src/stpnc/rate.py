@@ -95,15 +95,17 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     return _gains(coeffs)
 
 
+@np.errstate(over="raise")  # a rate past the float range would read inf, its spread nan
 def snr_sweep(snr_db, gains: np.ndarray) -> RateResult:
     """Both curves over the SNR grid (dB), from the trial_gains rows of common channel draws.
 
     Per trial, the relayed exchange delivers 4/3 times the decode-and-forward rate of the
     flow (the smaller of its two hop rates) and TDMA the direct-link rate; each point is the
     mean over trials with its standard error, taken in passes of _SNR_ELEMENTS (points x
-    trials) elements whose row-wise statistics have the same bits for any pass size. The
-    crossover is the linearly interpolated SNR where the relayed exchange first overtakes
-    the baseline; None when no upward crossing falls inside the grid.
+    trials) elements whose row-wise statistics have the same bits for any pass size; a grid
+    whose rates overflow the float range raises ValueError. The crossover is the linearly
+    interpolated SNR where the relayed exchange first overtakes the baseline; None when no
+    upward crossing falls inside the grid.
     """
     snr_db, n = tuple(float(x) for x in snr_db), gains.shape[0]
     if not snr_db:
@@ -111,16 +113,19 @@ def snr_sweep(snr_db, gains: np.ndarray) -> RateResult:
     if n < 1:
         raise ValueError("need at least one trial")
     points, width = [], max(1, _SNR_ELEMENTS // n)  # SNR points per pass
-    for b in range(0, len(snr_db), width):
-        grid = snr_db[b:b + width]
-        rho = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
-        up = np.log2(1.0 + rho * gains[:, 0])
-        dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
-        stats = []
-        for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
-            stats += [np.mean(rates, axis=1),
-                      np.std(rates, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(grid))]
-        points += [RatePoint(snr, *map(float, row)) for snr, row in zip(grid, np.column_stack(stats))]
+    try:
+        for b in range(0, len(snr_db), width):
+            grid = snr_db[b:b + width]
+            rho = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
+            up = np.log2(1.0 + rho * gains[:, 0])
+            dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
+            stats = []
+            for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
+                stats += [np.mean(rates, axis=1),
+                          np.std(rates, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(grid))]
+            points += [RatePoint(snr, *map(float, row)) for snr, row in zip(grid, np.column_stack(stats))]
+    except (OverflowError, FloatingPointError):
+        raise ValueError("the SNR grid's rates overflow") from None
     crossover = None
     diffs = [p.stpnc_rate - p.tdma_rate for p in points]
     for i in range(len(points) - 1):

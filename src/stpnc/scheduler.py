@@ -58,6 +58,8 @@ class Schedule:
     def __post_init__(self):
         if any(plan.sends for plan in self.slots[self.phase1_len:]):
             raise ValueError(f"{self.name}: a slot with sends follows a relay slot")
+        if not self.phase2_len:
+            raise ValueError(f"{self.name}: no relay slot follows the slots with sends")
 
     @cached_property
     def phase1_len(self) -> int:

@@ -68,7 +68,7 @@ def test_criterion_2_twxc_dof(tmp_path):
         assert doc["max_alignment_error"] < 1e-9
         assert doc["achieved_dof"] == doc["expected_dof"] == "8/5"
         rep = run_end_to_end("twxc", NetworkConfig(4, (2,)), 0)
-        assert rep.symbols_delivered == 8 and rep.slots_used == 5
+        assert rep.delivered.tolist() == [8] and len(rep.sched.symbols) == 8 and rep.sched.n_slots == 5
 
 
 def test_criterion_3_general_neutralization():

@@ -12,7 +12,9 @@ import pytest
 
 from stpnc import cli, protocol
 from stpnc.channel import NetworkConfig
+from stpnc.precoder import design
 from stpnc.protocol import SCENARIOS, run_end_to_end, verify_scenario
+from stpnc.scheduler import Schedule, SlotPlan, SymbolId
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,6 +96,29 @@ def test_a_scenarios_user_flag_comes_from_its_registry_entry(monkeypatch, tmp_pa
     assert json.loads(out.read_text()) == verify_scenario("wide", NetworkConfig(4, (3,)), 2)
 
 
+def gof_schedule():
+    # pairs 1<->2, 3<->4 and 5<->6 send in one slot nobody listens to, then one relay slot
+    # every user hears: each user's one row is a relayed row
+    sends = {i: SymbolId(i + 1 if i % 2 else i - 1, i) for i in range(1, 7)}
+    return Schedule("gof", tuple(range(1, 7)), (SlotPlan(frozenset(), sends), SlotPlan(frozenset(range(1, 7)))))
+
+
+@pytest.mark.parametrize("relays", ["4,3", "5", "5,1"])
+def test_a_user_that_hears_no_phase1_slot_fails_with_its_reason(monkeypatch, tmp_path, capsys, relays):
+    # on (4,3) the constraints zero every user's row; the rank cutoff must not vanish with it
+    sched = gof_schedule()
+    monkeypatch.setitem(SCENARIOS, "gof", protocol.Scenario(
+        lambda K: sched, lambda ch, K: design(sched, ch), "linear_forward", None))
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    out = tmp_path / "v.json"
+    code = run(["verify", "--scenario", "gof", "--relays", relays, "--seeds", "20", "--output", str(out)])
+    err = capsys.readouterr().err
+    if relays == "4,3":
+        assert code == cli.EXIT_INFEASIBLE and err == "infeasible: user 1: effective rank 0 < 1 unknowns\n"
+    else:
+        assert code == 0 and err == "" and json.loads(out.read_text())["achieved_dof"] == "3"
+
+
 VERIFY_CONFIGS = {  # scenario: (CLI flags, the NetworkConfig they resolve to)
     "twic": ([], NetworkConfig(4, (2,))),
     "twxc": ([], NetworkConfig(4, (2,))),
@@ -125,9 +150,9 @@ def test_simulate_reports_the_mode_that_ran_and_every_check(scenario, mode, tmp_
     assert doc["relay_mode"] == ran
     trial = doc["trials"][0]
     rep = run_end_to_end(scenario, NetworkConfig(cfg.K, cfg.relay_antennas, 0.01), trial["seed"], ran)
-    assert trial["max_stray_coeff"] == rep.max_stray_coeff
-    assert trial["alignment_error"] == rep.alignment_error
-    assert trial["linearity_error"] == rep.linearity_error > 0
+    assert trial["max_stray_coeff"] == rep.max_stray_coeff[0]
+    assert trial["alignment_error"] == rep.alignment_error[0]
+    assert trial["linearity_error"] == rep.linearity_error[0] > 0
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -324,7 +349,7 @@ def test_rate_sweep_writes_the_golden_bytes(name, jobs, tmp_path, monkeypatch):
 # fixed bytes of the protocol and DoF commands, which any change to the schedule's derived
 # tables, the design, the decode or the JSON writer must keep: the crossed exchange on one
 # relay, case2 on three relays, case1 on the 21 one-antenna relays of its antenna bound,
-# a noisy run and a DoF table
+# a noisy run, a run of three chunks (7, 7 and 1 seeds) and a DoF table
 CLI_GOLDEN = {
     "verify_twxc_seeds12.json": ["verify", "--scenario", "twxc", "--seeds", "12"],
     "verify_case2_k5_relays2-2-1_seeds5.json": [
@@ -333,6 +358,9 @@ CLI_GOLDEN = {
         "verify", "--scenario", "case1", "--k1", "6", "--relays", ",".join(["1"] * 21), "--seeds", "2"],
     "simulate_twxc_noise0.01_trials3.json": [
         "simulate", "--scenario", "twxc", "--noise-var", "0.01", "--trials", "3", "--format", "json"],
+    "simulate_case1_k6_relays21x1_trials15.json": [
+        "simulate", "--scenario", "case1", "--k1", "6", "--relays", ",".join(["1"] * 21), "--trials", "15",
+        "--format", "json"],
     "dof_sweep_k6_lmax30.json": ["dof-sweep", "--k", "6", "--l-max", "30", "--format", "json"],
 }
 

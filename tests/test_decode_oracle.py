@@ -29,7 +29,8 @@ def per_user_decode(k, ledger, sched, s):
     split = np.count_nonzero(kept < sched.phase1_len)
     rows, values = ledger.rows[..., k - 1, :], ledger.values[..., k - 1]
     a, y = rows.take(kept, axis=-2), values.take(kept, axis=-1)
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0),
+                       np.abs(ledger.relay).max(axis=(-3, -2, -1)))
     if own.size:
         y -= np.matvec(a.take(own, axis=-1), s[..., own])
     if pure.size:

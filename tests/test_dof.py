@@ -85,7 +85,7 @@ def test_all_dof_arithmetic_is_exact():
     r = sum_dof(5, (2, 3))
     for term in (r.term_in, r.term_in_ia, r.term_ia, r.gof, r.cap, r.value):
         assert isinstance(term, Fraction)
-    assert all(isinstance(x, int) for x in (r.k1_star, r.k2_star, r.k3_star))
+    assert all(isinstance(x, int) for x in k_stars((2, 3)))
 
 
 def test_cap_always_binds():

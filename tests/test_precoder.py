@@ -476,3 +476,17 @@ def test_synthesis_is_deterministic():
     ch1 = draw_channels(NetworkConfig(4, (3,)), 6, 9)
     c1, c2 = design_case1(ch1, 4), design_case1(ch1, 4)
     assert np.array_equal(c1.bank, c2.bank)
+
+
+def test_a_one_entry_design_row_has_the_bits_it_has_in_a_batch():
+    # one row of one unknown per seed: NumPy rounds a one-element complex product made in
+    # place otherwise than the same product in a longer array, so a lone seed's bank moved
+    sched = Schedule("one_entry", (1, 2, 3), (
+        SlotPlan(frozenset({1, 3}), {2: SymbolId(3, 2)}),
+        SlotPlan(frozenset({1, 2, 3})),
+    ))
+    cfg, seeds = NetworkConfig(3, (1,)), list(range(20))
+    batch = design(sched, draw_channels(cfg, 2, seeds))
+    for i, seed in enumerate(seeds):
+        alone = design(sched, draw_channels(cfg, 2, [seed]))
+        assert batch.bank[i].tobytes() == alone.bank[0].tobytes(), seed

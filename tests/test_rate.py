@@ -258,3 +258,10 @@ def test_snr_sweep_validation():
         snr_sweep((), trial_gains(0, 0, 10))
     with pytest.raises(ValueError, match="^need at least one trial$"):
         snr_sweep((1.0,), trial_gains(0, 0, 0))
+
+
+@pytest.mark.parametrize("snr", [3082.0, 3083.0])
+def test_snr_sweep_rejects_a_grid_whose_rates_overflow(snr):
+    # 10 ** 308.3 overflows a float; at 3082 dB rho * gain does, so a rate would read inf
+    with pytest.raises(ValueError, match="^the SNR grid's rates overflow$"):
+        snr_sweep((0.0, snr), trial_gains(0, 0, 5))

@@ -83,6 +83,13 @@ def test_a_slot_that_sends_after_a_relay_slot_is_rejected():
         Schedule("late", (1, 2), (send, relay, SlotPlan(frozenset({1}), {2: SymbolId(1, 2)})))
 
 
+def test_a_schedule_without_a_relay_slot_is_rejected():
+    # both phases are needed: chunk sizing and design index the phase-2 slots
+    send = SlotPlan(frozenset({2}), {1: SymbolId(2, 1)})
+    with pytest.raises(ValueError, match="^direct: no relay slot follows the slots with sends$"):
+        Schedule("direct", (1, 2), (send, SlotPlan(frozenset({1}), {2: SymbolId(1, 2)})))
+
+
 def test_cyclic_user_examples():
     assert cyclic_user(1, 1, 4) == 2
     assert cyclic_user(4, 1, 4) == 1
