@@ -26,7 +26,7 @@ for sym, val in zip(sched.symbols, s):
 ledger = run_phase1(sched, ch, s)
 for t in sched.phase1_slots:
     plan = sched.slot(t)
-    print(f"\nslot {t}: users {sorted(plan.sources)} transmit, "
+    print(f"\nslot {t}: users {sorted(plan.sends)} transmit, "
           f"users {sorted(plan.destinations)} and the relay listen")
 for slot in ledger.relays:
     coeffs = ledger.relay[slot - 1]  # one row per relay antenna

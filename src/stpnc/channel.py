@@ -57,9 +57,9 @@ def derive_trial_seeds(seed, trials) -> np.ndarray:
 class NetworkConfig:
     """Static network description: K single-antenna users, one or more relays.
 
-    relay_antennas holds the antenna count of each relay and noise_var the
-    receiver noise variance (0 selects the noiseless mode used for DoF
-    verification); every node transmits at unit power.
+    relay_antennas holds the antenna count of each relay and noise_var the receiver noise
+    variance (0 selects the noiseless mode used for DoF verification), which both phases
+    read through their ChannelSet's config; every node transmits at unit power.
     """
 
     K: int

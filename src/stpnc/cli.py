@@ -27,7 +27,7 @@ from . import dof, rate
 from .channel import NetworkConfig
 from .linalg import RankDeficient
 from .precoder import AntennaDeficit
-from .protocol import SCENARIOS, scenario_schedule, simulate, verify_scenario
+from .protocol import RELAY_MODES, SCENARIOS, scenario_schedule, simulate, verify_scenario
 from .scheduler import InvalidUserCount
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the protocol end to end and report recovery quality")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--noise-var", type=float, default=0.0)
-    p.add_argument("--relay-mode", choices=("decode_forward", "linear_forward"), default=None)
+    p.add_argument("--relay-mode", choices=RELAY_MODES, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("dof-sweep", parents=[common],

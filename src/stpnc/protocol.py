@@ -4,9 +4,9 @@ Phase 1 transmits data symbols while listeners (users and relays) store linear e
 with exactly known coefficients. The relays then forward precoded combinations in phase 2.
 Each user decodes by subtracting its self-interference and the interference it overheard
 in phase 1 when the precoders replay that shape, and zero-forcing the rest, one pass per
-group of users with one decode shape (``Schedule.decode_groups``). In noiseless mode every
-desired symbol is recovered exactly and the report carries the achieved symbols-per-slot
-ratio as an exact fraction.
+group of users with one decode shape (``Schedule.decode_groups``). Both phases read the
+noise variance from their channels' ``NetworkConfig``. In noiseless mode every desired
+symbol is recovered exactly and the report carries the achieved symbols-per-slot ratio.
 
 The payload is one complex array ``s`` in ``Schedule.symbols`` column order
 (``draw_payload``). Phase 1 applies the ledger's rows to it, each user reads its SI
@@ -55,6 +55,7 @@ RESIDUAL_TOL = 1e-9      # gate on constraint residual, alignment, linearity and
 # Budget for one chunk's largest stacks (see chunk_seeds). A whole pass holds two to five
 # times that, measured; per-call costs are amortised well before chunks this large.
 CHUNK_BYTES = 4 << 20
+RELAY_MODES = ("decode_forward", "linear_forward")  # see relay_process
 
 
 @dataclass
@@ -100,8 +101,8 @@ def draw_symbols(sched: Schedule, seed: int) -> dict:
     return dict(zip(sched.symbols, draw_payload(sched, [seed])[0].tolist()))
 
 
-def _noise(seeds, sizes, noise_var: float) -> np.ndarray:
-    """Per seed, from default_rng(seed)'s stream, one CN(0, noise_var) vector per entry of
+def _noise(cfg: NetworkConfig, seeds, sizes) -> np.ndarray:
+    """Per seed, from default_rng(seed)'s stream, one CN(0, cfg.noise_var) vector per entry of
     sizes in turn (its real parts, then its imaginary ones), concatenated: the receivers'
     noise in reception order, (seeds, sum sizes)."""
     sizes = np.asarray(sizes)
@@ -109,18 +110,17 @@ def _noise(seeds, sizes, noise_var: float) -> np.ndarray:
     # vector j fills output entries o_j..e_j-1; entry p reads its real part at o_j + p and
     # its imaginary part at e_j + p of the seed's block
     ends, at = np.cumsum(sizes), np.arange(sizes.sum())
-    return np.sqrt(noise_var / 2.0) * (normals[:, np.repeat(ends - sizes, sizes) + at]
-                                       + 1j * normals[:, np.repeat(ends, sizes) + at])
+    return np.sqrt(cfg.noise_var / 2.0) * (normals[:, np.repeat(ends - sizes, sizes) + at]
+                                           + 1j * normals[:, np.repeat(ends, sizes) + at])
 
 
-def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray,
-               noise_var: float = 0.0, seeds=None) -> EquationLedger:
+def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray, seeds=None) -> EquationLedger:
     """Execute the learning phase: every listening user stores its equation, and the relay
     bank one sum M_l x n equation per slot (relay l's rows at its antenna columns).
 
     One gather of every column's sender gains writes the users' rows, a second the bank's
-    uplinks. Noisy runs draw each slot's noise user after user, then relay after relay, for
-    s[i] from seeds[i]'s default_rng stream; noiseless runs draw none and read no seeds.
+    uplinks. When ch.config.noise_var > 0 it draws each slot's noise user after user, then
+    relay after relay, for s[i] from seeds[i]'s default_rng stream; else it reads no seeds.
     """
     n1, (src, carries) = sched.phase1_len, sched.senders
     heard = sched.listens[:n1]
@@ -130,9 +130,9 @@ def run_phase1(sched: Schedule, ch: ChannelSet, s: np.ndarray,
     # row-major like the user rows: NumPy picks its product kernel from the strides
     relay = np.ascontiguousarray(np.where(carries[:, None, :], ch.up[..., :n1, src, :].swapaxes(-1, -2), 0))
     relay_values = np.matvec(relay, s[..., None, :])
-    if noise_var:  # the stream runs per slot: its listening users, then the bank's antennas
-        noise = _noise(seeds, [m for row in heard for m in (1,) * row.sum() + ch.config.relay_antennas],
-                       noise_var)
+    if ch.config.noise_var:  # the stream runs per slot: its listening users, then the bank's antennas
+        noise = _noise(ch.config, seeds,
+                       [m for row in heard for m in (1,) * row.sum() + ch.config.relay_antennas])
         users = np.concatenate([[True] * row.sum() + [False] * relay.shape[-2] for row in heard])
         values[..., :n1, :][..., heard] += noise[..., users]
         relay_values += noise[..., ~users].reshape(relay_values.shape)
@@ -181,7 +181,7 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, mode: str) -> RelayTra
     the design coefficients applied to them. Both modes expose identical design
     coefficients and agree in noiseless runs.
     """
-    if mode not in ("decode_forward", "linear_forward"):
+    if mode not in RELAY_MODES:
         raise ValueError(f"unknown relay mode {mode!r}")
     coeffs = (p.bank @ ledger.relay[..., None, :, :, :]).sum(axis=-3)
     failures = {}
@@ -196,20 +196,20 @@ def relay_process(ledger: EquationLedger, p: PrecoderSet, mode: str) -> RelayTra
     return RelayTransmitPlan(coeffs, signals, failures)
 
 
-def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet,
-               noise_var: float = 0.0, seeds=None, *, ledger: EquationLedger) -> EquationLedger:
+def run_phase2(plan: RelayTransmitPlan, sched: Schedule, ch: ChannelSet, seeds=None, *,
+               ledger: EquationLedger) -> EquationLedger:
     """Relay slots: every listening user stores one equation over every symbol the relays
     forward, into the ledger's phase-2 rows.
 
-    Noisy runs draw the noise per slot, user after user, for the ledger's seed i from
-    seeds[i]'s default_rng stream; noiseless runs draw none and read no seeds.
+    When ch.config.noise_var > 0 it draws the noise per slot, user after user, for the
+    ledger's seed i from seeds[i]'s default_rng stream; else it draws none and reads no seeds.
     """
     n1, heard = sched.phase1_len, sched.listens[sched.phase1_len:]
     dn = ch.dn[..., n1:, :, :]  # (..., phase-2 slots, users, sum M_l)
     ledger.rows[..., n1:, :, :] = np.where(heard[:, :, None], dn @ plan.coeffs, 0)
     values = np.where(heard, np.matvec(dn, plan.signals), 0)
-    if noise_var:
-        values[..., heard] += _noise(seeds, [1] * np.count_nonzero(heard), noise_var)
+    if ch.config.noise_var:
+        values[..., heard] += _noise(ch.config, seeds, [1] * np.count_nonzero(heard))
     ledger.values[..., n1:, :] = values
     return ledger
 
@@ -242,7 +242,7 @@ def decode_user(g: DecodeGroup, ledger: EquationLedger, s: np.ndarray) -> Decode
     # the rows' scale before cancellation, floored by the bank's uplinks: constraints can zero them
     scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0),
                        np.abs(ledger.relay).max(axis=(-3, -2, -1))[..., None])
-    # a user sends nothing in a slot it listens to: its own columns are zero on phase-1 rows
+    # a user listens in no slot it sends in (a Schedule rule): its own columns are zero on phase-1 rows
     y -= np.matvec(a[..., n:n + own], s.take(g.own, axis=-1))
     if g.pure.size:  # summed row-major, so a seed's sums add in one order in any batch
         pure_rows = np.ascontiguousarray(ledger.rows[..., g.pure[..., None], at, order])
@@ -292,9 +292,9 @@ def _execute(scenario: str, cfg: NetworkConfig, seeds, relay_mode: str | None):
     ch = draw_channels(cfg, sched.n_slots, channel_seed)
     s = draw_payload(sched, payload_seed)
     precoders = SCENARIOS[scenario].design(ch, cfg.K)
-    ledger = run_phase1(sched, ch, s, cfg.noise_var, noise1_seed)
+    ledger = run_phase1(sched, ch, s, noise1_seed)
     plan = relay_process(ledger, precoders, relay_mode or SCENARIOS[scenario].relay_mode)
-    ledger = run_phase2(plan, sched, ch, cfg.noise_var, noise2_seed, ledger=ledger)
+    ledger = run_phase2(plan, sched, ch, noise2_seed, ledger=ledger)
     return sched, ch, s, precoders, ledger, plan.failures | precoders.failures
 
 
@@ -414,6 +414,10 @@ def verify_scenario(scenario: str, cfg: NetworkConfig, n_seeds: int, base_seed: 
     tolerance per slot fall short of the schedule's own symbols-per-slot ratio. The seeds
     run in chunks (see _chunks), each folded into the summary as one set of arrays and dropped.
     """
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
+    if cfg.noise_var:
+        raise ValueError(f"verify gates noiseless runs; noise_var is {cfg.noise_var}")
     sched = scenario_schedule(scenario, cfg.K)
     expected_dof = Fraction(len(sched.symbols), sched.n_slots)
     expected_rank = np.empty(len(sched.users), dtype=int)

@@ -29,6 +29,7 @@ from .scheduler import schedule_twic
 
 _TWIC = schedule_twic()  # by symmetry, flow 3 -> 1 stands for all four
 _TWIC_CFG = NetworkConfig(len(_TWIC.users), _TWIC.relays)
+_SLOTS, _DOF = _TWIC.n_slots, len(_TWIC.symbols) / _TWIC.n_slots  # 3 and 4/3: four symbols in three slots
 _DRAW_BATCH = 256  # seeds per draw_pools call in trial_gains: about 1 MB of temporaries
 _SNR_ELEMENTS = 8 * 2048  # (points x trials) elements per snr_sweep pass; at least one point
 
@@ -55,7 +56,7 @@ def _flow(gain, up, dn) -> np.ndarray:
 
 
 _POOL, *_SLOT_INDEX = draw_layout(_TWIC_CFG)
-_FLOW_INDEX = _flow(*(index + _POOL * np.arange(3)[:, None, None] for index in _SLOT_INDEX))
+_FLOW_INDEX = _flow(*(index + _POOL * np.arange(_SLOTS)[:, None, None] for index in _SLOT_INDEX))
 
 
 def _gains(c: np.ndarray) -> np.ndarray:
@@ -91,7 +92,7 @@ def trial_gains(seed: int, start: int, count: int) -> np.ndarray:
     coeffs = np.empty((count, _FLOW_INDEX.size), dtype=complex)
     for b in range(0, count, _DRAW_BATCH):
         seeds = derive_trial_seeds(seed, range(start + b, start + min(b + _DRAW_BATCH, count)))
-        coeffs[b:b + seeds.size] = draw_pools(_TWIC_CFG, 3, seeds).reshape(seeds.size, -1)[:, _FLOW_INDEX]
+        coeffs[b:b + seeds.size] = draw_pools(_TWIC_CFG, _SLOTS, seeds).reshape(seeds.size, -1)[:, _FLOW_INDEX]
     return _gains(coeffs)
 
 
@@ -120,7 +121,7 @@ def snr_sweep(snr_db, gains: np.ndarray) -> RateResult:
             up = np.log2(1.0 + rho * gains[:, 0])
             dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
             stats = []
-            for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
+            for rates in (_DOF * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
                 stats += [np.mean(rates, axis=1),
                           np.std(rates, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(grid))]
             points += [RatePoint(snr, *map(float, row)) for snr, row in zip(grid, np.column_stack(stats))]

@@ -2,12 +2,15 @@
 
 Every schedule has two phases. In phase 1 subsets of users transmit while the remaining
 users and all relays listen and store linear equations (side-information learning). In
-phase 2 only the relays transmit. Slots and users are 1-indexed; a symbol id (dest, src)
-names the unit-power data symbol user `src` sends for user `dest`. Schedules are immutable
-and their builders cached, so what a schedule derives (its symbols, the slot of a symbol,
-who listens in each slot, the columns of a coefficient row, the receive class of every
-symbol at every user, its constraint rows, its decode groups and the index arrays the
-protocol reads its ledger through) is computed once per process.
+phase 2 only the relays transmit. Slots are 1-indexed and the users are 1..K, so user k is
+position k-1 of every table; a symbol id (dest, src) names the unit-power data symbol user
+`src` sends for user `dest`. Schedule rejects other users, a listener or symbol end that is
+no user, a symbol sent twice, by another user or to its sender, a sender that listens in its
+slot, and phases other than sending slots, then relay slots. Schedules are immutable and
+their builders cached, so what a schedule derives (its symbols, the slot of a symbol, who
+listens in each slot, the columns of a coefficient row, the receive class of every symbol at
+every user, its constraint rows, its decode groups and the index arrays the protocol reads
+its ledger through) is computed once per process.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ class SlotPlan:
     destinations: frozenset
     sends: dict = field(default_factory=dict)  # transmitter -> SymbolId (phase 1)
 
-    @property
-    def sources(self) -> frozenset:
-        return frozenset(self.sends)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -56,6 +55,26 @@ class Schedule:
     relays: tuple | None = None  # the one relay set (antennas per relay) it allows; None: any
 
     def __post_init__(self):
+        users, index = set(self.users), {}  # index: symbol -> the slot that sends it (_slot_index)
+        if self.users != tuple(range(1, len(self.users) + 1)):
+            raise ValueError(f"{self.name}: users must be 1..{len(self.users)} in order, not {self.users}")
+        for t, plan in enumerate(self.slots, start=1):
+            if strangers := plan.destinations - users:
+                raise ValueError(f"{self.name}: slot {t}: listener {min(strangers)} is not a user")
+            for i, sym in plan.sends.items():
+                if i != sym.src:
+                    raise ValueError(f"{self.name}: slot {t}: user {i} sends {sym}, a symbol of another user")
+                if not {sym.dest, sym.src} <= users:
+                    raise ValueError(f"{self.name}: slot {t}: {sym} has an end that is not a user")
+                if sym.dest == sym.src:
+                    raise ValueError(f"{self.name}: slot {t}: {sym} is addressed to its sender")
+                if i in plan.destinations:
+                    raise ValueError(f"{self.name}: slot {t}: user {i} listens in a slot it sends in")
+                if index.setdefault(sym, t) != t:
+                    raise ValueError(f"{self.name}: slot {t}: {sym} was already sent in slot {index[sym]}")
+        object.__setattr__(self, "_slot_index", index)
+        if not self.phase1_len:
+            raise ValueError(f"{self.name}: slot 1: no slot with sends precedes the relay slots")
         if any(plan.sends for plan in self.slots[self.phase1_len:]):
             raise ValueError(f"{self.name}: a slot with sends follows a relay slot")
         if not self.phase2_len:
@@ -88,10 +107,6 @@ class Schedule:
     @cached_property
     def symbols(self) -> tuple:
         return tuple(sorted(self._slot_index))
-
-    @cached_property
-    def _slot_index(self) -> dict:
-        return {sym: t for t in self.phase1_slots for sym in self.slot(t).sends.values()}
 
     def slot_of(self, sym: SymbolId) -> int:
         return self._slot_index[sym]
@@ -135,12 +150,12 @@ class Schedule:
     @cached_property
     def constraint_rows(self) -> dict:
         """Phase-1 slot k -> the relays' constraints on it, as the arrays rx and tx (each row's
-        receiver j and transmitter i as positions in ``users``) and aligned. Per symbol, in the
+        receiver j and transmitter i as positions j - 1 and i - 1) and aligned. Per symbol, in the
         slot's sends order: its AOI users (aligned: the coefficient must equal the phase-1
         channel), then its N users (neutralized), each in user order. D, SI and OI give no row."""
         view = {}
         for k in self.phase1_slots:
-            rows = [(self.users.index(j), self.users.index(i), x == "AOI")
+            rows = [(j - 1, i - 1, x == "AOI")
                     for i, sym in self.slot(k).sends.items() for x in ("AOI", "N")
                     for j in self.users if self.classes[j][self.column[sym]] == x]
             rx, tx, aligned = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()

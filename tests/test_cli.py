@@ -78,6 +78,7 @@ def test_scenario_names_agree_across_registry_cli_and_schemas():
         assert set(load_schema(schema)["properties"]["scenario"]["enum"]) == names
     modes = set(load_schema("sim_report.schema.json")["properties"]["relay_mode"]["enum"])
     assert modes == set(_choices("simulate", "relay_mode"))
+    assert _choices("simulate", "relay_mode") is protocol.RELAY_MODES  # the tuple relay_process accepts
     assert {entry.relay_mode for entry in SCENARIOS.values()} <= modes
 
 
@@ -361,6 +362,9 @@ CLI_GOLDEN = {
     "simulate_case1_k6_relays21x1_trials15.json": [
         "simulate", "--scenario", "case1", "--k1", "6", "--relays", ",".join(["1"] * 21), "--trials", "15",
         "--format", "json"],
+    "simulate_case2_k5_relays2-3-1_noise0.001_trials3.json": [
+        "simulate", "--scenario", "case2", "--k2", "5", "--relays", "2,3,1", "--noise-var", "0.001",
+        "--trials", "3", "--format", "json"],
     "dof_sweep_k6_lmax30.json": ["dof-sweep", "--k", "6", "--l-max", "30", "--format", "json"],
 }
 

@@ -461,7 +461,7 @@ def test_case2_alignment_targets():
     for t in sched.phase2_slots:
         for k in sched.phase1_slots:
             nxt = (k % k2) + 1
-            for i in sorted(sched.slot(k).sources):
+            for i in sorted(sched.slot(k).sends):
                 got = sum(
                     ch.dn[t - 1, nxt - 1, c] @ p.per_block[(ell, t, k)] @ ch.up[k - 1, i - 1, c]
                     for ell, c in enumerate(ch.config.relay_columns, start=1)

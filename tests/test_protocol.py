@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,16 @@ def twxc_setup(seed):
     sched = schedule_twxc()
     ch = draw_channels(cfg, 5, [seed])
     return cfg, sched, ch, draw_payload(sched, [seed + 1])
+
+
+def noisy_draw(cfg, slots, seeds, noise_var):
+    """cfg's channels without and with receiver noise noise_var; the draw reads no noise, so
+    the two stacks are equal bit for bit and the phases differ by the noise alone."""
+    clean, noisy = (draw_channels(dataclasses.replace(cfg, noise_var=v), slots, seeds) for v in (0.0, noise_var))
+    assert noisy.config.noise_var == noise_var
+    for name in ("gain", "up", "dn"):
+        assert getattr(noisy, name).tobytes() == getattr(clean, name).tobytes(), name
+    return clean, noisy
 
 
 def cls(sched, j, sym):
@@ -415,13 +426,12 @@ def test_noisy_mode_perturbs_but_stays_close():
 
 
 def test_ledger_linearity_reflects_noise_level():
-    cfg = NetworkConfig(4, (2,))
     sched = schedule_twic()
-    ch = draw_channels(cfg, 3, [17])
+    clean, ch = noisy_draw(NetworkConfig(4, (2,)), 3, [17], 1e-4)
     s = draw_payload(sched, [18])
-    noiseless = run_phase1(sched, ch, s, noise_var=0.0, seeds=[1])
+    noiseless = run_phase1(sched, clean, s, seeds=[1])
     assert ledger_linearity_error(noiseless, s)[0] < 1e-12
-    noisy = run_phase1(sched, ch, s, noise_var=1e-4, seeds=[1])
+    noisy = run_phase1(sched, ch, s, seeds=[1])
     err = ledger_linearity_error(noisy, s)[0]
     assert 1e-4 < err < 1e-1
 
@@ -432,10 +442,10 @@ def test_noisy_relay_bank_keeps_the_per_relay_noise_stream():
     # imaginary ones); every user's and the relay bank's noise must keep that stream bit for bit
     cfg = NetworkConfig(5, (2, 3, 1), noise_var=1e-3)
     sched = schedule_case2(5)
-    ch = draw_channels(cfg, sched.n_slots, [31])
+    clean_ch, ch = noisy_draw(cfg, sched.n_slots, [31], cfg.noise_var)
     s = draw_payload(sched, [32])
-    ledger = run_phase1(sched, ch, s, cfg.noise_var, seeds=[33])
-    clean = run_phase1(sched, ch, s)
+    ledger = run_phase1(sched, ch, s, seeds=[33])
+    clean = run_phase1(sched, clean_ch, s)
     assert np.array_equal(ledger.rows, clean.rows) and np.array_equal(ledger.relay, clean.relay)
     rng = np.random.default_rng(33)
     scale = np.sqrt(cfg.noise_var / 2.0)
@@ -463,6 +473,19 @@ def test_verify_scenario_summary():
     assert summary["max_symbol_error"] < 1e-8
     assert summary["max_constraint_residual"] < 1e-9
     assert summary["rank_ok"] is True
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_verify_scenario_refuses_fewer_than_one_seed(n_seeds):
+    # a summary over no seed would pass with nothing checked
+    with pytest.raises(ValueError, match="^need at least one seed$"):
+        verify_scenario("twic", NetworkConfig(4, (2,)), n_seeds)
+
+
+def test_verify_scenario_refuses_a_noisy_network():
+    # its gates are noiseless tolerances: every noisy seed would fail with no reason given
+    with pytest.raises(ValueError, match=r"^verify gates noiseless runs; noise_var is 1e-06$"):
+        verify_scenario("twic", NetworkConfig(4, (2,), noise_var=1e-6), 5)
 
 
 def test_unknown_scenario_rejected():
@@ -767,6 +790,7 @@ def test_verify_chunks_stay_within_the_byte_budget(monkeypatch, scenario, cfg, s
 
 def test_noiseless_phases_build_no_generator(monkeypatch):
     cfg, sched, ch, s = twic_setup(3)
+    _, noisy = noisy_draw(cfg, 3, [3], 1e-3)
     real, drawn = channel.standard_normals, []
 
     def counting(seeds, shape):
@@ -778,12 +802,12 @@ def test_noiseless_phases_build_no_generator(monkeypatch):
 
     monkeypatch.setattr(channel, "standard_normals", counting)
     monkeypatch.setattr(protocol, "standard_normals", counting)
-    ledger = run_phase1(sched, ch, s, 0.0, seeds=[5])
+    ledger = run_phase1(sched, ch, s, seeds=[5])
     plan = relay_process(ledger, design_twic(ch), "decode_forward")
-    run_phase2(plan, sched, ch, 0.0, seeds=[6], ledger=ledger)
+    run_phase2(plan, sched, ch, seeds=[6], ledger=ledger)
     assert drawn == []
-    ledger = run_phase1(sched, ch, s, 1e-3, seeds=[5])
-    run_phase2(plan, sched, ch, 1e-3, seeds=[6], ledger=ledger)
+    ledger = run_phase1(sched, noisy, s, seeds=[5])
+    run_phase2(plan, sched, noisy, seeds=[6], ledger=ledger)
     # phase 1: 2 slots of 2 listening users and the 2 relay antennas; phase 2: 4 users
     assert drawn == [([5], (16,)), ([6], (8,))]
     drawn.clear()

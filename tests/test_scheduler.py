@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +32,12 @@ ALL_BUILDERS = [
 def test_twic_shape():
     s = schedule_twic()
     assert s.n_slots == 3
-    assert s.slot(1).sources == {1, 2}
+    assert s.slot(1).sends.keys() == {1, 2}
     assert s.slot(1).destinations == {3, 4}
-    assert s.slot(2).sources == {3, 4}
+    assert s.slot(2).sends.keys() == {3, 4}
     assert len(s.symbols) == 4
     assert set(s.symbols) == {SymbolId(3, 1), SymbolId(4, 2), SymbolId(1, 3), SymbolId(2, 4)}
-    assert s.slot(3).sources == frozenset()
+    assert s.slot(3).sends.keys() == frozenset()
 
 
 def test_twxc_shape():
@@ -54,7 +56,7 @@ def test_case1_shape():
     assert s.n_slots == 4
     assert len(s.symbols) == 6
     s = schedule_case1(4)
-    assert s.slot(2).sources == {1, 3, 4}
+    assert s.slot(2).sends.keys() == {1, 3, 4}
     assert s.slot(2).destinations == {2}
     # the symbol/slot budget targets k1/2
     for k1 in range(3, 9):
@@ -67,6 +69,8 @@ def test_case1_shape():
     (schedule_twxc(), (4, 1)),
     *((schedule_case1(K), (K, K - 2)) for K in range(3, 11)),
     *((schedule_case2(K), (K, K - 3)) for K in range(4, 11)),
+    *((schedule_case1(K), (K, K - 2)) for K in (11, 12)),  # last, so the ids above keep their numbers
+    *((schedule_case2(K), (K, K - 3)) for K in (11, 12)),
 ], ids=lambda x: f"{x.name}-{len(x.users)}" if isinstance(x, Schedule) else None)
 def test_phase_lengths_are_read_from_the_slots(sched, lengths):
     # phase 1 is the leading slots that send, phase 2 the relay slots after them
@@ -90,6 +94,44 @@ def test_a_schedule_without_a_relay_slot_is_rejected():
         Schedule("direct", (1, 2), (send, SlotPlan(frozenset({1}), {2: SymbolId(1, 2)})))
 
 
+def _malformed(name, first, *more, users=(1, 2, 3)):
+    """A schedule of the given phase-1 slots (destinations, sends) and more slots, then one
+    relay slot heard by every user."""
+    slots = [SlotPlan(frozenset(dests), sends) for dests, sends in (first, *more)]
+    return lambda: Schedule(name, users, (*slots, SlotPlan(frozenset(users))))
+
+
+@pytest.mark.parametrize("build,message", [
+    (_malformed("gap", ({3}, {1: SymbolId(3, 1)}), users=(1, 2, 4)),
+     "gap: users must be 1..3 in order, not (1, 2, 4)"),
+    (lambda: Schedule("quiet", (1, 2, 3), (SlotPlan(frozenset({1, 2, 3})),)),
+     "quiet: slot 1: no slot with sends precedes the relay slots"),
+    (_malformed("twice", ({2}, {1: SymbolId(2, 1)}), ({2, 3}, {1: SymbolId(2, 1)})),
+     "twice: slot 2: SymbolId(dest=2, src=1) was already sent in slot 1"),
+    (_malformed("echo", ({1, 2}, {1: SymbolId(2, 1)})),
+     "echo: slot 1: user 1 listens in a slot it sends in"),
+    (_malformed("proxy", ({2}, {3: SymbolId(2, 1)})),
+     "proxy: slot 1: user 3 sends SymbolId(dest=2, src=1), a symbol of another user"),
+    (_malformed("stranger", ({2, 5}, {1: SymbolId(2, 1)})),
+     "stranger: slot 1: listener 5 is not a user"),
+    (lambda: Schedule("relay-stranger", (1, 2, 3), (
+        SlotPlan(frozenset({2}), {1: SymbolId(2, 1)}), SlotPlan(frozenset({1, 2, 3, 4})))),
+     "relay-stranger: slot 2: listener 4 is not a user"),
+    (_malformed("far-dest", ({2}, {1: SymbolId(4, 1)})),
+     "far-dest: slot 1: SymbolId(dest=4, src=1) has an end that is not a user"),
+    (_malformed("far-src", ({2}, {1: SymbolId(2, 1), 4: SymbolId(1, 4)})),
+     "far-src: slot 1: SymbolId(dest=1, src=4) has an end that is not a user"),
+    (_malformed("self", ({2}, {1: SymbolId(1, 1)})),
+     "self: slot 1: SymbolId(dest=1, src=1) is addressed to its sender"),
+], ids=["users", "no-phase1", "sent-twice", "sender-listens", "foreign-sends-key", "listener",
+        "relay-slot-listener", "symbol-dest", "symbol-src", "own-sender"])
+def test_a_malformed_schedule_is_rejected_with_its_rule(build, message):
+    # each rule names the schedule, the slot and the rule; the engine would otherwise crash,
+    # pass at a wrong DoF, or fail with no reason
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_cyclic_user_examples():
     assert cyclic_user(1, 1, 4) == 2
     assert cyclic_user(4, 1, 4) == 1
@@ -102,7 +144,7 @@ def test_case2_shape():
     assert len(s.symbols) == 8
     s = schedule_case2(5)
     assert s.slot(1).destinations == {1, 2}
-    assert s.slot(1).sources == {3, 4, 5}
+    assert s.slot(1).sends.keys() == {3, 4, 5}
     assert schedule_case2(6).phase2_len == 3
     for k2 in range(4, 9):
         s = schedule_case2(k2)
@@ -122,11 +164,11 @@ def test_half_duplex(build):
     s = build()
     for t in range(1, s.n_slots + 1):
         plan = s.slot(t)
-        assert not (plan.sources & plan.destinations)
+        assert not (plan.sends.keys() & plan.destinations)
         if t <= s.phase1_len:
-            assert plan.sources
+            assert plan.sends
         else:
-            assert not plan.sources
+            assert not plan.sends
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -166,7 +208,7 @@ def test_every_symbol_sent_exactly_once_by_its_source(build):
     for t in s.phase1_slots:
         for tx, sym in s.slot(t).sends.items():
             assert tx == sym.src
-            assert tx in s.slot(t).sources
+            assert tx in s.slot(t).sends
             seen.append(sym)
     assert len(seen) == len(set(seen)) == len(s.symbols)
     for sym in s.symbols:
@@ -178,7 +220,7 @@ def test_case1_role_symmetry():
         s = schedule_case1(k1)
         for u in s.users:
             dest_count = sum(u in s.slot(t).destinations for t in s.phase1_slots)
-            src_count = sum(u in s.slot(t).sources for t in s.phase1_slots)
+            src_count = sum(u in s.slot(t).sends for t in s.phase1_slots)
             assert dest_count == 1
             assert src_count == k1 - 1
 
@@ -236,8 +278,17 @@ def test_case2_next_user_overhears_one_pure_slot():
 
 
 @pytest.mark.parametrize("scenario,K", [("twic", 4), ("twxc", 4)]
-                         + [("case1", K) for K in range(3, 11)] + [("case2", K) for K in range(4, 11)])
+                         + [("case1", K) for K in range(3, 13)] + [("case2", K) for K in range(4, 13)])
 def test_user_positions_are_user_numbers_minus_one(scenario, K):
-    # the precoder and the protocol index the channel stacks' user axes by the positions
-    # in Schedule.users (constraint_rows' arrays) or by user - 1: the two must agree
-    assert scenario_schedule(scenario, K).users == tuple(range(1, K + 1))
+    # the precoder and the protocol index the channel stacks' user axes by user - 1
+    # (constraint_rows' arrays included), which holds because Schedule admits users 1..K only
+    sched = scenario_schedule(scenario, K)
+    assert sched.users == tuple(range(1, K + 1))
+    for k in sched.phase1_slots:
+        rx, tx, _ = sched.constraint_rows[k]
+        assert {int(j) + 1 for j in rx} <= set(sched.users)
+        assert {int(i) + 1 for i in tx} <= sched.slot(k).sends.keys()
+    for users in ((1, 2, 4), (2, 1, 3)):  # a gap and a swap
+        message = f"{sched.name}: users must be 1..3 in order, not {users}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(sched, users=users)
