@@ -7,6 +7,7 @@ All links fade independently per time slot with CN(0,1) coefficients
 Every seeded draw of the package is a stream of np.random.default_rng(seed).
 standard_normals gives a batch of seeds those same bits, deriving the batch's
 generator states with uint32 array arithmetic rather than one SeedSequence per seed.
+draw_pools keeps each seed's one block as drawn, exact zeros (about 2**-104 per coefficient) too.
 """
 
 from __future__ import annotations
@@ -220,17 +221,7 @@ def standard_normals(seeds, shape: tuple) -> np.ndarray:
     return out
 
 
-_SCALE = 1.0 / np.sqrt(2.0)  # z * _SCALE has the bits of z / np.sqrt(2.0)
-
-
-def _complex_pool(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    # exact zeros are a probability-zero event but would break the model
-    while True:
-        bad = z == 0
-        if not bad.any():
-            return z
-        z[bad] = (rng.standard_normal(bad.sum()) + 1j * rng.standard_normal(bad.sum())) / np.sqrt(2.0)
+_SCALE = 1.0 / np.sqrt(2.0)  # complex z * _SCALE is z / np.sqrt(2.0) bitwise: NumPy's z / c is z * (1/c)
 
 
 @functools.cache
@@ -264,19 +255,14 @@ def bank_unknowns(antennas: tuple) -> tuple:
 def draw_pools(cfg: NetworkConfig, slots: int, seed) -> np.ndarray:
     """The (slots, pool size) stack of per-slot IID CN(0,1) draws that draw_channels places.
 
-    One standard_normals block (slots, 2, pool size) per seed: the stream of one _complex_pool
-    call per slot (real parts, then imaginary ones) whenever no draw is an exact zero; a seed
-    whose block holds one takes that per-slot path with its redraws. A sequence of seeds gives
-    one stack per seed, (seeds, slots, pool size), and an int seed, as draw_channels takes, one.
+    One standard_normals block (slots, 2, pool size) per seed: each slot's real parts, then its
+    imaginary ones, times _SCALE. An exact zero stays (earlier versions redrew it). A sequence
+    of seeds gives (seeds, slots, pool size), and an int seed, as draw_channels takes, one stack.
     """
     seeds, size = ([seed] if np.ndim(seed) == 0 else seed), draw_layout(cfg)[0]
     normals = standard_normals(seeds, (slots, 2, size))
-    # each slot's real and imaginary parts side by side, scaled as _complex_pool scales them
+    # each slot's real and imaginary parts side by side, as one complex each
     pools = np.ascontiguousarray(normals.swapaxes(-1, -2)).view(complex)[..., 0] * _SCALE
-    if np.count_nonzero(pools) < pools.size:
-        for i in np.flatnonzero((pools == 0).any(axis=(1, 2))):
-            rng = np.random.default_rng(seeds[i])
-            pools[i] = [_complex_pool(rng, size) for _ in range(slots)]
     return pools if np.ndim(seed) else pools[0]
 
 

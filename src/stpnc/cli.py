@@ -175,7 +175,10 @@ def _network_config(ns: argparse.Namespace, noise_var: float = 0.0) -> NetworkCo
     if ns.relays is None and sched.relays is None:
         raise UsageError(f"--relays is required for scenario {ns.scenario}")
     relays = sched.relays if ns.relays is None else _parse_relays(ns.relays)
-    return NetworkConfig(len(sched.users), relays, noise_var=noise_var)
+    try:
+        return NetworkConfig(len(sched.users), relays, noise_var=noise_var)
+    except ValueError as exc:  # the config's own rules; only the noise rule is left to fail here
+        raise UsageError(str(exc).replace("noise_var", "--noise-var"))
 
 
 def _out_stream(ns: argparse.Namespace):
@@ -212,10 +215,6 @@ def _report_json(rep, i: int) -> dict:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    if ns.noise_var < 0:
-        raise UsageError("--noise-var must be nonnegative")
-    if not math.isfinite(ns.noise_var):
-        raise UsageError("--noise-var must be finite")
     if ns.trials < 1:
         raise UsageError("--trials must be at least 1")
     seed = _resolve_seed(ns)

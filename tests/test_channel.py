@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from stpnc import channel
+from stpnc import channel, protocol
 from stpnc.channel import (
     NetworkConfig,
-    _complex_pool,
     _seed_states,
     derive_trial_seed,
     derive_trial_seeds,
@@ -45,10 +44,12 @@ def test_draws_are_bitwise_deterministic():
         assert not np.array_equal(getattr(a, name), getattr(c, name))
 
 
-def per_slot_pools(cfg, slots, seed, rng_of=np.random.default_rng):
-    """The seeding contract spelled out: one _complex_pool call per slot on one generator."""
-    rng, size = rng_of(seed), draw_layout(cfg)[0]
-    return np.array([_complex_pool(rng, size) for _ in range(slots)])
+def per_slot_pools(cfg, slots, seed):
+    """The seeding contract spelled out: per slot, the pool's real parts then its imaginary
+    ones from one generator, each coefficient divided as a complex by sqrt(2)."""
+    rng, size = np.random.default_rng(seed), draw_layout(cfg)[0]
+    return np.array([(rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+                     for _ in range(slots)])
 
 
 @pytest.mark.parametrize("cfg,slots", [
@@ -65,59 +66,59 @@ def test_one_normal_call_per_seed_is_the_per_slot_stream(cfg, slots):
         assert np.array_equal(pools.view(np.uint64), expect.view(np.uint64))
 
 
-REAL_RNG = np.random.default_rng
+def zero_entries(rows, slots, size):
+    """(rows, slots) pool entries that hold an exact complex zero: one per slot, moving with
+    the seed's row and the slot across the gain, uplink and downlink parts of the pool."""
+    return (7 * np.arange(rows)[:, None] + 5 * np.arange(slots)) % size
 
 
-class ZeroingGenerator:
-    """A default_rng(seed) whose normal stream holds exact zeros at the given positions."""
+def inject_zeros(monkeypatch):
+    """Zero both parts of every zero_entries coefficient in the normals the channel draw takes."""
+    real = channel.standard_normals
 
-    def __init__(self, seed, zeros):
-        self.rng, self.zeros, self.drawn = REAL_RNG(seed), zeros, 0
-
-    def standard_normal(self, size=None, out=None):
-        x = self.rng.standard_normal(size if out is None else out.shape)
-        flat = x.reshape(-1)
-        for p in self.zeros:
-            if self.drawn <= p < self.drawn + flat.size:
-                flat[p - self.drawn] = 0.0
-        self.drawn += flat.size
-        if out is None:
-            return x
-        out[...] = x
+    def zeroed(seeds, shape):
+        out = real(seeds, shape)
+        rows, slots = len(seeds), shape[0]
+        out[np.arange(rows)[:, None], np.arange(slots), :, zero_entries(rows, slots, shape[-1])] = 0.0
         return out
 
+    monkeypatch.setattr(channel, "standard_normals", zeroed)
 
-def test_an_exact_zero_takes_the_per_slot_redraw_path(monkeypatch):
+
+def test_an_exact_zero_stays_in_its_pool(monkeypatch):
     cfg, slots = NetworkConfig(4, (2,)), 3
     size = draw_layout(cfg)[0]
-    # seed 8's first slot draws an exact zero at pool entry 5: its real part at stream
-    # position 5 and its imaginary part at size + 5
-    zeros = {8: (5, size + 5)}
+    inject_zeros(monkeypatch)
+    for seeds in (8, [7, 8, 9], np.arange(2, 12, dtype=np.uint64)):  # int, list, uint64 batch
+        rows = np.atleast_1d(seeds)
+        expect = np.array([per_slot_pools(cfg, slots, seed) for seed in rows])
+        expect[np.arange(rows.size)[:, None], np.arange(slots), zero_entries(rows.size, slots, size)] = 0.0
+        assert np.count_nonzero(expect == 0) == rows.size * slots
+        got = draw_pools(cfg, slots, seeds)
+        assert np.array_equal(got.view(np.uint64), expect.reshape(got.shape).view(np.uint64))
 
-    def stub(seed):
-        return ZeroingGenerator(seed, zeros.get(int(seed), ()))
 
-    def normals(seeds, shape):  # the batched draw, with seed 8's zeros injected
-        return np.array([stub(seed).standard_normal(shape) for seed in seeds])
+@pytest.mark.parametrize("scenario,cfg", [
+    ("twic", NetworkConfig(4, (2,))),
+    ("twxc", NetworkConfig(4, (2,))),
+    ("case1", NetworkConfig(4, (3,))),
+    ("case2", NetworkConfig(5, (2, 2, 1))),
+], ids=["twic", "twxc", "case1", "case2"])
+def test_a_run_over_exact_zero_channels_passes(monkeypatch, scenario, cfg):
+    inject_zeros(monkeypatch)
+    drawn, real = [], protocol.draw_channels
 
-    # the block comes from the batched helper, the redraws from default_rng
-    monkeypatch.setattr(channel, "standard_normals", normals)
-    monkeypatch.setattr(channel.np.random, "default_rng", stub)
-    expect = per_slot_pools(cfg, slots, 8, stub)
-    assert np.count_nonzero(expect) == expect.size  # _complex_pool redrew the zero
-    block = ZeroingGenerator(8, zeros[8]).standard_normal((slots, 2, size))
-    assert block[0, 0, 5] == block[0, 1, 5] == 0.0  # the one-call block holds the zero
-    assert np.array_equal(draw_pools(cfg, slots, 8), expect)
-    batch = draw_pools(cfg, slots, [7, 8, 9])
-    assert np.array_equal(batch[1], expect)
-    for i, seed in ((0, 7), (2, 9)):
-        assert np.array_equal(batch[i], per_slot_pools(cfg, slots, seed, stub))
-    # a uint64 batch as the trials draw it: only seed 8 takes the redraw path
-    batch = draw_pools(cfg, slots, np.arange(2, 12, dtype=np.uint64))
-    assert np.array_equal(batch[6], expect)
-    monkeypatch.undo()
-    for i in (0, 1, 2, 3, 4, 5, 7, 8, 9):
-        assert np.array_equal(batch[i], per_slot_pools(cfg, slots, i + 2))
+    def recording(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(protocol, "draw_channels", recording)
+    summary = protocol.verify_scenario(scenario, cfg, 8, 3)  # every seed through protocol._run
+    assert summary["passed"], summary
+    (ch,) = drawn
+    coeffs = [ch.gain[..., ~np.eye(cfg.K, dtype=bool)], ch.up, ch.dn]
+    seeds, slots = ch.gain.shape[:2]
+    assert seeds == 8 and sum(np.count_nonzero(c == 0) for c in coeffs) == seeds * slots
 
 
 def test_a_batch_of_seeds_is_each_seed_drawn_alone():

@@ -503,6 +503,13 @@ BAD_INPUTS = {  # name: (text of {tmp}/cfg.json or None, argv)
 }
 
 
+BAD_INPUT_MESSAGES = {  # name: the exact stderr of a BAD_INPUTS case whose message is pinned
+    "negative-noise": "error: --noise-var must be nonnegative\n",
+    "nan-noise": "error: --noise-var must be finite\n",
+    "infinite-noise": "error: --noise-var must be finite\n",
+}
+
+
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_bad_input_exits_two_without_traceback(name, tmp_path):
     config, args = BAD_INPUTS[name]
@@ -515,6 +522,8 @@ def test_bad_input_exits_two_without_traceback(name, tmp_path):
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+    if name in BAD_INPUT_MESSAGES:
+        assert proc.stderr == BAD_INPUT_MESSAGES[name]
 
 
 def cli_process(args, tmp_path, **kwargs):
