@@ -12,23 +12,24 @@ import sys
 
 import numpy as np
 
-from stpnc.rate import snr_sweep, trial_gains, write_rate_csv
+from stpnc.rate import COLUMNS, snr_sweep, trial_gains, write_rate_csv
 
 trials = int(sys.argv[sys.argv.index("--trials") + 1]) if "--trials" in sys.argv else 10_000
 grid = tuple(float(s) for s in range(0, 31))
 gains = trial_gains(seed=0, start=0, count=trials)
 result = snr_sweep(grid, gains)
+snr, relayed, tdma = (result.table[:, COLUMNS.index(name)] for name in ("snr_db", "stpnc_rate", "tdma_rate"))
 
 print(f"{trials} trials per point")
 print(f"{'SNR dB':>7} {'relayed':>9} {'tdma':>9}")
-for p in result.points[::3]:
-    marker = "  <- relayed ahead" if p.stpnc_rate > p.tdma_rate else ""
-    print(f"{p.snr_db:>7.0f} {p.stpnc_rate:>9.3f} {p.tdma_rate:>9.3f}{marker}")
+for s, r, t in zip(snr[::3].tolist(), relayed[::3].tolist(), tdma[::3].tolist()):
+    marker = "  <- relayed ahead" if r > t else ""
+    print(f"{s:>7.0f} {r:>9.3f} {t:>9.3f}{marker}")
 print(f"\ncrossover: {result.crossover_db:.2f} dB")
 
-hi = [p for p in result.points if p.snr_db >= 20]
-slope = np.polyfit([p.snr_db for p in hi], [p.stpnc_rate for p in hi], 1)[0]
-base = np.polyfit([p.snr_db for p in hi], [p.tdma_rate for p in hi], 1)[0]
+hi = snr >= 20
+slope = np.polyfit(snr[hi], relayed[hi], 1)[0]
+base = np.polyfit(snr[hi], tdma[hi], 1)[0]
 print(f"high-SNR slope ratio: {slope / base:.3f} (4/3 = {4 / 3:.3f})")
 
 if "--csv" in sys.argv:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -302,7 +301,7 @@ def _cmd_rate_sweep(ns: argparse.Namespace) -> int:
         if ns.format == "csv":
             rate.write_rate_csv(result, f)
         else:
-            points = [dataclasses.asdict(p) for p in result.points]
+            points = [dict(zip(rate.COLUMNS, row)) for row in result.table.tolist()]
             _write_json({"seed": seed, "trials": ns.trials, "crossover_db": result.crossover_db,
                          "points": points}, f)
     summary = sys.stdout if ns.output not in (None, "-") else sys.stderr

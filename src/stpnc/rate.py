@@ -8,7 +8,8 @@ and 2/sqrt(P); with uniform power allocation over the four forwarded
 symbols this leaves unit-amplitude beams and a fixed effective noise power
 of 2.5 sigma^2 / P). The network is symmetric, so the sum rate is 4/3 times
 the per-flow ergodic rate: four symbols cross in three channel uses. The
-TDMA baseline sends one symbol per slot over the direct link.
+TDMA baseline sends one symbol per slot over the direct link. A sweep's result is one
+float64 table, a row per SNR point and a column per name in COLUMNS.
 
 Trial i draws its channels from its own generator, seeded derive_trial_seed(seed, i),
 even when a batch is drawn in one call, so results are deterministic and trials can
@@ -32,20 +33,12 @@ _TWIC_CFG = NetworkConfig(len(_TWIC.users), _TWIC.relays)
 _SLOTS, _DOF = _TWIC.n_slots, len(_TWIC.symbols) / _TWIC.n_slots  # 3 and 4/3: four symbols in three slots
 _DRAW_BATCH = 256  # seeds per draw_pools call in trial_gains: about 1 MB of temporaries
 _SNR_ELEMENTS = 8 * 2048  # (points x trials) elements per snr_sweep pass; at least one point
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    snr_db: float
-    stpnc_rate: float
-    stpnc_stderr: float
-    tdma_rate: float
-    tdma_stderr: float
+COLUMNS = ("snr_db", "stpnc_rate", "stpnc_stderr", "tdma_rate", "tdma_stderr")  # snr_sweep's table, in order
 
 
 @dataclass(frozen=True)
 class RateResult:
-    points: tuple
+    table: np.ndarray  # (SNR points, COLUMNS) float64, in grid order
     crossover_db: float | None
 
 
@@ -101,46 +94,42 @@ def snr_sweep(snr_db, gains: np.ndarray) -> RateResult:
     """Both curves over the SNR grid (dB), from the trial_gains rows of common channel draws.
 
     Per trial, the relayed exchange delivers 4/3 times the decode-and-forward rate of the
-    flow (the smaller of its two hop rates) and TDMA the direct-link rate; each point is the
-    mean over trials with its standard error, taken in passes of _SNR_ELEMENTS (points x
-    trials) elements whose row-wise statistics have the same bits for any pass size; a grid
-    whose rates overflow the float range raises ValueError. The crossover is the linearly
-    interpolated SNR where the relayed exchange first overtakes the baseline; None when no
-    upward crossing falls inside the grid.
+    flow (the smaller of its two hop rates) and TDMA the direct-link rate; a table row holds
+    the point's two means over trials with their standard errors, taken by one mean and one
+    std call per pass of _SNR_ELEMENTS (points x trials) elements, with the same bits for
+    any pass size; a grid whose rates overflow the float range raises ValueError. The
+    crossover is the linearly interpolated SNR where the relayed exchange first overtakes
+    the baseline; None when no upward crossing falls inside the grid.
     """
     snr_db, n = tuple(float(x) for x in snr_db), gains.shape[0]
     if not snr_db:
         raise ValueError("need at least one SNR point")
     if n < 1:
         raise ValueError("need at least one trial")
-    points, width = [], max(1, _SNR_ELEMENTS // n)  # SNR points per pass
+    parts, width = [], max(1, _SNR_ELEMENTS // n)  # SNR points per pass
     try:
         for b in range(0, len(snr_db), width):
             grid = snr_db[b:b + width]
             rho = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
             up = np.log2(1.0 + rho * gains[:, 0])
             dn = np.log2(1.0 + (rho / 2.5) * gains[:, 1])
-            stats = []
-            for rates in (_DOF * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
-                stats += [np.mean(rates, axis=1),
-                          np.std(rates, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(grid))]
-            points += [RatePoint(snr, *map(float, row)) for snr, row in zip(grid, np.column_stack(stats))]
+            rates = np.stack([_DOF * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])])  # (2, points, trials)
+            mean = rates.mean(axis=-1)
+            err = rates.std(axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+            parts.append(np.column_stack([grid, mean[0], err[0], mean[1], err[1]]))  # the COLUMNS
     except (OverflowError, FloatingPointError):
         raise ValueError("the SNR grid's rates overflow") from None
+    table = np.concatenate(parts)
+    snr, diffs = table[:, 0].tolist(), (table[:, 1] - table[:, 3]).tolist()
     crossover = None
-    diffs = [p.stpnc_rate - p.tdma_rate for p in points]
-    for i in range(len(points) - 1):
+    for i in range(len(snr) - 1):
         if diffs[i] <= 0.0 < diffs[i + 1]:
-            x0, x1 = points[i].snr_db, points[i + 1].snr_db
-            crossover = float(x0 + (x1 - x0) * (-diffs[i]) / (diffs[i + 1] - diffs[i]))
+            crossover = float(snr[i] + (snr[i + 1] - snr[i]) * (-diffs[i]) / (diffs[i + 1] - diffs[i]))
             break
-    return RateResult(tuple(points), crossover)
+    return RateResult(table, crossover)
 
 
 def write_rate_csv(result: RateResult, fileobj) -> None:
-    fileobj.write("snr_db,stpnc_rate,stpnc_stderr,tdma_rate,tdma_stderr\n")
-    for p in result.points:
-        fileobj.write(
-            f"{p.snr_db:.10g},{p.stpnc_rate:.10g},{p.stpnc_stderr:.10g},"
-            f"{p.tdma_rate:.10g},{p.tdma_stderr:.10g}\n"
-        )
+    fileobj.write(",".join(COLUMNS) + "\n")
+    for row in result.table.tolist():
+        fileobj.write(",".join(f"{x:.10g}" for x in row) + "\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from stpnc import cli, protocol
+from stpnc import cli, protocol, rate
 from stpnc.channel import NetworkConfig
 from stpnc.precoder import design
 from stpnc.protocol import SCENARIOS, run_end_to_end, verify_scenario
@@ -80,6 +80,21 @@ def test_scenario_names_agree_across_registry_cli_and_schemas():
     assert modes == set(_choices("simulate", "relay_mode"))
     assert _choices("simulate", "relay_mode") is protocol.RELAY_MODES  # the tuple relay_process accepts
     assert {entry.relay_mode for entry in SCENARIOS.values()} <= modes
+
+
+def test_rate_columns_agree_across_csv_json_and_schema(tmp_path):
+    # perfbench/oracles.py parses the CSV header literally, so COLUMNS keeps its order
+    assert rate.COLUMNS == ("snr_db", "stpnc_rate", "stpnc_stderr", "tdma_rate", "tdma_stderr")
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    argv = ["rate-sweep", "--snr", "0:10:5", "--trials", "3", "--jobs", "1"]
+    assert run(argv + ["--output", str(csv_out)]) == 0
+    assert tuple(csv_out.read_text().splitlines()[0].split(",")) == rate.COLUMNS
+    assert run(argv + ["--format", "json", "--output", str(json_out)]) == 0
+    points = json.loads(json_out.read_text())["points"]
+    assert len(points) == 3 and all(sorted(p) == sorted(rate.COLUMNS) for p in points)
+    point_schema = load_schema("rate_sweep.schema.json")["properties"]["points"]["items"]
+    assert tuple(point_schema["required"]) == rate.COLUMNS
+    assert tuple(point_schema["properties"]) == rate.COLUMNS
 
 
 def test_a_scenarios_user_flag_comes_from_its_registry_entry(monkeypatch, tmp_path):

@@ -27,9 +27,12 @@ def test_design_ab_times_the_benchmark_verify_calls():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "design_ab.py"), "--parent", str(ROOT),
                           "--verify", "--rounds", "2"], capture_output=True, text=True, check=True).stdout
     header, rule, *rows = out.splitlines()
-    assert header.startswith("| verify call (seeds) | parent best / median ms |") and rule.startswith("|---")
-    # the benchmark's five verify calls, in WORKLOADS order; the same tree twice gives the same bytes
+    assert header.startswith("| benchmark call (seeds, trials or rows) | parent best / median ms |")
+    assert rule.startswith("|---")
+    # every distinct call of the benchmark, in WORKLOADS order: five verify calls, the 64-trial
+    # rate-sweep and three dof-sweep tables; the same tree twice gives the same bytes
     assert [row.split(" | ")[0] for row in rows] == [
-        "| twic (20)", "| twxc (12)", "| case1-6-21x1 (1)", "| case2-6-16x1 (1)", "| case2-4-2 (5)"]
+        "| twic (20)", "| twxc (12)", "| rate-sweep (64)", "| dof-sweep-6 (200)", "| case1-6-21x1 (1)",
+        "| case2-6-16x1 (1)", "| dof-sweep-12 (200)", "| dof-sweep-24 (200)", "| case2-4-2 (5)"]
     for row in rows:
         assert re.fullmatch(r"\| [\w-]+ \(\d+\) \| [\d.]+ / [\d.]+ \| [\d.]+ / [\d.]+ \| [\d.]+ \| yes \|", row), row

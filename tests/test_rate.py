@@ -7,7 +7,7 @@ from scipy import integrate, special
 from stpnc import linalg, rate
 from stpnc.channel import NetworkConfig, derive_trial_seed, draw_channels, draw_pools
 from stpnc.precoder import design_twic
-from stpnc.rate import RatePoint, flow_gains, snr_sweep, trial_gains
+from stpnc.rate import COLUMNS, flow_gains, snr_sweep, trial_gains
 
 LN2 = np.log(2.0)
 
@@ -91,6 +91,11 @@ def test_downlink_beam_is_the_block_precoders_direction():
         assert flow_gains(ch)[1] == pytest.approx(gain, rel=1e-9)
 
 
+def columns(result):
+    """snr_sweep's table as one array per COLUMNS name."""
+    return dict(zip(COLUMNS, result.table.T))
+
+
 def hop_rates(ch, rho):
     """Uplink and downlink rates of the representative flow, by hand from its gains."""
     g_up, g_dn, _ = flow_gains(ch)
@@ -101,7 +106,7 @@ def test_df_pair_rate_is_min_of_hops():
     for seed in range(20):
         ch = draw_channels(NetworkConfig(4, (2,)), 3, derive_trial_seed(seed, 0))
         up, dn = hop_rates(ch, 10.0)
-        got = snr_sweep((10.0,), trial_gains(seed, 0, 1)).points[0].stpnc_rate
+        got = columns(snr_sweep((10.0,), trial_gains(seed, 0, 1)))["stpnc_rate"][0]
         assert got == 4.0 / 3.0 * min(up, dn)
         assert got <= 4.0 / 3.0 * up and got <= 4.0 / 3.0 * dn
 
@@ -172,9 +177,10 @@ def test_closed_form_gains_match_null_space_oracle():
 
 
 def per_point_sweep(snr_db, gains):
-    """snr_sweep as one loop over the SNR points, each a mean and stderr over all trials."""
+    """snr_sweep as one loop over the SNR points, each a mean and stderr over all trials per
+    curve; returns one float64 array per COLUMNS name and the crossover."""
     n = gains.shape[0]
-    points = []
+    rows = []
     for snr in snr_db:
         rho = 10.0 ** (snr / 10.0)
         up = np.log2(1.0 + rho * gains[:, 0])
@@ -183,15 +189,17 @@ def per_point_sweep(snr_db, gains):
         for rates in ((4.0 / 3.0) * np.minimum(up, dn), np.log2(1.0 + rho * gains[:, 2])):
             stats.append(float(np.mean(rates)))
             stats.append(float(np.std(rates, ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
-        points.append(RatePoint(snr, *stats))
+        rows.append((snr, *stats))
+    cols = {name: np.array(col, dtype=np.float64) for name, col in zip(COLUMNS, zip(*rows))}
     crossover = None
-    diffs = [p.stpnc_rate - p.tdma_rate for p in points]
-    for i in range(len(points) - 1):
+    x = cols["snr_db"].tolist()
+    diffs = [s - t for s, t in zip(cols["stpnc_rate"].tolist(), cols["tdma_rate"].tolist())]
+    for i in range(len(x) - 1):
         if diffs[i] <= 0.0 < diffs[i + 1]:
-            x0, x1 = points[i].snr_db, points[i + 1].snr_db
+            x0, x1 = x[i], x[i + 1]
             crossover = float(x0 + (x1 - x0) * (-diffs[i]) / (diffs[i + 1] - diffs[i]))
             break
-    return points, crossover
+    return cols, crossover
 
 
 # points per snr_sweep pass over 31 points: 3000 trials take 16384 // 3000 = 5 points a
@@ -213,44 +221,46 @@ def test_blocked_sweep_is_the_per_point_loop_bitwise(trials, monkeypatch):
     got = snr_sweep(grid, gains)
     monkeypatch.undo()
     assert passes == PASS_WIDTHS[trials]
-    points, crossover = per_point_sweep(grid, gains)
-    assert got.points == tuple(points)
+    want, crossover = per_point_sweep(grid, gains)
+    assert got.table.dtype == np.float64 and got.table.shape == (len(grid), len(COLUMNS))
+    for name, col in columns(got).items():  # every column, bit for bit
+        assert col.tobytes() == want[name].tobytes(), name
     assert got.crossover_db == crossover
     if trials == 3000:
         assert crossover is not None and 6.0 <= crossover <= 10.0
 
 
 def test_single_trial_average_is_hand_computation():
-    point = snr_sweep((10.0,), trial_gains(5, 0, 1)).points[0]
+    point = columns(snr_sweep((10.0,), trial_gains(5, 0, 1)))
     ch = draw_channels(NetworkConfig(4, (2,)), 3, derive_trial_seed(5, 0))
     expect = (4.0 / 3.0) * min(hop_rates(ch, 10.0))
-    assert point.stpnc_rate == pytest.approx(expect, rel=1e-12)
-    assert point.stpnc_stderr == 0.0
+    assert point["stpnc_rate"][0] == pytest.approx(expect, rel=1e-12)
+    assert point["stpnc_stderr"][0] == 0.0
 
 
 def test_stderr_scales_inverse_sqrt_trials():
     g = trial_gains(1, 0, 8000)
-    small = snr_sweep((10.0,), g[:2000]).points[0]
-    big = snr_sweep((10.0,), g).points[0]
-    ratio = small.stpnc_stderr / big.stpnc_stderr
+    small = columns(snr_sweep((10.0,), g[:2000]))["stpnc_stderr"][0]
+    big = columns(snr_sweep((10.0,), g))["stpnc_stderr"][0]
+    ratio = small / big
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
 def test_tdma_rate_vanishes_and_grows_monotonically():
     g = trial_gains(3, 0, 2000)
-    rates = [p.tdma_rate for p in snr_sweep(tuple(float(s) for s in range(-10, 31, 5)), g).points]
-    assert all(a < b for a, b in zip(rates, rates[1:]))
+    rates = columns(snr_sweep(tuple(float(s) for s in range(-10, 31, 5)), g))["tdma_rate"]
+    assert len(rates) == 9 and all(a < b for a, b in zip(rates, rates[1:]))
     low = snr_sweep((-100.0,), g)
-    assert low.points[0].tdma_rate < 1e-6
+    assert columns(low)["tdma_rate"][0] < 1e-6
 
 
 def test_snr_sweep_deterministic_and_df_bounded():
     grid = (0.0, 10.0, 20.0)
     a = snr_sweep(grid, trial_gains(4, 0, 500))
     b = snr_sweep(grid, trial_gains(4, 0, 500))
-    assert a == b
-    for p in a.points:
-        assert p.stpnc_rate >= 0 and p.tdma_rate >= 0
+    assert a.table.tobytes() == b.table.tobytes() and a.crossover_db == b.crossover_db
+    cols = columns(a)
+    assert np.all(cols["stpnc_rate"] >= 0) and np.all(cols["tdma_rate"] >= 0)
 
 
 def test_snr_sweep_validation():

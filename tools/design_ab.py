@@ -13,9 +13,9 @@ go first. Prints a markdown table: each tree's best time, the speedup, and the b
 largest difference relative to the other tree's bank. BLAS runs on one thread unless the
 environment says otherwise.
 
-With ``--verify`` it times instead the benchmark's ``verify`` calls, the ``Verify``
-entries of ``perfbench/run.py``'s ``WORKLOADS`` with root seed 0, through each tree's
-``stpnc.cli.main``, after one untimed round, in interleaved rounds that alternate
+With ``--verify`` it times instead every distinct CLI call of ``perfbench/run.py``'s
+``WORKLOADS`` (``verify``, ``rate-sweep`` and ``dof-sweep``) with root seed 0, through each
+tree's ``stpnc.cli.main``, after one untimed round, in interleaved rounds that alternate
 which tree goes first. Its table gives each tree's best and median ms per call, the
 speedup of the best, and whether the exit code, stdout and output file are byte-equal.
 """
@@ -55,18 +55,26 @@ RELAY_SETS = {
 }
 
 
-def verify_calls() -> dict:
-    """name -> each ``Verify`` call of perfbench/run.py's WORKLOADS, in table order. A name is
-    the scenario where its schedule fixes the network, else scenario-K-relays, as in RELAY_SETS."""
+def bench_calls() -> dict:
+    """name -> each distinct call of perfbench/run.py's WORKLOADS, in first-seen order. A verify
+    call is named by its scenario where the schedule fixes the network, else scenario-K-relays,
+    as in RELAY_SETS; a sweep by its command, and a dof-sweep also by its K."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     calls = {}
-    for call in (c for workload in run.WORKLOADS.values() for c in workload if isinstance(c, run.Verify)):
-        a = call.antennas
-        relays = f"{len(a)}x1" if len(a) > 1 and set(a) == {1} else "".join(map(str, a))
-        fixed = call.scenario in ("twic", "twxc")
-        calls[call.scenario if fixed else f"{call.scenario}-{call.K}-{relays}"] = call
+    for call in dict.fromkeys(c for workload in run.WORKLOADS.values() for c in workload):
+        if isinstance(call, run.RateSweep):
+            name = "rate-sweep"
+        elif isinstance(call, run.DofSweep):
+            name = f"dof-sweep-{call.k}"
+        elif call.scenario in ("twic", "twxc"):
+            name = call.scenario
+        else:
+            a = call.antennas
+            relays = f"{len(a)}x1" if len(a) > 1 and set(a) == {1} else "".join(map(str, a))
+            name = f"{call.scenario}-{call.K}-{relays}"
+        calls[name] = call
     return calls
 
 
@@ -104,8 +112,8 @@ def compare(trees: dict, name: str, rounds: int) -> str:
             f"| {best['parent'] / best['this']:.2f} | {diff:.1e} |")
 
 
-def verify_call(tree: dict, call, out: Path) -> tuple:
-    """One verify call through the tree's cli.main: seconds taken, and (exit code, stdout,
+def cli_call(tree: dict, call, out: Path) -> tuple:
+    """One benchmark call through the tree's cli.main: seconds taken, and (exit code, stdout,
     output file bytes)."""
     stdout = io.StringIO()
     start = perf_counter()
@@ -114,16 +122,16 @@ def verify_call(tree: dict, call, out: Path) -> tuple:
     return perf_counter() - start, (code, stdout.getvalue(), out.read_bytes())
 
 
-def compare_verify(trees: dict, name: str, call, rounds: int, tmp: Path) -> str:
+def compare_calls(trees: dict, name: str, call, rounds: int, tmp: Path) -> str:
     """One table row: best and median ms per call of each tree, speedup, equal outputs."""
     times, outputs = {t: [] for t in trees}, {}
     for r in range(-1, rounds):  # round -1 fills the caches and is not timed
         for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-            took, outputs[t] = verify_call(trees[t], call, tmp / f"{t}.json")
+            took, outputs[t] = cli_call(trees[t], call, tmp / f"{t}.out")
             if r >= 0:
                 times[t].append(took)
     ms = {t: (1e3 * min(x), 1e3 * statistics.median(x)) for t, x in times.items()}
-    return (f"| {name} ({call.seeds}) | {ms['parent'][0]:.2f} / {ms['parent'][1]:.2f} "
+    return (f"| {name} ({call.amount}) | {ms['parent'][0]:.2f} / {ms['parent'][1]:.2f} "
             f"| {ms['this'][0]:.2f} / {ms['this'][1]:.2f} | {ms['parent'][0] / ms['this'][0]:.2f} "
             f"| {'yes' if outputs['this'] == outputs['parent'] else 'NO'} |")
 
@@ -135,7 +143,7 @@ def main(argv=None) -> int:
                     help=f"comma-separated relay sets (default: all of {', '.join(RELAY_SETS)})")
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("--verify", action="store_true",
-                    help="time the benchmark's verify CLI calls instead of design")
+                    help="time the benchmark's CLI calls instead of design")
     args = ap.parse_args(argv)
     names = args.sets.split(",")
     unknown = sorted(set(names) - set(RELAY_SETS))
@@ -143,11 +151,12 @@ def main(argv=None) -> int:
         ap.error(f"unknown relay sets {unknown}" if unknown else "--rounds must be at least 1")
     trees = {"parent": load(args.parent, "stpnc_parent"), "this": load(ROOT, "stpnc_this")}
     if args.verify:
-        print("| verify call (seeds) | parent best / median ms | this best / median ms | × best | equal |")
+        print("| benchmark call (seeds, trials or rows) | parent best / median ms | this best / median ms "
+              "| × best | equal |")
         print("|---|---|---|---|---|")
         with tempfile.TemporaryDirectory() as tmp:
-            for name, call in verify_calls().items():
-                print(compare_verify(trees, name, call, args.rounds, Path(tmp)), flush=True)
+            for name, call in bench_calls().items():
+                print(compare_calls(trees, name, call, args.rounds, Path(tmp)), flush=True)
         return 0
     print("| relay set (seeds) | parent ms | this ms | × | bank diff (rel.) |")
     print("|---|---|---|---|---|")
